@@ -7,6 +7,9 @@ deterministic (sorted keys, fixed entry order) and contains no floating
 point.
 
 Exit codes: 0 success, 1 verification failure, 2 usage errors and poles.
+Input the library rejects with a ValueError (an imprimitive root, an
+unknown ADE label, a malformed map file, ...) is a usage error: one line on
+stderr and exit 2, never a traceback.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import sys
 import click
 
 from .corrections import PoleError
-from .exactnum import Cyclotomic, root_of_unity
+from .exactnum import Cyclotomic, euler_phi, root_of_unity
 from .isocheck import (conjecture_scan, solve_a1, solve_a2, transport_check)
 from .mckay import (LinearMap, ade_resolution_graph, an_mckay, aut_gamma,
                     bgp_map, chtd_map)
@@ -29,13 +32,34 @@ from .ringtables import (cr_table, cup_table, qc_eval, qc_table,
 
 POLE_EXIT = 2
 
+# Largest degree phi(N) of the field Q(zeta_N) a q-point may need, N being
+# the lcm of 4(n+1) and the literals' denominators.  A product costs
+# O(phi^2) and an inverse O(phi^3): `verify --n 2 --q e:1/5,e:1/7` (N = 420,
+# phi = 96) takes well under a second, while `e:1/2003` at rank 1
+# (phi = 8008) would run for hours.
+MAX_QPOINT_PHI = 128
+
+
+class InputError(click.ClickException):
+    """Input the library cannot take: one line on stderr, exit 2."""
+
+    exit_code = 2
+
+
+class _Main(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:  # the library's input validation
+            raise InputError(str(exc)) from exc
+
 
 def _parse_qpoint(spec: str, n: int):
     """Parse "e:j/k,e:j/k,..." into exact root-of-unity values."""
     tokens = [t.strip() for t in spec.split(",")]
     if len(tokens) != n:
         raise click.UsageError(f"expected {n} q-values, got {len(tokens)}")
-    values = []
+    literals = []
     for tok in tokens:
         if not tok.startswith("e:"):
             raise click.UsageError(
@@ -48,9 +72,15 @@ def _parse_qpoint(spec: str, n: int):
             raise click.UsageError(f"bad q literal {tok!r}")
         if k < 1:
             raise click.UsageError(f"bad q literal {tok!r}: k must be >= 1")
-        values.append(root_of_unity(k, j))
-    conductor = math.lcm(4 * (n + 1), *(v.conductor for v in values))
-    return [v.lift(conductor) for v in values]
+        literals.append((j, k))
+    conductor = math.lcm(4 * (n + 1), *(k for _, k in literals))
+    # phi(N) >= sqrt(N/2), so the first test also bounds the factorisation
+    if (conductor > 2 * MAX_QPOINT_PHI ** 2
+            or euler_phi(conductor) > MAX_QPOINT_PHI):
+        raise InputError(
+            f"q-point {spec!r} needs Q(zeta_{conductor}), whose degree "
+            f"exceeds the limit phi <= {MAX_QPOINT_PHI}")
+    return [root_of_unity(k, j).lift(conductor) for j, k in literals]
 
 
 def _dump_json(doc) -> str:
@@ -72,7 +102,7 @@ def _approx(value: Cyclotomic) -> str:
     return f"~{z.real:+.6f}{z.imag:+.6f}i"
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Exact rings and ring-isomorphism checks for transversal A_n
     orbifolds and their crepant resolutions."""
@@ -82,7 +112,8 @@ def main():
 @click.argument("kind", type=click.Choice(["cr", "cup", "qc"]))
 @click.option("--n", "rank", type=int, required=True, help="rank n >= 1")
 @click.option("--q", "qspec", default=None,
-              help="evaluate the qc table at this exact q-point")
+              help="evaluate the qc table at this exact q-point; its field "
+              f"Q(zeta_N) must have degree phi(N) <= {MAX_QPOINT_PHI}")
 @click.option("--format", "fmt", default="text",
               type=click.Choice(["json", "text", "latex"]))
 @click.option("--check-roundtrip", is_flag=True,
@@ -137,7 +168,9 @@ def _load_map(source: str, rank: int) -> LinearMap:
 @click.option("--n", "rank", type=int, required=True)
 @click.option("--map", "map_source", required=True,
               help="bgp:M, chtd, or a JSON file with a LinearMap")
-@click.option("--q", "qspec", required=True)
+@click.option("--q", "qspec", required=True,
+              help="exact q-point e:j/k,...; its field Q(zeta_N) must have "
+              f"degree phi(N) <= {MAX_QPOINT_PHI}")
 @click.option("--format", "fmt", default="text",
               type=click.Choice(["json", "text"]))
 def cmd_verify(rank, map_source, qspec, fmt):

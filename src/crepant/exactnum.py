@@ -1,11 +1,20 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_N).
 
 An element of Q(zeta_N) is stored as its coordinate vector in the power basis
-1, zeta, ..., zeta^(phi(N)-1) modulo the N-th cyclotomic polynomial, with
-`fractions.Fraction` coordinates.  Since Phi_N is the minimal polynomial of
-zeta_N, coordinates are unique and equality is coefficient-wise (after lifting
-both operands into a common conductor).  There is no floating point anywhere;
-`Cyclotomic.to_complex` exists only as a non-authoritative display aid.
+1, zeta, ..., zeta^(phi(N)-1) modulo the N-th cyclotomic polynomial Phi_N, in
+the layout of FLINT/Antic `nf_elem`: a tuple of integer numerators over one
+positive integer denominator, normalised so that the gcd of the numerators and
+the denominator is 1.  That normal form is unique, so equality is a tuple
+comparison (after lifting both operands into a common conductor);
+`Cyclotomic.coeffs` presents the coordinates as `fractions.Fraction`s.
+
+Phi_N is monic with integer coefficients, so every reduction stays in the
+integers.  A product is reduced in one pass over the cached rows
+x^k mod Phi_N, phi(N) <= k <= 2 phi(N) - 2; lifts, conjugates and powers of
+zeta are reduced by monic division; the inverse solves the integer system of
+the multiplication matrix by fraction-free (Bareiss) elimination.  There is no
+floating point anywhere; `Cyclotomic.to_complex` exists only as a
+non-authoritative display aid.
 
 Besides field arithmetic the module provides the two square-root gadgets the
 rest of the library needs:
@@ -24,92 +33,134 @@ import functools
 import math
 from fractions import Fraction
 
+_RATIONAL = (int, Fraction)
+
 
 class InvalidRoot(ValueError):
     """A requested root of unity is not primitive of the required order."""
 
 
 # ---------------------------------------------------------------------------
-# Integer/rational polynomial helpers (dense, constant term first).
-
-def _trim(coeffs):
-    end = len(coeffs)
-    while end > 0 and not coeffs[end - 1]:
-        end -= 1
-    return coeffs[:end]
+# Cyclotomic polynomials and per-conductor reduction data, all in integers.
+# Polynomials are dense coefficient lists, constant term first.
 
 
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _trim(out)
+def _prime_factors(n: int) -> list[int]:
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes + [n] if n > 1 else primes
 
 
-def _poly_divmod(num, den):
-    num = list(num)
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    inv_lead = 1 / Fraction(den[-1])
-    while len(num) >= len(den) and _trim(num):
-        num = _trim(num)
-        if len(num) < len(den):
-            break
-        shift = len(num) - len(den)
-        factor = num[-1] * inv_lead
-        q[shift] = factor
-        for i, d in enumerate(den):
-            num[shift + i] -= factor * d
-        num = num[:-1]
-    return _trim(q), _trim(num)
-
-
-def _poly_xgcd(a, b):
-    """Extended Euclid over Q[x]: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while _trim(r1):
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _trim([x - y for x, y in
-                            _zip_pad(s0, _poly_mul(q, s1))])
-        t0, t1 = t1, _trim([x - y for x, y in
-                            _zip_pad(t0, _poly_mul(q, t1))])
-    return r0, s0, t0
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    return zip(a + [Fraction(0)] * (n - len(a)),
-               b + [Fraction(0)] * (n - len(b)))
+def euler_phi(n: int) -> int:
+    """phi(n) = deg Phi_n, from the prime factorisation of n."""
+    if n < 1:
+        raise ValueError("conductor must be positive")
+    phi = n
+    for p in _prime_factors(n):
+        phi = phi // p * (p - 1)
+    return phi
 
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_n, constant term first.
 
+    Built as the Moebius product of (x^d - 1)^mu(n/d) over the divisors d of
+    n: the factors with mu = 1 are multiplied out, then the factors with
+    mu = -1 are divided off, each division exact.
+
     >>> cyclotomic_polynomial(4)
     (1, 0, 1)
     """
     if n < 1:
         raise ValueError("conductor must be positive")
-    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
-    for d in range(1, n):
-        if n % d == 0:
-            poly, rem = _poly_divmod(poly, [Fraction(c) for c in
-                                            cyclotomic_polynomial(d)])
-            assert not rem
-    assert all(c.denominator == 1 for c in poly)
-    return tuple(int(c) for c in poly)
+    primes = _prime_factors(n)
+    up, down = [], []  # n/d runs over the squarefree divisors of n
+    for mask in range(1 << len(primes)):
+        s = math.prod(p for i, p in enumerate(primes) if mask >> i & 1)
+        (down if bin(mask).count("1") % 2 else up).append(n // s)
+    poly = [1]
+    for d in up:  # poly * (x^d - 1)
+        out = [0] * (len(poly) + d)
+        for i, c in enumerate(poly):
+            out[i] -= c
+            out[i + d] += c
+        poly = out
+    for d in down:  # poly / (x^d - 1): poly[i] = q[i - d] - q[i]
+        q = []
+        for i in range(len(poly) - d):
+            q.append((q[i - d] if i >= d else 0) - poly[i])
+        poly = q
+    return tuple(poly)
 
 
-def euler_phi(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
+@functools.lru_cache(maxsize=None)
+def _reduction_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """x^k mod Phi_n for phi(n) <= k <= 2 phi(n) - 2, as sparse rows of
+    (index, coefficient) pairs; row 0 is x^phi(n) = -(Phi_n - x^phi(n))."""
+    phi = cyclotomic_polynomial(n)
+    m = len(phi) - 1
+    row = [-c for c in phi[:m]]
+    rows = []
+    for _ in range(m - 1):
+        rows.append(tuple((j, v) for j, v in enumerate(row) if v))
+        top = row[-1]
+        row = [0] + row[:-1]
+        for j, v in rows[0]:
+            row[j] += top * v
+    return tuple(rows)
+
+
+def _reduce(poly: list[int], n: int) -> list[int]:
+    """An integer polynomial of any degree mod the monic Phi_n, padded to
+    phi(n) coordinates."""
+    phi = cyclotomic_polynomial(n)
+    m = len(phi) - 1
+    terms = [(i, c) for i, c in enumerate(phi[:m]) if c]
+    for top in range(len(poly) - 1, m - 1, -1):
+        c = poly[top]
+        if c:
+            base = top - m
+            for i, p in terms:
+                poly[base + i] -= c * p
+    poly = poly[:m]
+    return poly + [0] * (m - len(poly))
+
+
+def _bareiss_solve(rows: list[list[int]]) -> tuple[list[int], int]:
+    """Solve a nonsingular integer system given as augmented rows [M | b].
+
+    Fraction-free (Bareiss) elimination, then back substitution with exact
+    divisions.  Returns (z, d) with M z = d b and d = +-det M.  The rows are
+    overwritten.
+    """
+    size = len(rows)
+    prev = 1
+    for k in range(size):
+        if not rows[k][k]:
+            swap = next(i for i in range(k + 1, size) if rows[i][k])
+            rows[k], rows[swap] = rows[swap], rows[k]
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        tail = pivot_row[k + 1:]
+        for i in range(k + 1, size):
+            row = rows[i]
+            f = row[k]
+            row[k + 1:] = [(x * pivot - f * y) // prev
+                           for x, y in zip(row[k + 1:], tail)]
+        prev = pivot
+    z = [0] * size
+    for i in range(size - 1, -1, -1):
+        row = rows[i]
+        acc = prev * row[size] - sum(x * y for x, y in zip(row[i + 1:size],
+                                                          z[i + 1:]))
+        z[i] = acc // row[i]
+    return z, prev
 
 
 # ---------------------------------------------------------------------------
@@ -119,36 +170,66 @@ class Cyclotomic:
     """An element of Q(zeta_N), reduced modulo Phi_N.
 
     Construct values through `root_of_unity`, `Cyclotomic.from_rational` or
-    arithmetic; the raw constructor expects an already-reduced coefficient
-    vector of length phi(N).  Values are immutable.
+    arithmetic; the raw constructor expects an already-reduced vector of
+    phi(N) int or Fraction coordinates.  Values are immutable.
     """
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "_num", "_den")
 
     def __init__(self, conductor: int, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(coeffs)
         if len(coeffs) != euler_phi(conductor):
             raise ValueError("coefficient vector has wrong length")
+        for c in coeffs:
+            if not isinstance(c, _RATIONAL):
+                raise TypeError(f"coordinates must be int or Fraction, "
+                                f"not {type(c).__name__}")
+        den = math.lcm(*(c.denominator for c in coeffs))
+        self._init(conductor,
+                   tuple(c.numerator * (den // c.denominator)
+                         for c in coeffs), den)
+
+    def _init(self, conductor, num, den):
+        if den != 1:
+            g = math.gcd(den, *num)
+            if g != 1:
+                num = tuple(x // g for x in num)
+                den //= g
         object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_num", tuple(num))
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, *args):
         raise AttributeError("Cyclotomic values are immutable")
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coordinates in the power basis, as Fractions."""
+        den = self._den
+        return tuple(Fraction(x, den) for x in self._num)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _from_poly(cls, conductor, coeffs):
-        phi_n = [Fraction(c) for c in cyclotomic_polynomial(conductor)]
-        coeffs = [Fraction(c) for c in coeffs]
-        _, rem = _poly_divmod(coeffs, phi_n)
-        deg = len(phi_n) - 1
-        rem = list(rem) + [Fraction(0)] * (deg - len(rem))
-        return cls(conductor, rem)
+    def _make(cls, conductor, num, den=1) -> "Cyclotomic":
+        """From integer coordinates over a positive denominator."""
+        self = object.__new__(cls)
+        self._init(conductor, num, den)
+        return self
+
+    @classmethod
+    def _from_poly(cls, conductor, poly, den=1) -> "Cyclotomic":
+        """From an integer polynomial in zeta_N of any degree."""
+        return cls._make(conductor, _reduce(poly, conductor), den)
 
     @classmethod
     def from_rational(cls, value, conductor: int = 1) -> "Cyclotomic":
-        return cls._from_poly(conductor, [Fraction(value)])
+        if not isinstance(value, _RATIONAL):
+            raise TypeError(f"expected an int or Fraction, "
+                            f"not {type(value).__name__}")
+        m = len(cyclotomic_polynomial(conductor)) - 1
+        return cls._make(conductor, (value.numerator,) + (0,) * (m - 1),
+                         value.denominator)
 
     @classmethod
     def zero(cls, conductor: int = 1) -> "Cyclotomic":
@@ -166,12 +247,15 @@ class Cyclotomic:
             return self
         if conductor % self.conductor != 0:
             raise ValueError("can only lift into a multiple of the conductor")
+        num = self._num
+        if not any(num[1:]):
+            m = len(cyclotomic_polynomial(conductor)) - 1
+            return Cyclotomic._make(conductor, num[:1] + (0,) * (m - 1),
+                                    self._den)
         step = conductor // self.conductor
-        out = [Fraction(0)] * (len(self.coeffs) * step - step + 1 or 1)
-        for k, c in enumerate(self.coeffs):
-            if c:
-                out[k * step] += c
-        return Cyclotomic._from_poly(conductor, out)
+        poly = [0] * ((len(num) - 1) * step + 1)
+        poly[::step] = num
+        return Cyclotomic._from_poly(conductor, poly, self._den)
 
     def descend(self, conductor: int) -> "Cyclotomic":
         """Rewrite in the subfield Q(zeta_M), M | N, if the value lies there.
@@ -187,7 +271,7 @@ class Cyclotomic:
         basis = [root_of_unity(conductor, k).lift(self.conductor).coeffs
                  for k in range(euler_phi(conductor))]
         rows = [[basis[j][i] for j in range(len(basis))]
-                for i in range(len(self.coeffs))]
+                for i in range(len(self._num))]
         sol = linalg.solve_exact(rows, list(self.coeffs), zero=Fraction(0))
         if sol is None:
             raise ValueError("element does not lie in the requested subfield")
@@ -199,18 +283,18 @@ class Cyclotomic:
         return a.lift(n), b.lift(n)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self._num)
 
     def __bool__(self) -> bool:
-        return any(map(bool, self.coeffs))
+        return any(self._num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self._num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self._num[0], self._den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -218,7 +302,7 @@ class Cyclotomic:
     def _coerce(value, conductor):
         if isinstance(value, Cyclotomic):
             return value
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, _RATIONAL):
             return Cyclotomic.from_rational(value, conductor)
         return NotImplemented
 
@@ -227,13 +311,20 @@ class Cyclotomic:
         if other is NotImplemented:
             return NotImplemented
         a, b = Cyclotomic.common(self, other)
-        return Cyclotomic(a.conductor,
-                          [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        ad, bd = a._den, b._den
+        if ad == bd:
+            return Cyclotomic._make(a.conductor,
+                                    [x + y for x, y in zip(a._num, b._num)],
+                                    ad)
+        return Cyclotomic._make(a.conductor,
+                                [x * bd + y * ad
+                                 for x, y in zip(a._num, b._num)], ad * bd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.conductor, [-c for c in self.coeffs])
+        return Cyclotomic._make(self.conductor, [-x for x in self._num],
+                                self._den)
 
     def __sub__(self, other):
         other = self._coerce(other, self.conductor)
@@ -244,26 +335,60 @@ class Cyclotomic:
     def __rsub__(self, other):
         return -(self - other)
 
+    def _scale(self, num, den) -> "Cyclotomic":
+        """self * num/den for integers num and den > 0."""
+        return Cyclotomic._make(self.conductor, [x * num for x in self._num],
+                                self._den * den)
+
     def __mul__(self, other):
-        other = self._coerce(other, self.conductor)
-        if other is NotImplemented:
+        if isinstance(other, _RATIONAL):
+            return self._scale(other.numerator, other.denominator)
+        if not isinstance(other, Cyclotomic):
             return NotImplemented
         a, b = Cyclotomic.common(self, other)
-        return Cyclotomic._from_poly(a.conductor,
-                                     _poly_mul(list(a.coeffs), list(b.coeffs)))
+        an, bn = a._num, b._num
+        if not any(bn[1:]):
+            return a._scale(bn[0], b._den)
+        if not any(an[1:]):
+            return b._scale(an[0], a._den)
+        m = len(an)
+        prod = [0] * (2 * m - 1)
+        for i, x in enumerate(an):
+            if x:
+                for k, y in enumerate(bn, i):
+                    prod[k] += x * y
+        out = prod[:m]
+        for c, row in zip(prod[m:], _reduction_rows(a.conductor)):
+            if c:
+                for j, v in row:
+                    out[j] += c * v
+        return Cyclotomic._make(a.conductor, out, a._den * b._den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        if self.is_zero():
+        num, n = self._num, self.conductor
+        if not any(num):
             raise ZeroDivisionError("division by zero in Q(zeta_N)")
-        phi_n = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        g, s, _ = _poly_xgcd(list(self.coeffs), phi_n)
-        # Phi_N is irreducible, so the gcd with a nonzero smaller-degree
-        # polynomial is a nonzero constant.
-        assert len(g) == 1 and g[0]
-        return Cyclotomic._from_poly(self.conductor,
-                                     [c / g[0] for c in s])
+        if not any(num[1:]):
+            c = num[0]
+            return Cyclotomic._make(
+                n, (self._den if c > 0 else -self._den,) + num[1:], abs(c))
+        # Column k of the multiplication matrix is x^k * num mod Phi_N; solve
+        # for the coordinates z/d of 1/num, then 1/self = den * z/d.
+        x_m = _reduction_rows(n)[0]
+        m = len(num)
+        cols, col = [], list(num)
+        for _ in range(m):
+            cols.append(col)
+            top = col[-1]
+            col = [0] + col[:-1]
+            for j, v in x_m:
+                col[j] += top * v
+        rows = [[c[i] for c in cols] + [int(i == 0)] for i in range(m)]
+        z, d = _bareiss_solve(rows)
+        scale = self._den if d > 0 else -self._den
+        return Cyclotomic._make(n, [scale * x for x in z], abs(d))
 
     def __truediv__(self, other):
         other = self._coerce(other, self.conductor)
@@ -289,19 +414,17 @@ class Cyclotomic:
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation, i.e. the Galois map zeta -> zeta^-1."""
         n = self.conductor
-        out = [Fraction(0)] * n
-        out[0] += self.coeffs[0] if self.coeffs else Fraction(0)
-        for k, c in enumerate(self.coeffs[1:], start=1):
-            if c:
-                out[(n - k) % n] += c
-        return Cyclotomic._from_poly(n, out)
+        poly = [0] * n
+        for k, c in enumerate(self._num):
+            poly[-k % n] += c
+        return Cyclotomic._from_poly(n, poly, self._den)
 
     def __eq__(self, other):
         other = self._coerce(other, self.conductor)
         if other is NotImplemented:
             return NotImplemented
         a, b = Cyclotomic.common(self, other)
-        return a.coeffs == b.coeffs
+        return a._den == b._den and a._num == b._num
 
     __hash__ = None  # cross-conductor equality makes a sane hash expensive
 
@@ -350,8 +473,7 @@ def root_of_unity(conductor: int, exponent: int = 1) -> Cyclotomic:
     if conductor < 1:
         raise ValueError("conductor must be positive")
     e = exponent % conductor
-    return Cyclotomic._from_poly(conductor,
-                                 [Fraction(0)] * e + [Fraction(1)])
+    return Cyclotomic._from_poly(conductor, [0] * e + [1])
 
 
 def imaginary_unit(conductor: int) -> Cyclotomic:

@@ -119,6 +119,8 @@ def ade_resolution_graph(label: str) -> McKayGraph:
     data (vertex dimensions are the Dynkin marks of the irreducibles).
     """
     kind, _, num = label.partition("_")
+    if not num.isdigit():
+        raise ValueError(f"unknown ADE label {label!r}")
     if kind == "A":
         return an_mckay(int(num))
     if kind == "D":

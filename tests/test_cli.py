@@ -152,3 +152,55 @@ def test_qc_table_evaluated_via_cli_matches_library(runner):
     z3 = root_of_unity(3, 1).lift(12)
     expected = qc_eval(qc_table(2), [z3, z3])
     assert table_from_json(json.loads(result.output)) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "2", "--map", "bgp:3", "--q", "e:1/3,e:1/3"],
+    ["verify", "--n", "2", "--map", "bgp:0", "--q", "e:1/3,e:1/3"],
+    ["mckay", "--group", "F_4"],
+    ["mckay", "--group", "A_x"],
+    ["verify", "--n", "0", "--map", "chtd", "--q", "e:1/2"],
+], ids=["imprimitive-root", "zero-root", "unknown-group", "bad-group-rank",
+        "rank-zero"])
+def test_library_input_errors_are_one_line_usage_errors(runner, argv):
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("Error: ")
+
+
+@pytest.mark.parametrize("rank,content", [
+    (2, "{not json"), (3, None)], ids=["not-json", "wrong-rank"])
+def test_malformed_map_file_is_a_usage_error(runner, tmp_path, rank,
+                                             content):
+    from crepant.mckay import bgp_map
+
+    path = tmp_path / "map.json"
+    path.write_text(content or json.dumps(bgp_map(2, 1).to_json()))
+    qspec = ",".join(["e:1/5"] * rank)
+    result = runner.invoke(main, ["verify", "--n", str(rank), "--map",
+                                  str(path), "--q", qspec])
+    assert result.exit_code == 2
+    assert len(result.stderr.splitlines()) == 1
+
+
+def test_qpoint_field_degree_is_bounded(runner):
+    from crepant.cli import MAX_QPOINT_PHI
+
+    assert MAX_QPOINT_PHI >= 96
+    # conductor lcm(8, 2003) = 16024, phi = 8008: rejected before any work
+    result = runner.invoke(main, ["table", "qc", "--n", "1",
+                                  "--q", "e:1/2003"])
+    assert result.exit_code == 2
+    assert len(result.stderr.splitlines()) == 1
+    assert f"phi <= {MAX_QPOINT_PHI}" in result.stderr
+    huge = runner.invoke(main, ["table", "qc", "--n", "1",
+                                "--q", f"e:1/{10 ** 30 + 57}"])
+    assert huge.exit_code == 2
+    # conductor 420, phi = 96: still computed
+    ok = runner.invoke(main, ["verify", "--n", "2", "--map", "bgp:1",
+                              "--q", "e:1/5,e:1/7"])
+    assert ok.exit_code == 1 and "FAIL" in ok.stdout
+    assert f"phi(N) <= {MAX_QPOINT_PHI}" in runner.invoke(
+        main, ["table", "--help"]).output

@@ -147,3 +147,31 @@ def test_sqrt_rational():
         sqrt_rational(3, 8)  # sqrt(3) is not in Q(zeta_8)
     with pytest.raises(ValueError):
         sqrt_rational(-1, 4)
+
+
+def test_floats_are_rejected():
+    with pytest.raises(TypeError):
+        Cyclotomic.from_rational(0.1)
+    with pytest.raises(TypeError):
+        Cyclotomic.from_rational(0.5, 4)
+    with pytest.raises(TypeError):
+        Cyclotomic(4, [0.5, 0])
+    with pytest.raises(TypeError):
+        Cyclotomic(1, [1.0])
+    with pytest.raises(TypeError):
+        root_of_unity(4, 1) * 0.5
+    with pytest.raises(TypeError):
+        0.5 + root_of_unity(4, 1)
+    assert Cyclotomic(4, [1, Fraction(1, 2)]).coeffs == (1, Fraction(1, 2))
+
+
+def test_immutable_and_validated():
+    z = root_of_unity(12, 1)
+    with pytest.raises(AttributeError):
+        z.conductor = 3
+    with pytest.raises(AttributeError):
+        z.coeffs = ()
+    with pytest.raises(ValueError):
+        Cyclotomic(12, [1, 2, 3])
+    with pytest.raises(ValueError):
+        Cyclotomic(0, [])

@@ -1,0 +1,132 @@
+"""Differential tests of `exactnum` against sympy's polynomial arithmetic.
+
+An element of Q(zeta_N) is compared with the polynomial of its coordinates
+in QQ[x]; sympy reduces modulo its own cyclotomic_poly(N), so agreement
+checks the integer core (Phi_N, reduction rows, lifts, Bareiss inverse)
+against an independent implementation.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+pytest.importorskip("hypothesis")
+
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from crepant.exactnum import (Cyclotomic, cyclotomic_polynomial,  # noqa: E402
+                              euler_phi)
+
+X = sympy.Symbol("x")
+MAX_CONDUCTOR = 84
+# sympy.invert takes seconds beyond this degree (43 s at phi = 82); above it
+# the inverse is checked through sympy's product alone.
+SYMPY_INVERT_MAX_DEGREE = 24
+ORACLE = settings(max_examples=30, deadline=None, derandomize=True,
+                  database=None)
+
+
+def _phi(n):
+    return sympy.Poly(sympy.cyclotomic_poly(n, X), X, domain="QQ")
+
+
+def _poly(value: Cyclotomic):
+    coeffs = [sympy.Rational(c.numerator, c.denominator)
+              for c in reversed(value.coeffs)]
+    return sympy.Poly(coeffs, X, domain="QQ")
+
+
+def _coords(poly, n):
+    """Coordinates of a sympy polynomial already reduced mod Phi_n."""
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in poly.all_coeffs()[::-1]]
+    return tuple(coeffs) + (Fraction(0),) * (euler_phi(n) - len(coeffs))
+
+
+def _assert_normal(value: Cyclotomic):
+    assert value._den > 0
+    assert math.gcd(value._den, *value._num) == 1
+    assert all(isinstance(x, int) for x in value._num)
+    assert all(type(c) is Fraction for c in value.coeffs)
+    assert len(value.coeffs) == euler_phi(value.conductor)
+
+
+coordinate = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
+
+
+@st.composite
+def element(draw, conductor):
+    coords = draw(st.lists(coordinate, min_size=euler_phi(conductor),
+                           max_size=euler_phi(conductor)))
+    return Cyclotomic(conductor, coords)
+
+
+@st.composite
+def pair(draw):
+    n = draw(st.integers(1, MAX_CONDUCTOR))
+    return n, draw(element(n)), draw(element(n))
+
+
+def test_cyclotomic_polynomial_and_phi_match_sympy():
+    for n in range(1, MAX_CONDUCTOR + 1):
+        expected = sympy.Poly(sympy.cyclotomic_poly(n, X), X).all_coeffs()
+        assert cyclotomic_polynomial(n) == tuple(int(c)
+                                                 for c in expected[::-1]), n
+        assert euler_phi(n) == sympy.totient(n), n
+
+
+@ORACLE
+@given(pair())
+def test_product_and_sum_match_sympy(case):
+    n, a, b = case
+    product, total = a * b, a + b
+    assert product.coeffs == _coords((_poly(a) * _poly(b)).rem(_phi(n)), n)
+    assert total.coeffs == _coords(_poly(a) + _poly(b), n)
+    _assert_normal(product)
+    _assert_normal(total)
+
+
+@ORACLE
+@given(pair(), coordinate)
+def test_rational_scaling_matches_field_product(case, r):
+    n, a, _ = case
+    scaled = a * r
+    assert scaled == a * Cyclotomic.from_rational(r, n) == r * a
+    assert scaled.coeffs == tuple(c * r for c in a.coeffs)
+    _assert_normal(scaled)
+
+
+@ORACLE
+@given(pair())
+def test_inverse_matches_sympy(case):
+    n, a, _ = case
+    assume(not a.is_zero())
+    inv = a.inverse()
+    assert a * inv == 1
+    assert (_poly(a) * _poly(inv)).rem(_phi(n)) == sympy.Poly(1, X,
+                                                              domain="QQ")
+    if euler_phi(n) <= SYMPY_INVERT_MAX_DEGREE:
+        assert inv.coeffs == _coords(sympy.invert(_poly(a), _phi(n)), n)
+    _assert_normal(inv)
+
+
+@ORACLE
+@given(st.data())
+def test_lift_matches_sympy_and_keeps_equality(data):
+    n = data.draw(st.integers(1, MAX_CONDUCTOR // 2))
+    big = n * data.draw(st.integers(2, MAX_CONDUCTOR // n))
+    a = data.draw(element(n))
+    lifted = a.lift(big)
+    step = big // n
+    expected = _poly(a).compose(sympy.Poly(X ** step, X)).rem(_phi(big))
+    assert lifted.coeffs == _coords(expected, big)
+    assert lifted == a and a == lifted
+    assert lifted.conductor == big
+    _assert_normal(lifted)
+
+
+def test_zero_has_unit_denominator():
+    z = Cyclotomic(12, [Fraction(0)] * 4) * Fraction(5, 3)
+    assert z.is_zero() and z._den == 1 and z == 0
