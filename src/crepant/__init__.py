@@ -9,7 +9,7 @@ no floating point anywhere in the mathematical path.
 from .cartan import CartanData, beta_pairing, cartan_build
 from .coeffring import BaseScalar
 from .corrections import (CorrectionFunction, DeltaIndex, PoleError,
-                          correction_eval, delta_eval, r_function)
+                          correction_eval, delta_eval)
 from .exactnum import (Cyclotomic, InvalidRoot, branch_sqrt,
                        cyclotomic_polynomial, imaginary_unit, root_of_unity,
                        sqrt_rational)
@@ -31,6 +31,6 @@ __all__ = [
     "bgp_map", "blowup_step", "branch_sqrt", "cartan_build", "chtd_map",
     "conjecture_scan", "correction_eval", "cr_table", "cup_table",
     "cyclotomic_polynomial", "delta_eval", "imaginary_unit", "qc_eval",
-    "qc_table", "r_function", "resolve_an", "root_of_unity", "solve_a1",
-    "solve_a2", "sqrt_rational", "strip_corrections", "transport_check",
+    "qc_table", "resolve_an", "root_of_unity", "solve_a1", "solve_a2",
+    "sqrt_rational", "strip_corrections", "transport_check",
 ]

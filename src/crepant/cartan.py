@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
-
 
 @dataclass(frozen=True)
 class CartanData:
@@ -25,7 +23,8 @@ class CartanData:
 
 
 def cartan_build(n: int) -> CartanData:
-    """Build c_n and its inverse by exact Gaussian elimination.
+    """Build c_n and its inverse from the closed form
+    (c_n^-1)_{ij} = -min(i, j) (n + 1 - max(i, j)) / (n + 1).
 
     >>> cartan_build(1).c_inv
     ((Fraction(-1, 2),),)
@@ -34,9 +33,9 @@ def cartan_build(n: int) -> CartanData:
         raise ValueError("rank must be >= 1")
     c = tuple(tuple(-2 if i == j else 1 if abs(i - j) == 1 else 0
                     for j in range(n)) for i in range(n))
-    rows = [[Fraction(x) for x in row] for row in c]
-    inv = linalg.invert_matrix(rows, zero=Fraction(0), one=Fraction(1))
-    return CartanData(n, c, tuple(tuple(row) for row in inv))
+    c_inv = tuple(tuple(Fraction(-min(i, j) * (n + 1 - max(i, j)), n + 1)
+                        for j in range(1, n + 1)) for i in range(1, n + 1))
+    return CartanData(n, c, c_inv)
 
 
 def beta_pairing(cd: CartanData, i: int, mu: int, nu: int) -> int:

@@ -22,7 +22,8 @@ import click
 
 from .corrections import PoleError
 from .exactnum import Cyclotomic, euler_phi, root_of_unity
-from .isocheck import (conjecture_scan, solve_a1, solve_a2, transport_check)
+from .isocheck import (RankMismatch, conjecture_scan, solve_a1, solve_a2,
+                       transport_check)
 from .mckay import (LinearMap, ade_resolution_graph, an_mckay, aut_gamma,
                     bgp_map, chtd_map)
 from .resolve import resolve_an
@@ -38,6 +39,12 @@ POLE_EXIT = 2
 # phi = 96) takes well under a second, while `e:1/2003` at rank 1
 # (phi = 8008) would run for hours.
 MAX_QPOINT_PHI = 128
+
+# Largest rank `scan --n` accepts.  The scan's cost grows with n, with the
+# number of primitive (n+1)-th roots and with the degree of Q(zeta_{4(n+1)}):
+# on a 2-vCPU x86 host n = 10, 12, 14, 15 took 5-6, 15, 10-14 and 17-24 s in
+# two timings, while n = 16 (16 roots in a field of degree 32) took 65-73 s.
+MAX_SCAN_RANK = 15
 
 
 class InputError(click.ClickException):
@@ -177,6 +184,7 @@ def cmd_verify(rank, map_source, qspec, fmt):
     """Check that the map transports the quantum product at q into the
     orbifold product; exit 0 iff it does."""
     lmap = _load_map(map_source, rank)
+    RankMismatch.check(lmap.n, rank, rank)
     q = _parse_qpoint(qspec, rank)
     try:
         source = qc_eval(qc_table(rank), q)
@@ -215,13 +223,17 @@ def cmd_solve(rank, fmt):
 
 
 @main.command("scan")
-@click.option("--n", "rank", type=int, required=True)
+@click.option("--n", "rank", type=int, required=True,
+              help=f"rank 1 <= n <= {MAX_SCAN_RANK}")
 @click.option("--format", "fmt", default="text",
               type=click.Choice(["json", "text"]))
 def cmd_scan(rank, fmt):
     """Probe the conjectured map at every primitive (n+1)-th root."""
     if rank < 1:
         raise click.UsageError("--n must be >= 1")
+    if rank > MAX_SCAN_RANK:
+        raise InputError(f"scan --n {rank} exceeds the limit "
+                         f"n <= {MAX_SCAN_RANK}")
     results = conjecture_scan(rank)
     if fmt == "json":
         click.echo(_dump_json([r.to_json() for r in results]))

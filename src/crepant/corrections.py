@@ -18,7 +18,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cartan import CartanData, beta_pairing
 from .exactnum import Cyclotomic
 
 _Scalar = (int, Fraction, Cyclotomic)
@@ -176,32 +175,21 @@ def delta_eval(idx: DeltaIndex, q) -> Cyclotomic:
     return prod / (1 - prod)
 
 
-def correction_eval(f: CorrectionFunction, q) -> Cyclotomic:
-    """Evaluate constant + sum coeff * delta at a q-point, exactly."""
+def correction_eval(f: CorrectionFunction, q, deltas=None) -> Cyclotomic:
+    """Evaluate constant + sum coeff * delta at a q-point, exactly.
+
+    `deltas` is an optional cache of delta values at this same point, shared
+    by several calls: each delta_{mu nu} missing from it is computed once
+    through `delta_eval` and stored.
+    """
     if len(q) != f.n:
         raise ValueError(f"expected {f.n} q-values, got {len(q)}")
+    if deltas is None:
+        deltas = {}
     value = f.constant
     for idx in sorted(f.terms):
-        value = value + f.terms[idx] * delta_eval(idx, q)
+        delta = deltas.get(idx)
+        if delta is None:
+            delta = deltas[idx] = delta_eval(idx, q)
+        value = value + f.terms[idx] * delta
     return value
-
-
-def r_function(n: int, i: int, j: int, m: int,
-               cartan: CartanData) -> CorrectionFunction:
-    """The structure function
-    sum_{mu <= nu} (E_i.b)(E_j.b)(E_m.b) delta_{mu nu}, b = beta_{mu nu}.
-
-    Fully symmetric in (i, j, m); its constant term is always zero, which is
-    exactly the statement that corrections vanish in the q -> 0 limit.
-    """
-    if not all(1 <= x <= n for x in (i, j, m)):
-        raise ValueError("index out of range")
-    terms = {}
-    for mu in range(1, n + 1):
-        for nu in range(mu, n + 1):
-            weight = (beta_pairing(cartan, i, mu, nu)
-                      * beta_pairing(cartan, j, mu, nu)
-                      * beta_pairing(cartan, m, mu, nu))
-            if weight:
-                terms[DeltaIndex(mu, nu)] = weight
-    return CorrectionFunction(n, 0, terms)

@@ -35,6 +35,12 @@ from .ringtables import (KIND_CR, KIND_QUANTUM, ExcClass, ProductTable,
 class RankMismatch(ValueError):
     """Map and tables do not have the same rank."""
 
+    @classmethod
+    def check(cls, map_rank: int, source_rank: int, target_rank: int):
+        if not map_rank == source_rank == target_rank:
+            raise cls(f"ranks differ: map {map_rank}, source {source_rank}, "
+                      f"target {target_rank}")
+
 
 @dataclass(frozen=True)
 class EntryCheck:
@@ -85,33 +91,66 @@ class TransportReport:
         return "\n".join(lines)
 
 
-def apply_map(lmap: LinearMap, cls: ExcClass) -> ExcClass:
-    """Phi applied to a class: fixes s, pushes basis coefficients through."""
+def _accumulate(terms: dict, mono, value) -> None:
+    """terms[mono] += value for a nonzero value.
+
+    A coefficient that cancels is dropped at once, as BaseScalar addition
+    drops it, so the next term starts afresh: the conductor a coefficient
+    is printed in depends on this.
+    """
+    if mono in terms:
+        value = terms[mono] + value
+        if value.is_zero():
+            del terms[mono]
+            return
+    terms[mono] = value
+
+
+def _apply_map(lmap: LinearMap, cls: ExcClass) -> list:
+    """Monomial dicts of the basis coefficients of Phi(cls); Phi fixes s."""
     n = cls.n
-    e = []
+    out = []
     for k in range(n):
-        acc = BaseScalar.zero(n)
-        for l in range(n):
-            acc = acc + cls.e[l].scale(lmap.matrix[k][l])
-        e.append(acc)
-    return ExcClass(n, cls.s, tuple(e))
+        acc = {}
+        for l, factor in enumerate(lmap.matrix[k]):
+            if not factor.is_zero():
+                for mono, c in cls.e[l].terms.items():
+                    _accumulate(acc, mono, c * factor)
+        out.append(acc)
+    return out
 
 
 def _pair_through_table(lmap: LinearMap, i: int, j: int,
-                        target: ProductTable) -> ExcClass:
-    """Phi(E_i) . Phi(E_j) expanded bilinearly through the target table."""
+                        target: ProductTable):
+    """Phi(E_i) . Phi(E_j) expanded bilinearly through the target table,
+    as monomial dicts of the s part and of each basis coefficient.
+
+    Terms are summed slot by slot in (k, kk) order; an orbifold entry has a
+    single nonzero slot, so this costs O(n^2) per product.
+    """
     n = target.n
-    out = ExcClass.zero(n)
-    for k in range(1, n + 1):
-        ci = lmap.matrix[k - 1][i - 1]
+    s_acc, e_acc = {}, [{} for _ in range(n)]
+    for k in range(n):
+        ci = lmap.matrix[k][i - 1]
         if ci.is_zero():
             continue
-        for kk in range(1, n + 1):
-            cj = lmap.matrix[kk - 1][j - 1]
+        for kk in range(n):
+            cj = lmap.matrix[kk][j - 1]
             if cj.is_zero():
                 continue
-            out = out + target.entry(k, kk).scale(ci * cj)
-    return out
+            weight = ci * cj
+            entry = target.entry(k + 1, kk + 1)
+            for acc, part in zip((s_acc, *e_acc), (entry.s, *entry.e)):
+                for mono, c in part.terms.items():
+                    _accumulate(acc, mono, c * weight)
+    return s_acc, e_acc
+
+
+def _difference(n: int, lhs: dict, rhs: dict) -> BaseScalar:
+    out = dict(lhs)
+    for mono, c in rhs.items():
+        _accumulate(out, mono, -c)
+    return BaseScalar(n, out)
 
 
 def transport_check(lmap: LinearMap, source: ProductTable,
@@ -121,21 +160,23 @@ def transport_check(lmap: LinearMap, source: ProductTable,
     The source must be fully evaluated (no symbolic delta terms); the target
     is an orbifold table.
     """
-    if not (lmap.n == source.n == target.n):
-        raise RankMismatch(
-            f"ranks differ: map {lmap.n}, source {source.n}, "
-            f"target {target.n}")
+    RankMismatch.check(lmap.n, source.n, target.n)
     if source.kind == KIND_QUANTUM:
         raise ValueError("source table still has symbolic delta terms; "
                          "evaluate it with qc_eval first")
     if target.kind != KIND_CR:
         raise ValueError("target must be a Chen-Ruan table")
+    n = source.n
     checks = []
     for i, j in source.pairs():
-        lhs = apply_map(lmap, source.entry(i, j))
-        rhs = _pair_through_table(lmap, i, j, target)
-        checks.append(EntryCheck(i, j, lhs - rhs))
-    return TransportReport(source.n, source.q, lmap, tuple(checks))
+        entry = source.entry(i, j)
+        lhs = _apply_map(lmap, entry)
+        rhs_s, rhs_e = _pair_through_table(lmap, i, j, target)
+        diff = ExcClass(n, _difference(n, entry.s.terms, rhs_s),
+                        tuple(_difference(n, a, b)
+                              for a, b in zip(lhs, rhs_e)))
+        checks.append(EntryCheck(i, j, diff))
+    return TransportReport(n, source.q, lmap, tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +277,7 @@ def _delta_system(lmap: LinearMap, qct: ProductTable, crt: ProductTable):
     kappa = BaseScalar.K(n)
     for i, j in qct.pairs():
         entry = qct.entry(i, j)
-        rhs_cls = _pair_through_table(lmap, i, j, crt)
+        _, rhs_e = _pair_through_table(lmap, i, j, crt)
         for k in range(n):
             # Phi-transformed coefficient of e_{k+1}:
             cup_acc = BaseScalar.zero(n)
@@ -248,7 +289,7 @@ def _delta_system(lmap: LinearMap, qct: ProductTable, crt: ProductTable):
                 cup_acc = cup_acc + entry.e[l].cup.scale(factor)
                 for u, c in entry.e[l].corr.terms.items():
                     corr_acc[u] = corr_acc[u] + c * factor
-            resid = cup_acc - rhs_cls.e[k]
+            resid = cup_acc - BaseScalar(n, rhs_e[k])
             for mono in monos:
                 rows.append([corr_acc[u] * kappa.coefficient(mono)
                              for u in unknowns])

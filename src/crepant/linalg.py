@@ -9,23 +9,6 @@ beyond "first nonzero", which is the right choice when arithmetic is exact.
 from __future__ import annotations
 
 
-def invert_matrix(rows, *, zero, one):
-    """Invert a square matrix given as a list of row lists.
-
-    Raises ZeroDivisionError when the matrix is singular.
-    """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix is not square")
-    aug = [list(r) + [one if i == j else zero for j in range(n)]
-           for i, r in enumerate(rows)]
-    _eliminate(aug, n)
-    for i in range(n):
-        if not aug[i][i]:
-            raise ZeroDivisionError("matrix is singular")
-    return [row[n:] for row in aug]
-
-
 def solve_exact(rows, rhs, *, zero):
     """Solve A x = b for an exactly determined or overdetermined system.
 

@@ -17,8 +17,9 @@ tabulated.
   jK - M / M - (j-1)K for adjacent components and M-(j-1)K / -4K / (j+1)K - M
   on the diagonal (entries falling outside 1..n are dropped).
 * `qc_table(n)` -- quantum-corrected product: the cup table plus
-  sum_l [sum_m (c_n^-1)_{lm} R_{ijm}(q)] K E_l, kept symbolic in the delta
-  basis; `qc_eval` specializes it at an exact q-point.
+  sum_l [sum_{mu <= l <= nu} (E_i.b)(E_j.b) delta_{mu nu}(q)] K E_l with
+  b = beta_{mu nu}, kept symbolic in the delta basis; `qc_eval` specializes
+  it at an exact q-point.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cartan import CartanData, cartan_build
+from .cartan import CartanData, beta_pairing, cartan_build
 from .coeffring import BaseScalar
-from .corrections import (CorrectionFunction, PoleError, correction_eval,
-                          r_function)
+from .corrections import (CorrectionFunction, DeltaIndex, PoleError,
+                          correction_eval)
 from .exactnum import Cyclotomic
 
 KIND_CR = "chen_ruan"
@@ -54,10 +55,6 @@ class ExcClass:
     def __add__(self, other: "ExcClass") -> "ExcClass":
         return ExcClass(self.n, self.s + other.s,
                         tuple(a + b for a, b in zip(self.e, other.e)))
-
-    def __sub__(self, other: "ExcClass") -> "ExcClass":
-        return ExcClass(self.n, self.s - other.s,
-                        tuple(a - b for a, b in zip(self.e, other.e)))
 
     def scale(self, value) -> "ExcClass":
         """Multiply by a Cyclotomic/rational or by a BaseScalar."""
@@ -95,17 +92,10 @@ class QCoeff:
     corr: CorrectionFunction
     mult: BaseScalar
 
-    def __add__(self, other: "QCoeff") -> "QCoeff":
-        if self.mult != other.mult:
-            raise ValueError("incompatible correction multipliers")
-        return QCoeff(self.cup + other.cup, self.corr + other.corr, self.mult)
-
-    def scale(self, value) -> "QCoeff":
-        return QCoeff(self.cup.scale(value), self.corr.scale(value),
-                      self.mult)
-
-    def eval(self, q) -> BaseScalar:
-        return self.cup + self.mult.scale(correction_eval(self.corr, q))
+    def eval(self, q, deltas) -> BaseScalar:
+        """The coefficient at q; `deltas` caches delta values at q."""
+        return self.cup + self.mult.scale(
+            correction_eval(self.corr, q, deltas))
 
     def strip(self) -> BaseScalar:
         """Drop all delta terms (the formal q -> 0 limit)."""
@@ -142,8 +132,9 @@ class QExcClass:
     s: BaseScalar
     e: tuple  # of QCoeff
 
-    def eval(self, q) -> ExcClass:
-        return ExcClass(self.n, self.s, tuple(c.eval(q) for c in self.e))
+    def eval(self, q, deltas) -> ExcClass:
+        return ExcClass(self.n, self.s,
+                        tuple(c.eval(q, deltas) for c in self.e))
 
     def strip(self) -> ExcClass:
         return ExcClass(self.n, self.s, tuple(c.strip() for c in self.e))
@@ -287,26 +278,36 @@ def qc_table(n: int, cd: CartanData | None = None) -> ProductTable:
     cd = cd or cartan_build(n)
     cup = cup_table(n, cd)
     kappa = _kappa(n)
+    betas = [DeltaIndex(mu, nu) for mu in range(1, n + 1)
+             for nu in range(mu, n + 1)]
     entries = {}
     for i in range(1, n + 1):
         for j in range(i, n + 1):
             base = cup.entry(i, j)
-            coeffs = []
-            for l in range(n):
-                corr = CorrectionFunction.zero(n)
-                for m in range(n):
-                    corr = corr + r_function(n, i, j, m + 1, cd).scale(
-                        cd.c_inv[l][m])
-                coeffs.append(QCoeff(base.e[l], corr, kappa))
-            entries[(i, j)] = QExcClass(n, base.s, tuple(coeffs))
+            # E_i * E_j gains (E_i.b)(E_j.b) delta_b K on E_l for every
+            # class b = beta_{mu nu} with mu <= l <= nu: this is
+            # sum_m (c^-1)_{lm} R_{ijm}, as sum_m (c^-1)_{lm} E_m.b is 1
+            # for mu <= l <= nu and 0 otherwise
+            weights = {b: beta_pairing(cd, i, *b) * beta_pairing(cd, j, *b)
+                       for b in betas}
+            coeffs = tuple(
+                QCoeff(base.e[l - 1],
+                       CorrectionFunction(n, 0, {
+                           b: w for b, w in weights.items()
+                           if b.mu <= l <= b.nu}),
+                       kappa)
+                for l in range(1, n + 1))
+            entries[(i, j)] = QExcClass(n, base.s, coeffs)
     return ProductTable(n, KIND_QUANTUM, entries)
 
 
 def qc_eval(table: ProductTable, q) -> ProductTable:
     """Specialize a symbolic quantum table at an exact q-point.
 
-    Raises PoleError naming both the product entry (i, j) and the delta
-    index at which the family is undefined.
+    Each delta value is computed at most once.  Raises PoleError naming
+    both the product entry (i, j) and the delta index at which the family
+    is undefined: the first one met walking the entries in order, each
+    entry's coefficients in order and each coefficient's deltas in order.
     """
     if table.kind != KIND_QUANTUM:
         raise ValueError("qc_eval expects a symbolic quantum table")
@@ -314,10 +315,11 @@ def qc_eval(table: ProductTable, q) -> ProductTable:
          for x in q]
     if len(q) != table.n:
         raise ValueError(f"expected {table.n} q-values")
+    deltas = {}
     entries = {}
     for key in table.pairs():
         try:
-            entries[key] = table.entry(*key).eval(q)
+            entries[key] = table.entry(*key).eval(q, deltas)
         except PoleError as exc:
             raise PoleError(exc.index, entry=key) from None
     return ProductTable(table.n, KIND_QUANTUM_AT, entries, q=q)

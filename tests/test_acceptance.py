@@ -18,8 +18,7 @@ from click.testing import CliRunner
 from crepant.cartan import cartan_build
 from crepant.cli import main
 from crepant.coeffring import BaseScalar
-from crepant.corrections import (CorrectionFunction, DeltaIndex, PoleError,
-                                 r_function)
+from crepant.corrections import CorrectionFunction, DeltaIndex, PoleError
 from crepant.exactnum import (Cyclotomic, branch_sqrt, imaginary_unit,
                               root_of_unity, sqrt_rational)
 from crepant.isocheck import conjecture_scan, solve_a2, transport_check
@@ -189,6 +188,7 @@ def test_criterion_11_structural_property_suite():
                 for c in table.entry(*key).e:
                     assert c.degrees() <= {0, 2} and c.is_homogeneous()
     # relabeling involution, n <= 4 (semilinear: swap L/M and reflect deltas)
+    from test_corrections import r_function
     from test_ringtables import _involute_entry
     for n in range(1, 5):
         cd = cartan_build(n)

@@ -204,3 +204,38 @@ def test_qpoint_field_degree_is_bounded(runner):
     assert ok.exit_code == 1 and "FAIL" in ok.stdout
     assert f"phi(N) <= {MAX_QPOINT_PHI}" in runner.invoke(
         main, ["table", "--help"]).output
+
+
+def test_wrong_rank_map_is_refused_before_evaluation(runner, tmp_path,
+                                                     monkeypatch):
+    import crepant.cli as cli
+    from crepant.mckay import bgp_map
+
+    def no_eval(*args):
+        raise AssertionError("qc_eval called for a map of the wrong rank")
+
+    monkeypatch.setattr(cli, "qc_eval", no_eval)
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(bgp_map(2, 1).to_json()))
+    result = runner.invoke(main, ["verify", "--n", "3", "--map", str(path),
+                                  "--q", "e:1/5,e:1/5,e:1/5"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "Error: ranks differ: map 2, source 3, target 3\n"
+
+
+def test_scan_rank_is_bounded(runner, monkeypatch):
+    import crepant.cli as cli
+
+    def no_scan(n):
+        raise AssertionError("conjecture_scan called above the rank cap")
+
+    monkeypatch.setattr(cli, "conjecture_scan", no_scan)
+    rank = cli.MAX_SCAN_RANK + 1
+    result = runner.invoke(main, ["scan", "--n", str(rank)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == (f"Error: scan --n {rank} exceeds the limit "
+                             f"n <= {cli.MAX_SCAN_RANK}\n")
+    assert f"1 <= n <= {cli.MAX_SCAN_RANK}" in runner.invoke(
+        main, ["scan", "--help"]).output

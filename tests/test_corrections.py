@@ -4,10 +4,27 @@ from fractions import Fraction
 
 import pytest
 
-from crepant.cartan import cartan_build
+from crepant.cartan import beta_pairing, cartan_build
 from crepant.corrections import (CorrectionFunction, DeltaIndex, PoleError,
-                                 correction_eval, delta_eval, r_function)
+                                 correction_eval, delta_eval)
 from crepant.exactnum import Cyclotomic, root_of_unity
+from crepant.ringtables import qc_table
+
+
+def r_function(n, i, j, m, cd):
+    """Oracle: the structure function
+    sum_{mu <= nu} (E_i.b)(E_j.b)(E_m.b) delta_{mu nu}, b = beta_{mu nu}.
+
+    Fully symmetric in (i, j, m); its constant term is always zero, which is
+    exactly the statement that corrections vanish in the q -> 0 limit.
+    """
+    terms = {}
+    for mu in range(1, n + 1):
+        for nu in range(mu, n + 1):
+            terms[DeltaIndex(mu, nu)] = (beta_pairing(cd, i, mu, nu)
+                                         * beta_pairing(cd, j, mu, nu)
+                                         * beta_pairing(cd, m, mu, nu))
+    return CorrectionFunction(n, 0, terms)
 
 
 def _q(*values):
@@ -85,6 +102,30 @@ def test_pole_propagates_with_index():
     assert err.value.index == DeltaIndex(1, 2)
 
 
+def test_correction_eval_reads_and_fills_the_delta_cache(monkeypatch):
+    import crepant.corrections as corrections
+
+    calls = []
+
+    def counting(idx, q):
+        calls.append(idx)
+        return delta_eval(idx, q)
+
+    monkeypatch.setattr(corrections, "delta_eval", counting)
+    z3 = root_of_unity(3, 1)
+    f = CorrectionFunction(2, 0, {DeltaIndex(1, 1): 1, DeltaIndex(1, 2): 1})
+    g = CorrectionFunction(2, 0, {DeltaIndex(1, 2): 2, DeltaIndex(2, 2): 1})
+    deltas = {}
+    assert correction_eval(f, _q(z3, z3), deltas) == correction_eval(
+        f, _q(z3, z3))
+    correction_eval(g, _q(z3, z3), deltas)
+    # the cached pass computes each delta once; the uncached one again
+    assert calls == [DeltaIndex(1, 1), DeltaIndex(1, 2), DeltaIndex(1, 1),
+                     DeltaIndex(1, 2), DeltaIndex(2, 2)]
+    assert sorted(deltas) == [DeltaIndex(1, 1), DeltaIndex(1, 2),
+                              DeltaIndex(2, 2)]
+
+
 def test_r_function_rank_one():
     cd = cartan_build(1)
     assert r_function(1, 1, 1, 1, cd) == \
@@ -139,6 +180,22 @@ def test_r_function_constant_term_vanishes():
         cd = cartan_build(n)
         for i, j, m in itertools.product(range(1, n + 1), repeat=3):
             assert r_function(n, i, j, m, cd).constant.is_zero()
+
+
+def test_qc_table_corrections_are_the_cartan_contraction_of_r():
+    # the closed form sum_{mu <= l <= nu} (E_i.b)(E_j.b) delta_{mu nu} used
+    # by qc_table equals sum_m (c^-1)_{lm} R_{ijm}
+    for n in range(1, 9):
+        cd = cartan_build(n)
+        table = qc_table(n, cd)
+        for i in range(1, n + 1):
+            for j in range(i, n + 1):
+                r = [r_function(n, i, j, m, cd) for m in range(1, n + 1)]
+                for l in range(n):
+                    expected = CorrectionFunction.zero(n)
+                    for m in range(n):
+                        expected = expected + r[m].scale(cd.c_inv[l][m])
+                    assert table.entry(i, j).e[l].corr == expected
 
 
 def test_correction_equality_is_coefficientwise():

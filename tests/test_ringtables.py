@@ -144,6 +144,49 @@ def test_qc_eval_finite_at_cube_roots():
         assert isinstance(table.entry(*key), ExcClass)
 
 
+@pytest.mark.parametrize("n,q", [
+    (6, [root_of_unity(28, 4)] * 6),
+    (4, [root_of_unity(3, 1), root_of_unity(4, 1), root_of_unity(5, 2),
+         root_of_unity(20, 3)]),
+], ids=["n6-equal-roots", "n4-mixed-roots"])
+def test_qc_eval_computes_each_delta_once(monkeypatch, n, q):
+    import crepant.corrections as corrections
+
+    calls = []
+    original = corrections.delta_eval
+
+    def counting(idx, point):
+        calls.append(tuple(idx))
+        return original(idx, point)
+
+    monkeypatch.setattr(corrections, "delta_eval", counting)
+    qc_eval(qc_table(n), q)
+    assert len(calls) == len(set(calls)) <= n * (n + 1) // 2
+
+
+HALF = Fraction(1, 2)
+
+
+# (n, q, delta index, product entry) as raised before the delta values were
+# cached: the first pole met walking the entries, their coefficients and
+# each coefficient's deltas in order, not the first pole in index order
+@pytest.mark.parametrize("n,q,index,entry", [
+    (3, [-1, -1, 1], (1, 2), (1, 1)),
+    (3, [1, HALF, 2], (1, 1), (1, 1)),
+    (4, [-1, HALF, 2, 1], (2, 3), (1, 1)),
+    (4, [2, -1, 1, 1], (3, 3), (2, 2)),
+    (4, [HALF, HALF, 1, 1], (3, 3), (2, 2)),
+    (4, [2, 1, HALF, 2], (1, 3), (1, 1)),
+    (4, [HALF, 1, 1, 2], (1, 4), (1, 1)),
+    (4, [HALF, 2, HALF, 2], (1, 2), (1, 1)),
+])
+def test_qc_eval_pole_location_at_multi_pole_points(n, q, index, entry):
+    with pytest.raises(PoleError) as err:
+        qc_eval(qc_table(n), [Cyclotomic.from_rational(x) for x in q])
+    assert tuple(err.value.index) == index
+    assert err.value.entry == entry
+
+
 # -- structural properties ----------------------------------------------------
 
 
