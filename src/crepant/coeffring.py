@@ -18,13 +18,36 @@ from fractions import Fraction
 
 from .exactnum import Cyclotomic
 
-_Scalar = (int, Fraction, Cyclotomic)
+SCALARS = (int, Fraction, Cyclotomic)
+
+_ZERO = Cyclotomic.zero(1)
 
 
-def _coerce(value) -> Cyclotomic:
+def coerce(value) -> Cyclotomic:
+    """An int, Fraction or Cyclotomic as a Cyclotomic."""
     if isinstance(value, Cyclotomic):
         return value
     return Cyclotomic.from_rational(value)
+
+
+def accumulate(terms: dict, key, value: Cyclotomic) -> None:
+    """terms[key] += value, keeping no zero coefficient.
+
+    This is the one summation rule for every coefficient dict (the monomials
+    of a BaseScalar, the delta terms of a correction, the transport sums).
+    A coefficient that cancels is deleted at once, so the next term for that
+    key starts afresh: x + (-x) + y stores y in y's own conductor, not in
+    the lcm of all three.  Conductors never shrink under arithmetic, so the
+    conductor printed for a coefficient depends on this rule.
+    """
+    if key in terms:
+        value = terms[key] + value
+        if value.is_zero():
+            del terms[key]
+            return
+    elif value.is_zero():
+        return
+    terms[key] = value
 
 
 class BaseScalar:
@@ -45,7 +68,7 @@ class BaseScalar:
             mono = tuple(mono)
             if len(mono) != width or any(e < 0 for e in mono):
                 raise ValueError(f"bad monomial {mono} for rank {n}")
-            coeff = _coerce(coeff)
+            coeff = coerce(coeff)
             if not coeff.is_zero():
                 clean[mono] = coeff
         object.__setattr__(self, "n", n)
@@ -55,6 +78,15 @@ class BaseScalar:
         raise AttributeError("BaseScalar values are immutable")
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _make(cls, n: int, terms: dict) -> "BaseScalar":
+        """From a dict the caller hands over: monomial tuples of the right
+        width mapped to nonzero Cyclotomic coefficients."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     @classmethod
     def zero(cls, n: int) -> "BaseScalar":
@@ -67,7 +99,7 @@ class BaseScalar:
     @classmethod
     def const(cls, n: int, value) -> "BaseScalar":
         key = (0,) if n == 1 else (0, 0)
-        return cls(n, {key: _coerce(value)})
+        return cls(n, {key: value})
 
     @classmethod
     def L(cls, n: int) -> "BaseScalar":
@@ -96,23 +128,24 @@ class BaseScalar:
             raise ValueError("rank mismatch")
 
     def __add__(self, other):
-        if isinstance(other, _Scalar):
+        if isinstance(other, SCALARS):
             other = BaseScalar.const(self.n, other)
         if not isinstance(other, BaseScalar):
             return NotImplemented
         self._check(other)
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, Cyclotomic.zero(1)) + coeff
-        return BaseScalar(self.n, out)
+            accumulate(out, mono, coeff)
+        return BaseScalar._make(self.n, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BaseScalar(self.n, {m: -c for m, c in self.terms.items()})
+        return BaseScalar._make(self.n,
+                                {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, _Scalar):
+        if isinstance(other, SCALARS):
             other = BaseScalar.const(self.n, other)
         if not isinstance(other, BaseScalar):
             return NotImplemented
@@ -122,7 +155,7 @@ class BaseScalar:
         return -(self - other)
 
     def __mul__(self, other):
-        if isinstance(other, _Scalar):
+        if isinstance(other, SCALARS):
             return self.scale(other)
         if not isinstance(other, BaseScalar):
             return NotImplemented
@@ -130,23 +163,24 @@ class BaseScalar:
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                prod = c1 * c2
-                out[mono] = out.get(mono, Cyclotomic.zero(1)) + prod
-        return BaseScalar(self.n, out)
+                accumulate(out, tuple(a + b for a, b in zip(m1, m2)),
+                           c1 * c2)
+        return BaseScalar._make(self.n, out)
 
     def __rmul__(self, other):
-        if isinstance(other, _Scalar):
+        if isinstance(other, SCALARS):
             return self.scale(other)
         return NotImplemented
 
     def scale(self, value) -> "BaseScalar":
-        value = _coerce(value)
-        return BaseScalar(self.n,
-                          {m: c * value for m, c in self.terms.items()})
+        value = coerce(value)
+        if value.is_zero():
+            return BaseScalar._make(self.n, {})
+        return BaseScalar._make(self.n,
+                                {m: c * value for m, c in self.terms.items()})
 
     def __eq__(self, other):
-        if isinstance(other, _Scalar):
+        if isinstance(other, SCALARS):
             other = BaseScalar.const(self.n, other)
         if not isinstance(other, BaseScalar):
             return NotImplemented
@@ -174,11 +208,11 @@ class BaseScalar:
         return len(self.degrees()) <= 1
 
     def homogeneous_part(self, degree: int) -> "BaseScalar":
-        return BaseScalar(self.n, {m: c for m, c in self.terms.items()
-                                   if 2 * sum(m) == degree})
+        return BaseScalar._make(self.n, {m: c for m, c in self.terms.items()
+                                         if 2 * sum(m) == degree})
 
     def coefficient(self, mono) -> Cyclotomic:
-        return self.terms.get(tuple(mono), Cyclotomic.zero(1))
+        return self.terms.get(tuple(mono), _ZERO)
 
     def constant_coefficient(self) -> Cyclotomic:
         return self.coefficient((0,) if self.n == 1 else (0, 0))
@@ -214,8 +248,8 @@ class BaseScalar:
         """The ring involution exchanging L and M (identity for n = 1)."""
         if self.n == 1:
             return self
-        return BaseScalar(self.n, {(j, i): c
-                                   for (i, j), c in self.terms.items()})
+        return BaseScalar._make(self.n, {(j, i): c
+                                         for (i, j), c in self.terms.items()})
 
     # -- presentation ------------------------------------------------------
 

@@ -15,12 +15,10 @@ raises PoleError.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
+from .coeffring import SCALARS, accumulate, coerce
 from .exactnum import Cyclotomic
-
-_Scalar = (int, Fraction, Cyclotomic)
 
 
 class DeltaIndex(NamedTuple):
@@ -42,12 +40,6 @@ class PoleError(ArithmeticError):
             f"q_{index.mu}...q_{index.nu} = 1{where}")
 
 
-def _coerce(value) -> Cyclotomic:
-    if isinstance(value, Cyclotomic):
-        return value
-    return Cyclotomic.from_rational(value)
-
-
 class CorrectionFunction:
     """constant + sum of coeff * delta_{mu nu}, coefficients in Q(zeta)."""
 
@@ -59,11 +51,11 @@ class CorrectionFunction:
             idx = DeltaIndex(*idx)
             if not 1 <= idx.mu <= idx.nu <= n:
                 raise ValueError(f"delta index {idx} out of range for n={n}")
-            coeff = _coerce(coeff)
+            coeff = coerce(coeff)
             if not coeff.is_zero():
                 clean[idx] = coeff
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "constant", _coerce(constant))
+        object.__setattr__(self, "constant", coerce(constant))
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, *args):
@@ -74,7 +66,7 @@ class CorrectionFunction:
         return cls(n)
 
     def __add__(self, other):
-        if isinstance(other, _Scalar):
+        if isinstance(other, SCALARS):
             other = CorrectionFunction(self.n, other)
         if not isinstance(other, CorrectionFunction):
             return NotImplemented
@@ -82,7 +74,7 @@ class CorrectionFunction:
             raise ValueError("rank mismatch")
         terms = dict(self.terms)
         for idx, coeff in other.terms.items():
-            terms[idx] = terms.get(idx, Cyclotomic.zero(1)) + coeff
+            accumulate(terms, idx, coeff)
         return CorrectionFunction(self.n, self.constant + other.constant,
                                   terms)
 
@@ -93,27 +85,27 @@ class CorrectionFunction:
                                   {i: -c for i, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, _Scalar):
+        if isinstance(other, SCALARS):
             other = CorrectionFunction(self.n, other)
         if not isinstance(other, CorrectionFunction):
             return NotImplemented
         return self + (-other)
 
     def scale(self, value) -> "CorrectionFunction":
-        value = _coerce(value)
+        value = coerce(value)
         return CorrectionFunction(
             self.n, self.constant * value,
             {i: c * value for i, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, _Scalar):
+        if isinstance(other, SCALARS):
             return self.scale(other)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, _Scalar):
+        if isinstance(other, SCALARS):
             other = CorrectionFunction(self.n, other)
         if not isinstance(other, CorrectionFunction):
             return NotImplemented

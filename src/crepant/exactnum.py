@@ -178,7 +178,10 @@ class Cyclotomic:
 
     def __init__(self, conductor: int, coeffs):
         coeffs = tuple(coeffs)
-        if len(coeffs) != euler_phi(conductor):
+        # phi(N) >= sqrt(N/2): a conductor above 2 len^2 cannot fit, and is
+        # refused before factorising it, which could take forever
+        if (conductor > 2 * len(coeffs) ** 2
+                or len(coeffs) != euler_phi(conductor)):
             raise ValueError("coefficient vector has wrong length")
         for c in coeffs:
             if not isinstance(c, _RATIONAL):

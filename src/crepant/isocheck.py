@@ -24,12 +24,12 @@ from typing import NamedTuple
 
 from . import linalg
 from .cartan import cartan_build
-from .coeffring import BaseScalar
+from .coeffring import BaseScalar, accumulate
 from .corrections import DeltaIndex, PoleError
 from .exactnum import Cyclotomic, imaginary_unit, root_of_unity, sqrt_rational
 from .mckay import LinearMap, bgp_map
 from .ringtables import (KIND_CR, KIND_QUANTUM, ExcClass, ProductTable,
-                         cr_table, qc_eval, qc_table)
+                         cr_table, qc_eval, qc_table, strip_corrections)
 
 
 class RankMismatch(ValueError):
@@ -91,23 +91,8 @@ class TransportReport:
         return "\n".join(lines)
 
 
-def _accumulate(terms: dict, mono, value) -> None:
-    """terms[mono] += value for a nonzero value.
-
-    A coefficient that cancels is dropped at once, as BaseScalar addition
-    drops it, so the next term starts afresh: the conductor a coefficient
-    is printed in depends on this.
-    """
-    if mono in terms:
-        value = terms[mono] + value
-        if value.is_zero():
-            del terms[mono]
-            return
-    terms[mono] = value
-
-
 def _apply_map(lmap: LinearMap, cls: ExcClass) -> list:
-    """Monomial dicts of the basis coefficients of Phi(cls); Phi fixes s."""
+    """The basis coefficients of Phi(cls); Phi fixes s."""
     n = cls.n
     out = []
     for k in range(n):
@@ -115,15 +100,15 @@ def _apply_map(lmap: LinearMap, cls: ExcClass) -> list:
         for l, factor in enumerate(lmap.matrix[k]):
             if not factor.is_zero():
                 for mono, c in cls.e[l].terms.items():
-                    _accumulate(acc, mono, c * factor)
-        out.append(acc)
+                    accumulate(acc, mono, c * factor)
+        out.append(BaseScalar._make(n, acc))
     return out
 
 
 def _pair_through_table(lmap: LinearMap, i: int, j: int,
                         target: ProductTable):
-    """Phi(E_i) . Phi(E_j) expanded bilinearly through the target table,
-    as monomial dicts of the s part and of each basis coefficient.
+    """Phi(E_i) . Phi(E_j) expanded bilinearly through the target table:
+    its s part and its basis coefficients.
 
     Terms are summed slot by slot in (k, kk) order; an orbifold entry has a
     single nonzero slot, so this costs O(n^2) per product.
@@ -142,15 +127,9 @@ def _pair_through_table(lmap: LinearMap, i: int, j: int,
             entry = target.entry(k + 1, kk + 1)
             for acc, part in zip((s_acc, *e_acc), (entry.s, *entry.e)):
                 for mono, c in part.terms.items():
-                    _accumulate(acc, mono, c * weight)
-    return s_acc, e_acc
-
-
-def _difference(n: int, lhs: dict, rhs: dict) -> BaseScalar:
-    out = dict(lhs)
-    for mono, c in rhs.items():
-        _accumulate(out, mono, -c)
-    return BaseScalar(n, out)
+                    accumulate(acc, mono, c * weight)
+    return (BaseScalar._make(n, s_acc),
+            [BaseScalar._make(n, acc) for acc in e_acc])
 
 
 def transport_check(lmap: LinearMap, source: ProductTable,
@@ -172,9 +151,8 @@ def transport_check(lmap: LinearMap, source: ProductTable,
         entry = source.entry(i, j)
         lhs = _apply_map(lmap, entry)
         rhs_s, rhs_e = _pair_through_table(lmap, i, j, target)
-        diff = ExcClass(n, _difference(n, entry.s.terms, rhs_s),
-                        tuple(_difference(n, a, b)
-                              for a, b in zip(lhs, rhs_e)))
+        diff = ExcClass(n, entry.s - rhs_s,
+                        tuple(a - b for a, b in zip(lhs, rhs_e)))
         checks.append(EntryCheck(i, j, diff))
     return TransportReport(n, source.q, lmap, tuple(checks))
 
@@ -268,32 +246,30 @@ def _delta_system(lmap: LinearMap, qct: ProductTable, crt: ProductTable):
     Phi(E_i * E_j) = Phi(E_i) . Phi(E_j) for the concrete map entries.
 
     Returns (rows, rhs) over Q(zeta); each basis coefficient equation is
-    split into its L- and M-monomial components.
+    split into its L- and M-monomial components.  The right-hand side is
+    the transport residual of the delta-free (stripped) table; the rows hold
+    the delta coefficients of Phi(E_i * E_j).
     """
     n = 2
     unknowns = [DeltaIndex(1, 1), DeltaIndex(2, 2), DeltaIndex(1, 2)]
     monos = [(1, 0), (0, 1)]
     rows, rhs = [], []
     kappa = BaseScalar.K(n)
-    for i, j in qct.pairs():
-        entry = qct.entry(i, j)
-        _, rhs_e = _pair_through_table(lmap, i, j, crt)
+    residual = transport_check(lmap, strip_corrections(qct), crt)
+    for check in residual.entries:
+        entry = qct.entry(check.i, check.j)
         for k in range(n):
-            # Phi-transformed coefficient of e_{k+1}:
-            cup_acc = BaseScalar.zero(n)
             corr_acc = {u: Cyclotomic.zero(1) for u in unknowns}
             for l in range(n):
                 factor = lmap.matrix[k][l]
                 if factor.is_zero():
                     continue
-                cup_acc = cup_acc + entry.e[l].cup.scale(factor)
                 for u, c in entry.e[l].corr.terms.items():
                     corr_acc[u] = corr_acc[u] + c * factor
-            resid = cup_acc - BaseScalar(n, rhs_e[k])
             for mono in monos:
                 rows.append([corr_acc[u] * kappa.coefficient(mono)
                              for u in unknowns])
-                rhs.append(-resid.coefficient(mono))
+                rhs.append(-check.diff.e[k].coefficient(mono))
     return rows, rhs
 
 

@@ -34,28 +34,6 @@ def solve_exact(rows, rhs, *, zero):
     return solution
 
 
-def determinant(rows, *, zero):
-    """Determinant by fraction-full elimination (exact field entries)."""
-    n = len(rows)
-    work = [list(r) for r in rows]
-    det = None
-    sign = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col]), None)
-        if piv is None:
-            return zero
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            sign = -sign
-        pivval = work[col][col]
-        det = pivval if det is None else det * pivval
-        for r in range(col + 1, n):
-            if work[r][col]:
-                factor = work[r][col] / pivval
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return det if sign == 1 else -det
-
-
 def _eliminate(aug, ncols):
     """Reduce aug to reduced row echelon form on its first ncols columns.
 

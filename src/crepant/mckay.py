@@ -178,9 +178,9 @@ class LinearMap:
         return tuple(self.matrix[k][l - 1] for k in range(self.n))
 
     def is_invertible(self) -> bool:
-        det = linalg.determinant([list(r) for r in self.matrix],
-                                 zero=Cyclotomic.zero(1))
-        return bool(det)
+        """Full rank: elimination finds a pivot in every column."""
+        pivots = linalg._eliminate([list(r) for r in self.matrix], self.n)
+        return len(pivots) == self.n
 
     def to_json(self):
         return {"n": self.n,
@@ -189,9 +189,14 @@ class LinearMap:
 
     @classmethod
     def from_json(cls, data) -> "LinearMap":
-        matrix = tuple(tuple(Cyclotomic.from_json(c) for c in row)
-                       for row in data["matrix"])
-        n = data["n"]
+        try:
+            matrix = tuple(tuple(Cyclotomic.from_json(c) for c in row)
+                           for row in data["matrix"])
+            n = data["n"]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(
+                'malformed map: expected {"n": N, "matrix": [[...], ...]} '
+                f"({type(exc).__name__}: {exc})") from exc
         if len(matrix) != n or any(len(r) != n for r in matrix):
             raise ValueError("map matrix must be n x n")
         return cls(n, matrix)

@@ -41,7 +41,11 @@ KIND_QUANTUM_AT = "quantum_at"
 
 @dataclass(frozen=True)
 class ExcClass:
-    """s_coeff * s + sum basis_coeffs[l] * (generator l+1)."""
+    """s_coeff * s + sum basis_coeffs[l] * (generator l+1).
+
+    The basis coefficients are BaseScalars, or QCoeffs in a symbolic quantum
+    table, whose coefficients still carry delta terms.
+    """
 
     n: int
     s: BaseScalar
@@ -75,9 +79,11 @@ class ExcClass:
         return {"s": self.s.to_json(), "e": [c.to_json() for c in self.e]}
 
     @classmethod
-    def from_json(cls, data, n: int) -> "ExcClass":
+    def from_json(cls, data, n: int,
+                  coeff=BaseScalar.from_json) -> "ExcClass":
+        """`coeff` parses one basis coefficient."""
         return cls(n, BaseScalar.from_json(data["s"]),
-                   tuple(BaseScalar.from_json(c) for c in data["e"]))
+                   tuple(coeff(c) for c in data["e"]))
 
 
 @dataclass(frozen=True)
@@ -108,7 +114,8 @@ class QCoeff:
     def __str__(self):
         if self.corr.is_zero():
             return str(self.cup)
-        head = f"({self.corr})*{'K' if self.mult == _kappa(self.cup.n) else self.mult}"
+        mult = "K" if self.mult == BaseScalar.K(self.cup.n) else self.mult
+        head = f"({self.corr})*{mult}"
         if self.cup.is_zero():
             return head
         return f"{self.cup} + {head}"
@@ -118,42 +125,10 @@ class QCoeff:
                 "mult": self.mult.to_json()}
 
     @classmethod
-    def from_json(cls, data, n: int) -> "QCoeff":
-        return cls(BaseScalar.from_json(data["cup"]),
-                   CorrectionFunction.from_json(data["corr"], n),
+    def from_json(cls, data) -> "QCoeff":
+        cup = BaseScalar.from_json(data["cup"])
+        return cls(cup, CorrectionFunction.from_json(data["corr"], cup.n),
                    BaseScalar.from_json(data["mult"]))
-
-
-@dataclass(frozen=True)
-class QExcClass:
-    """A table entry whose basis coefficients still carry delta terms."""
-
-    n: int
-    s: BaseScalar
-    e: tuple  # of QCoeff
-
-    def eval(self, q, deltas) -> ExcClass:
-        return ExcClass(self.n, self.s,
-                        tuple(c.eval(q, deltas) for c in self.e))
-
-    def strip(self) -> ExcClass:
-        return ExcClass(self.n, self.s, tuple(c.strip() for c in self.e))
-
-    def substitute(self, assignment) -> "QExcClass":
-        return QExcClass(self.n, self.s.substitute(assignment),
-                         tuple(c.substitute(assignment) for c in self.e))
-
-    def to_json(self):
-        return {"s": self.s.to_json(), "e": [c.to_json() for c in self.e]}
-
-    @classmethod
-    def from_json(cls, data, n: int) -> "QExcClass":
-        return cls(n, BaseScalar.from_json(data["s"]),
-                   tuple(QCoeff.from_json(c, n) for c in data["e"]))
-
-
-def _kappa(n: int) -> BaseScalar:
-    return BaseScalar.K(n)
 
 
 class ProductTable:
@@ -277,7 +252,7 @@ def qc_table(n: int, cd: CartanData | None = None) -> ProductTable:
     """
     cd = cd or cartan_build(n)
     cup = cup_table(n, cd)
-    kappa = _kappa(n)
+    kappa = BaseScalar.K(n)
     betas = [DeltaIndex(mu, nu) for mu in range(1, n + 1)
              for nu in range(mu, n + 1)]
     entries = {}
@@ -297,7 +272,7 @@ def qc_table(n: int, cd: CartanData | None = None) -> ProductTable:
                            if b.mu <= l <= b.nu}),
                        kappa)
                 for l in range(1, n + 1))
-            entries[(i, j)] = QExcClass(n, base.s, coeffs)
+            entries[(i, j)] = ExcClass(n, base.s, coeffs)
     return ProductTable(n, KIND_QUANTUM, entries)
 
 
@@ -318,10 +293,12 @@ def qc_eval(table: ProductTable, q) -> ProductTable:
     deltas = {}
     entries = {}
     for key in table.pairs():
+        entry = table.entry(*key)
         try:
-            entries[key] = table.entry(*key).eval(q, deltas)
+            coeffs = tuple(c.eval(q, deltas) for c in entry.e)
         except PoleError as exc:
             raise PoleError(exc.index, entry=key) from None
+        entries[key] = ExcClass(table.n, entry.s, coeffs)
     return ProductTable(table.n, KIND_QUANTUM_AT, entries, q=q)
 
 
@@ -329,8 +306,12 @@ def strip_corrections(table: ProductTable) -> ProductTable:
     """Drop every delta term of a symbolic quantum table (q -> 0 limit)."""
     if table.kind != KIND_QUANTUM:
         raise ValueError("strip_corrections expects a symbolic quantum table")
-    return ProductTable(table.n, KIND_CUP,
-                        {k: table.entry(*k).strip() for k in table.pairs()})
+    entries = {}
+    for key in table.pairs():
+        entry = table.entry(*key)
+        entries[key] = ExcClass(table.n, entry.s,
+                                tuple(c.strip() for c in entry.e))
+    return ProductTable(table.n, KIND_CUP, entries)
 
 
 def cr_associativity_report(n: int):
@@ -382,8 +363,9 @@ def table_to_json(table: ProductTable):
 
 def table_from_json(doc) -> ProductTable:
     n, kind = doc["n"], doc["kind"]
-    cls = QExcClass if kind == KIND_QUANTUM else ExcClass
-    entries = {(e["i"], e["j"]): cls.from_json(e, n) for e in doc["entries"]}
+    coeff = QCoeff.from_json if kind == KIND_QUANTUM else BaseScalar.from_json
+    entries = {(e["i"], e["j"]): ExcClass.from_json(e, n, coeff)
+               for e in doc["entries"]}
     q = ([Cyclotomic.from_json(x) for x in doc["q"]]
          if "q" in doc else None)
     return ProductTable(n, kind, entries, q=q)

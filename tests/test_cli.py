@@ -171,7 +171,12 @@ def test_library_input_errors_are_one_line_usage_errors(runner, argv):
 
 
 @pytest.mark.parametrize("rank,content", [
-    (2, "{not json"), (3, None)], ids=["not-json", "wrong-rank"])
+    (2, "{not json"), (3, None), (2, '{"n": 2}'), (2, "[1, 2]"),
+    (1, '{"n": 1, "matrix": [["1"]]}'),
+    (1, '{"n": 1, "matrix": [[{"conductor": 2305843009213693951, '
+        '"coeffs": ["1"]}]]}'),
+], ids=["not-json", "wrong-rank", "no-matrix", "not-an-object",
+        "bare-coefficient", "huge-conductor"])
 def test_malformed_map_file_is_a_usage_error(runner, tmp_path, rank,
                                              content):
     from crepant.mckay import bgp_map
@@ -183,6 +188,7 @@ def test_malformed_map_file_is_a_usage_error(runner, tmp_path, rank,
                                   str(path), "--q", qspec])
     assert result.exit_code == 2
     assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("Error: ")
 
 
 def test_qpoint_field_degree_is_bounded(runner):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from crepant.coeffring import BaseScalar
+from crepant.coeffring import BaseScalar, accumulate
 from crepant.exactnum import root_of_unity
 
 
@@ -104,3 +104,41 @@ def test_json_roundtrip():
     for n in (1, 2):
         x = BaseScalar.K(n) + BaseScalar.const(n, Fraction(7, 3))
         assert BaseScalar.from_json(x.to_json()) == x
+
+
+def test_a_cancelled_coefficient_restarts_in_the_next_terms_conductor():
+    x, y = root_of_unity(12, 1), root_of_unity(5, 2)
+    terms = {}
+    for value in (x, -x, y):
+        accumulate(terms, (1, 0), value)
+    assert terms[(1, 0)].conductor == 5
+    L = BaseScalar.L(2)
+    total = L.scale(x) + (-L.scale(x)) + L.scale(y)
+    assert total.coefficient((1, 0)).conductor == 5
+    # L M collects x, then -x, then y in that order inside one product
+    a = BaseScalar(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
+    b = BaseScalar(2, {(1, 1): x, (0, 1): -x, (1, 0): y})
+    assert (a * b).coefficient((1, 1)) == y
+    assert (a * b).coefficient((1, 1)).conductor == 5
+
+
+def test_scale_by_zero_stores_no_terms():
+    x = BaseScalar.L(2).scale(root_of_unity(12, 1)) + BaseScalar.one(2)
+    for zero in (0, Fraction(0), root_of_unity(12, 1) * 0):
+        assert x.scale(zero).terms == {}
+        assert (x * zero).terms == {} and (zero * x).terms == {}
+
+
+def test_no_arithmetic_result_stores_a_zero_coefficient():
+    rng = random.Random(5)
+    z = root_of_unity(6, 1)
+    for n in (1, 2):
+        for _ in range(40):
+            a, b = _random_scalar(rng, n), _random_scalar(rng, n)
+            a = a + a.scale(z)
+            results = [a + b, a - b, a - a, a + (-a), a * b, a * (b - b),
+                       a.scale(0), a.scale(z) - a.scale(z), (a - b) * (a + b),
+                       a * a - a.scale(-1) * a.scale(-1), a.swap_lm(),
+                       a.homogeneous_part(2), a.substitute({})]
+            for r in results:
+                assert all(not c.is_zero() for c in r.terms.values())

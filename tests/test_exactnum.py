@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -175,3 +176,15 @@ def test_immutable_and_validated():
         Cyclotomic(12, [1, 2, 3])
     with pytest.raises(ValueError):
         Cyclotomic(0, [])
+
+
+def test_oversized_conductor_is_refused_before_factorising():
+    # 2^61 - 1 is prime: trial division up to its square root takes hours
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="wrong length"):
+        Cyclotomic(2 ** 61 - 1, [1])
+    with pytest.raises(ValueError, match="wrong length"):
+        Cyclotomic.from_json({"conductor": 2 ** 61 - 1, "coeffs": ["1"]})
+    assert time.perf_counter() - start < 1
+    # phi(N) >= sqrt(N/2) holds with equality at N = 2, still accepted
+    assert Cyclotomic(2, [-1]) == root_of_unity(2, 1)

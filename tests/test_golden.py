@@ -2,8 +2,10 @@
 
 The files under tests/golden/ hold the exact stdout of each command below,
 captured from the `Fraction`-coordinate implementation of `exactnum` before
-the integer rewrite.  Any change to the arithmetic core, the table builders
-or the emitters must reproduce them exactly.
+the integer rewrite (the `verify` files at n = 3 and 4 from the code before
+the coefficient arithmetic moved into `coeffring`).  Any change to the
+arithmetic core, the table builders or the emitters must reproduce them
+exactly.
 
 Regenerate (only when an output change is intended) with
 
@@ -37,13 +39,18 @@ def _cases():
     for n in ("1", "2"):
         cases.append((f"solve-n{n}.json",
                       ["solve", "--n", n, "--format", "json"], 0))
-    verify = [("pass", "bgp:1", "e:1/3,e:1/3", 0),
-              ("fail", "chtd", "e:1/3,e:1/3", 1),
-              ("pole", "bgp:1", "e:1/2,e:1/2", 2)]
-    for label, lmap, q, code in verify:
-        cases.append((f"verify-n2-{label}.json",
-                      ["verify", "--n", "2", "--map", lmap, "--q", q,
-                       "--format", "json"], code))
+    verify = [(2, "pass", "bgp:1", "e:1/3", 0),
+              (2, "fail", "chtd", "e:1/3", 1),
+              (2, "pole", "bgp:1", "e:1/2", 2),
+              (3, "pass", "bgp:1", "e:1/4", 0),
+              (3, "fail", "chtd", "e:1/4", 1),
+              (4, "pass", "bgp:1", "e:1/5", 0),
+              (4, "fail", "chtd", "e:1/5", 1),
+              (4, "fail-bgp2", "bgp:2", "e:2/5", 1)]
+    for n, label, lmap, q, code in verify:
+        cases.append((f"verify-n{n}-{label}.json",
+                      ["verify", "--n", str(n), "--map", lmap,
+                       "--q", ",".join([q] * n), "--format", "json"], code))
     return cases
 
 

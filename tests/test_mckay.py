@@ -90,6 +90,21 @@ def test_bgp_map_invertible():
             assert bgp_map(n, m_root).is_invertible(), (n, m_root)
 
 
+def test_singular_maps_are_not_invertible():
+    z = root_of_unity(12, 1)
+    zero, one = z - z, z ** 0
+    assert not LinearMap(2, ((zero, zero), (zero, zero))).is_invertible()
+    # columns 1 and 2 are equal
+    assert not LinearMap(3, ((one, one, z), (z, z, one),
+                             (1 + z, 1 + z, z * z))).is_invertible()
+    # rank one over Q(zeta_12): row 2 is z^5 (1 + z^2) times row 1
+    row = (z + sqrt_rational(3, 12), z ** 7 - 2)
+    factor = z ** 5 * (1 + z ** 2)
+    assert not LinearMap(2, (row, tuple(factor * c for c in row))
+                         ).is_invertible()
+    assert LinearMap(2, (row, (row[1], row[0]))).is_invertible()
+
+
 def test_bgp_map_rejects_imprimitive_root():
     with pytest.raises(InvalidRoot):
         bgp_map(3, 2)
