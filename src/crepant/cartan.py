@@ -4,7 +4,8 @@ pairings between exceptional components and fiber-class sums.
 The matrix c_n is tridiagonal with -2 on the diagonal and 1 next to it; it is
 simultaneously the intersection matrix of the exceptional components (each a
 (-2)-curve meeting its neighbors once) and the coefficient matrix of the
-linear systems that determine the resolution cup product.  Pairings
+linear systems that determine the resolution cup product (whose solutions
+`ringtables.cup_table` writes down in closed form).  Pairings
 E_i . beta_{mu nu} with beta_{mu nu} = beta_mu + ... + beta_nu are simply row
 sums of c_n and always land in {0, 1, -1, -2}.
 """

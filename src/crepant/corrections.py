@@ -157,8 +157,7 @@ def delta_eval(idx: DeltaIndex, q) -> Cyclotomic:
     idx = DeltaIndex(*idx)
     prod = Cyclotomic.one(1)
     for ql in q[idx.mu - 1:idx.nu]:
-        if not isinstance(ql, Cyclotomic):
-            ql = Cyclotomic.from_rational(ql)
+        ql = coerce(ql)
         if ql.is_zero():
             raise ValueError("q entries must be nonzero")
         prod = prod * ql

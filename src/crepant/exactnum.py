@@ -31,9 +31,11 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from fractions import Fraction
 
 _RATIONAL = (int, Fraction)
+_COORDINATE = re.compile(r"[-+]?[0-9]+(/0*[1-9][0-9]*)?")
 
 
 class InvalidRoot(ValueError):
@@ -464,7 +466,24 @@ class Cyclotomic:
 
     @classmethod
     def from_json(cls, data) -> "Cyclotomic":
-        return cls(data["conductor"], [Fraction(c) for c in data["coeffs"]])
+        """Read {"conductor": N, "coeffs": [...]}: N an int, each coordinate
+        an int or a string such as "-3/4" (no float, no bool, no exponent,
+        no zero denominator).
+
+        >>> print(Cyclotomic.from_json({"conductor": 4, "coeffs": [0, "1/2"]}))
+        1/2*z4
+        """
+        conductor, coeffs = data["conductor"], data["coeffs"]
+        if isinstance(conductor, bool) or not isinstance(conductor, int):
+            raise ValueError("cyclotomic conductor must be an int, not "
+                             f"{type(conductor).__name__}")
+        if not isinstance(coeffs, list) or not all(
+                (isinstance(c, int) and not isinstance(c, bool))
+                or (isinstance(c, str) and _COORDINATE.fullmatch(c))
+                for c in coeffs):
+            raise ValueError("cyclotomic coeffs must be a list of ints or "
+                             'strings such as "-3/4"')
+        return cls(conductor, [Fraction(c) for c in coeffs])
 
 
 def root_of_unity(conductor: int, exponent: int = 1) -> Cyclotomic:

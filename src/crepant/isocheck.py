@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
-from .cartan import cartan_build
 from .coeffring import BaseScalar, accumulate
 from .corrections import DeltaIndex, PoleError
 from .exactnum import Cyclotomic, imaginary_unit, root_of_unity, sqrt_rational
@@ -284,8 +283,7 @@ def solve_a2() -> list[A2Solution]:
     """
     n = 2
     conductor = 4 * (n + 1)
-    cd = cartan_build(n)
-    qct = qc_table(n, cd)
+    qct = qc_table(n)
     crt = cr_table(n)
 
     sigma_off = crt.entry(1, 2).s.constant_coefficient().as_fraction()
@@ -367,8 +365,7 @@ def conjecture_scan(n: int) -> list[RootScan]:
     """
     if n < 1:
         raise ValueError("rank must be >= 1")
-    cd = cartan_build(n)
-    qct = qc_table(n, cd)
+    qct = qc_table(n)
     crt = cr_table(n)
     conductor = 4 * (n + 1)
     results = []

@@ -197,6 +197,9 @@ class LinearMap:
             raise ValueError(
                 'malformed map: expected {"n": N, "matrix": [[...], ...]} '
                 f"({type(exc).__name__}: {exc})") from exc
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError("map rank n must be an int, not "
+                             f"{type(n).__name__}")
         if len(matrix) != n or any(len(r) != n for r in matrix):
             raise ValueError("map matrix must be n x n")
         return cls(n, matrix)

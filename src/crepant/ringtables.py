@@ -11,11 +11,13 @@ tabulated.
   pairs (a+b = 0 mod n+1), L e_{a+b}/(n+1) below the antidiagonal and
   M e_{a+b-n-1}/(n+1) above it.  For n = 1 the obstruction bundle has rank
   zero and the single entry is e e = s/2.
-* `cup_table(n)` -- resolution cup product: the s-part of E_i E_j is
-  -2, 1, 0 according to |i-j| = 0, 1, >1, and the degree-2 part solves the
-  tridiagonal system c_n alpha = rhs, where the right-hand side carries
-  jK - M / M - (j-1)K for adjacent components and M-(j-1)K / -4K / (j+1)K - M
-  on the diagonal (entries falling outside 1..n are dropped).
+* `cup_table(n)` -- resolution cup product, in closed form.  With N = n+1
+  let h^(i) be column i of -c_n^-1, that is l(N-i)/N for l <= i and
+  i(N-l)/N for l > i, with the factor N-i replaced by L and the factor i by
+  M: h_l = (l/N) L for l <= i and ((N-l)/N) M for l > i.  Then
+  E_i E_{i+1} = s - sum_l h_l E_l,
+  E_i E_i = -2s + sum_l 2 h_l E_l + (M - (i-1)K) E_i, and E_i E_j = 0 for
+  |i-j| > 1; at rank one E E = -2s + 2K E.
 * `qc_table(n)` -- quantum-corrected product: the cup table plus
   sum_l [sum_{mu <= l <= nu} (E_i.b)(E_j.b) delta_{mu nu}(q)] K E_l with
   b = beta_{mu nu}, kept symbolic in the delta basis; `qc_eval` specializes
@@ -27,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cartan import CartanData, beta_pairing, cartan_build
-from .coeffring import BaseScalar
+from .cartan import beta_pairing, cartan_build
+from .coeffring import BaseScalar, coerce
 from .corrections import (CorrectionFunction, DeltaIndex, PoleError,
                           correction_eval)
 from .exactnum import Cyclotomic
@@ -153,9 +155,6 @@ class ProductTable:
     def generator_name(self) -> str:
         return "e" if self.kind == KIND_CR else "E"
 
-    def is_symbolic(self) -> bool:
-        return self.kind == KIND_QUANTUM
-
     def substitute(self, assignment) -> "ProductTable":
         return ProductTable(self.n, self.kind,
                             {k: v.substitute(assignment)
@@ -193,65 +192,43 @@ def cr_table(n: int) -> ProductTable:
     return ProductTable(n, KIND_CR, entries)
 
 
-def _pushforward_s(n: int, i: int, j: int) -> BaseScalar:
-    if i == j:
-        return BaseScalar.const(n, -2)
-    if abs(i - j) == 1:
-        return BaseScalar.one(n)
-    return BaseScalar.zero(n)
+def cup_table(n: int) -> ProductTable:
+    """The cup product table of the crepant resolution on E_1..E_n.
 
-
-def _cup_rhs(n: int, i: int, j: int) -> list:
-    """Right-hand side of the c_n system for alpha(E_i cup E_j), i <= j.
-
-    Positions outside 1..n are dropped; K and M below are the classes from
-    the coefficient ring (for n = 1 only K exists and only -4K survives).
+    >>> print(cup_table(2).entry(1, 1).e[0])
+    2/3*L + M
     """
-    K = BaseScalar.K(n)
-    M = BaseScalar.M(n) if n >= 2 else None
-    rhs = [BaseScalar.zero(n) for _ in range(n + 2)]  # slots 0..n+1
-    if j - i == 1:
-        rhs[j - 1] = K.scale(j) - M
-        rhs[j] = M - K.scale(j - 1)
-    elif i == j:
-        if j >= 2:
-            rhs[j - 1] = M - K.scale(j - 1)
-        rhs[j] = K.scale(-4)
-        if j <= n - 1:
-            rhs[j + 1] = K.scale(j + 1) - M
-    return rhs[1:n + 1]
-
-
-def cup_table(n: int, cd: CartanData | None = None) -> ProductTable:
-    """The cup product table of the crepant resolution."""
-    cd = cd or cartan_build(n)
+    if n < 1:
+        raise ValueError("rank must be >= 1")
+    if n == 1:
+        return ProductTable(1, KIND_CUP, {(1, 1): ExcClass(
+            1, BaseScalar.const(1, -2), (BaseScalar.K(1).scale(2),))})
+    L, M, K = BaseScalar.L(n), BaseScalar.M(n), BaseScalar.K(n)
+    zero = BaseScalar.zero(n)
     entries = {}
     for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            s = _pushforward_s(n, i, j)
-            if j - i > 1:
-                entries[(i, j)] = ExcClass(
-                    n, s, tuple(BaseScalar.zero(n) for _ in range(n)))
-                continue
-            rhs = _cup_rhs(n, i, j)
-            alpha = []
-            for l in range(n):
-                acc = BaseScalar.zero(n)
-                for m in range(n):
-                    acc = acc + rhs[m].scale(cd.c_inv[l][m])
-                alpha.append(acc)
-            entries[(i, j)] = ExcClass(n, s, tuple(alpha))
+        h = [L.scale(Fraction(l, n + 1)) if l <= i
+             else M.scale(Fraction(n + 1 - l, n + 1))
+             for l in range(1, n + 1)]
+        diag = [c.scale(2) for c in h]
+        diag[i - 1] = diag[i - 1] + M - K.scale(i - 1)
+        entries[(i, i)] = ExcClass(n, BaseScalar.const(n, -2), tuple(diag))
+        if i < n:
+            entries[(i, i + 1)] = ExcClass(n, BaseScalar.one(n),
+                                           tuple(-c for c in h))
+        for j in range(i + 2, n + 1):
+            entries[(i, j)] = ExcClass(n, zero, (zero,) * n)
     return ProductTable(n, KIND_CUP, entries)
 
 
-def qc_table(n: int, cd: CartanData | None = None) -> ProductTable:
+def qc_table(n: int) -> ProductTable:
     """The quantum-corrected table, symbolic in the delta basis.
 
     >>> print(qc_table(1).entry(1, 1).e[0])
     2*K + (4*d11)*K
     """
-    cd = cd or cartan_build(n)
-    cup = cup_table(n, cd)
+    cup = cup_table(n)
+    cd = cartan_build(n)
     kappa = BaseScalar.K(n)
     betas = [DeltaIndex(mu, nu) for mu in range(1, n + 1)
              for nu in range(mu, n + 1)]
@@ -286,8 +263,7 @@ def qc_eval(table: ProductTable, q) -> ProductTable:
     """
     if table.kind != KIND_QUANTUM:
         raise ValueError("qc_eval expects a symbolic quantum table")
-    q = [x if isinstance(x, Cyclotomic) else Cyclotomic.from_rational(x)
-         for x in q]
+    q = [coerce(x) for x in q]
     if len(q) != table.n:
         raise ValueError(f"expected {table.n} q-values")
     deltas = {}

@@ -176,8 +176,7 @@ def test_criterion_10_chtd_map_is_not_an_isomorphism():
 def test_criterion_11_structural_property_suite():
     # table symmetry and degree homogeneity, n <= 6
     for n in range(1, 7):
-        cd = cartan_build(n)
-        crt, cupt, qct = cr_table(n), cup_table(n, cd), qc_table(n, cd)
+        crt, cupt, qct = cr_table(n), cup_table(n), qc_table(n)
         for table in (crt, cupt, qct):
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
@@ -191,8 +190,7 @@ def test_criterion_11_structural_property_suite():
     from test_corrections import r_function
     from test_ringtables import _involute_entry
     for n in range(1, 5):
-        cd = cartan_build(n)
-        for table in (cr_table(n), cup_table(n, cd), qc_table(n, cd)):
+        for table in (cr_table(n), cup_table(n), qc_table(n)):
             for i in range(1, n + 1):
                 for j in range(i, n + 1):
                     assert _involute_entry(table.entry(i, j), n) == \

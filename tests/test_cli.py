@@ -191,6 +191,27 @@ def test_malformed_map_file_is_a_usage_error(runner, tmp_path, rank,
     assert result.stderr.startswith("Error: ")
 
 
+@pytest.mark.parametrize("rank,entry", [
+    (1, '{"conductor": 5, "coeffs": "1234"}'),
+    (1, '{"conductor": 1, "coeffs": [2.5]}'),
+    (1, '{"conductor": 8.0, "coeffs": ["1", "0", "0", "0"]}'),
+    (1, '{"conductor": 1, "coeffs": [true]}'),
+    (1, '{"conductor": 1, "coeffs": ["1/0"]}'),
+    ("true", '{"conductor": 1, "coeffs": ["1"]}'),
+], ids=["string-coeffs", "float-coordinate", "float-conductor",
+        "bool-coordinate", "zero-denominator", "bool-rank"])
+def test_mistyped_map_file_is_a_usage_error(runner, tmp_path, rank, entry):
+    # each of these used to verify some other map, or crash with exit 1
+    path = tmp_path / "map.json"
+    path.write_text(f'{{"n": {rank}, "matrix": [[{entry}]]}}')
+    result = runner.invoke(main, ["verify", "--n", "1", "--map", str(path),
+                                  "--q", "e:1/2"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("Error: ")
+
+
 def test_qpoint_field_degree_is_bounded(runner):
     from crepant.cli import MAX_QPOINT_PHI
 

@@ -187,7 +187,7 @@ def test_qc_table_corrections_are_the_cartan_contraction_of_r():
     # by qc_table equals sum_m (c^-1)_{lm} R_{ijm}
     for n in range(1, 9):
         cd = cartan_build(n)
-        table = qc_table(n, cd)
+        table = qc_table(n)
         for i in range(1, n + 1):
             for j in range(i, n + 1):
                 r = [r_function(n, i, j, m, cd) for m in range(1, n + 1)]

@@ -105,6 +105,29 @@ def test_json_roundtrip():
     assert Cyclotomic.from_json(x.to_json()) == x
 
 
+@pytest.mark.parametrize("data", [
+    {"conductor": 5, "coeffs": "1234"},
+    {"conductor": 1, "coeffs": [2.5]},
+    {"conductor": 1, "coeffs": ["2.5"]},
+    {"conductor": 1, "coeffs": ["1e9999"]},
+    {"conductor": 1, "coeffs": [True]},
+    {"conductor": 1, "coeffs": ["1/0"]},
+    {"conductor": 4, "coeffs": ("1", "0")},
+    {"conductor": 8.0, "coeffs": ["1", "0", "0", "0"]},
+    {"conductor": True, "coeffs": ["1"]},
+], ids=["string-coeffs", "float-coordinate", "decimal-string", "exponent",
+        "bool-coordinate", "zero-denominator", "tuple-coeffs",
+        "float-conductor", "bool-conductor"])
+def test_from_json_refuses_inexact_or_mistyped_input(data):
+    with pytest.raises(ValueError):
+        Cyclotomic.from_json(data)
+
+
+def test_from_json_reads_ints_and_fraction_strings():
+    x = Cyclotomic.from_json({"conductor": 4, "coeffs": [-1, "+3/4"]})
+    assert x == Cyclotomic(4, [-1, Fraction(3, 4)])
+
+
 # -- branch-resolved square roots -------------------------------------------
 
 

@@ -130,6 +130,13 @@ def test_linear_map_json_roundtrip():
     assert LinearMap.from_json(m.to_json()) == m
 
 
+def test_linear_map_rank_must_be_an_int():
+    doc = LinearMap.identity(1).to_json()
+    for rank in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="must be an int"):
+            LinearMap.from_json({**doc, "n": rank})
+
+
 def test_graph_emitters():
     g = an_mckay(3)
     doc = g.to_json()

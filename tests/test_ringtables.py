@@ -7,7 +7,8 @@ from crepant.cartan import cartan_build
 from crepant.coeffring import BaseScalar
 from crepant.corrections import CorrectionFunction, DeltaIndex, PoleError
 from crepant.exactnum import Cyclotomic, root_of_unity
-from crepant.ringtables import (ExcClass, cr_associativity_report, cr_table,
+from crepant.ringtables import (KIND_CUP, ExcClass, ProductTable,
+                                cr_associativity_report, cr_table,
                                 cup_table, qc_eval, qc_table,
                                 strip_corrections, table_from_json,
                                 table_to_json, table_to_latex, table_to_text)
@@ -82,6 +83,47 @@ def test_cup_rank_one():
     t = cup_table(1)
     assert t.entry(1, 1).s == BaseScalar.const(1, -2)
     assert t.entry(1, 1).e[0] == BaseScalar.K(1).scale(2)
+
+
+def cup_oracle(n):
+    """Oracle: the cup table from its defining linear systems.
+
+    The s-part of E_i E_j is -2, 1, 0 for |i-j| = 0, 1, >1, and the degree-2
+    part solves c_n alpha = rhs, where rhs carries jK - M / M - (j-1)K for
+    adjacent components and M - (j-1)K / -4K / (j+1)K - M on the diagonal
+    (positions outside 1..n are dropped); alpha = c_n^-1 rhs.
+    """
+    cd = cartan_build(n)
+    K = BaseScalar.K(n)
+    M = BaseScalar.M(n) if n >= 2 else None
+    zero = BaseScalar.zero(n)
+    entries = {}
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            rhs = [zero] * (n + 2)  # slots 0..n+1
+            if j - i == 1:
+                s = BaseScalar.one(n)
+                rhs[j - 1] = K.scale(j) - M
+                rhs[j] = M - K.scale(j - 1)
+            elif i == j:
+                s = BaseScalar.const(n, -2)
+                if j >= 2:
+                    rhs[j - 1] = M - K.scale(j - 1)
+                rhs[j] = K.scale(-4)
+                if j <= n - 1:
+                    rhs[j + 1] = K.scale(j + 1) - M
+            else:
+                s = zero
+            alpha = tuple(sum((rhs[m + 1].scale(cd.c_inv[l][m])
+                               for m in range(n)), zero)
+                          for l in range(n))
+            entries[(i, j)] = ExcClass(n, s, alpha)
+    return ProductTable(n, KIND_CUP, entries)
+
+
+def test_cup_closed_form_matches_the_cartan_solve():
+    for n in range(1, 13):
+        assert cup_table(n) == cup_oracle(n)
 
 
 def test_cup_distant_components_vanish():
@@ -191,8 +233,7 @@ def test_qc_eval_pole_location_at_multi_pole_points(n, q, index, entry):
 
 
 def _tables(n):
-    cd = cartan_build(n)
-    return cr_table(n), cup_table(n, cd), qc_table(n, cd)
+    return cr_table(n), cup_table(n), qc_table(n)
 
 
 def test_symmetry_of_all_tables():
