@@ -46,6 +46,17 @@ MAX_QPOINT_PHI = 128
 # two timings, while n = 16 (16 roots in a field of degree 32) took 65-73 s.
 MAX_SCAN_RANK = 15
 
+# Largest rank each other command accepts, timed on the same host at its
+# most expensive input.  `table qc --n 20 --format json --check-roundtrip`
+# took 4 s, and 15 s evaluated at a point of Q(zeta_420) (phi = 96); `verify`
+# at a point of degree 96-128 took 12 s at n = 11, 16 s at n = 12 and 37 s at
+# n = 14; `mckay --n 300 --compare-resolution` took 10 s and `--n 400` 24 s;
+# `resolve --n 1000` took 4 s and `--n 2000` 16 s.
+MAX_TABLE_RANK = 20
+MAX_VERIFY_RANK = 12
+MAX_MCKAY_RANK = 300
+MAX_RESOLVE_RANK = 1000
+
 
 class InputError(click.ClickException):
     """Input the library cannot take: one line on stderr, exit 2."""
@@ -59,6 +70,11 @@ class _Main(click.Group):
             return super().invoke(ctx)
         except ValueError as exc:  # the library's input validation
             raise InputError(str(exc)) from exc
+
+
+def _bound_rank(command: str, rank: int, cap: int):
+    if rank > cap:
+        raise InputError(f"{command} --n {rank} exceeds the limit n <= {cap}")
 
 
 def _parse_qpoint(spec: str, n: int):
@@ -117,7 +133,8 @@ def main():
 
 @main.command("table")
 @click.argument("kind", type=click.Choice(["cr", "cup", "qc"]))
-@click.option("--n", "rank", type=int, required=True, help="rank n >= 1")
+@click.option("--n", "rank", type=int, required=True,
+              help=f"rank 1 <= n <= {MAX_TABLE_RANK}")
 @click.option("--q", "qspec", default=None,
               help="evaluate the qc table at this exact q-point; its field "
               f"Q(zeta_N) must have degree phi(N) <= {MAX_QPOINT_PHI}")
@@ -129,17 +146,19 @@ def cmd_table(kind, rank, qspec, fmt, check_roundtrip):
     """Print one product table (qc is symbolic unless --q is given)."""
     if rank < 1:
         raise click.UsageError("--n must be >= 1")
+    _bound_rank("table", rank, MAX_TABLE_RANK)
     if qspec is not None and kind != "qc":
         raise click.UsageError("--q only applies to the qc table")
+    q = None if qspec is None else _parse_qpoint(qspec, rank)
     if kind == "cr":
         table = cr_table(rank)
     elif kind == "cup":
         table = cup_table(rank)
     else:
         table = qc_table(rank)
-        if qspec is not None:
+        if q is not None:
             try:
-                table = qc_eval(table, _parse_qpoint(qspec, rank))
+                table = qc_eval(table, q)
             except PoleError as exc:
                 _emit_pole(exc)
     if check_roundtrip:
@@ -166,13 +185,17 @@ def _load_map(source: str, rank: int) -> LinearMap:
         return bgp_map(rank, m_root)
     try:
         with open(source) as fh:
-            return LinearMap.from_json(json.load(fh))
+            doc = json.load(fh)
     except OSError as exc:
         raise click.UsageError(f"cannot read map file {source!r}: {exc}")
+    except RecursionError:
+        raise InputError(f"map file {source!r} is nested too deeply")
+    return LinearMap.from_json(doc)
 
 
 @main.command("verify")
-@click.option("--n", "rank", type=int, required=True)
+@click.option("--n", "rank", type=int, required=True,
+              help=f"rank 1 <= n <= {MAX_VERIFY_RANK}")
 @click.option("--map", "map_source", required=True,
               help="bgp:M, chtd, or a JSON file with a LinearMap")
 @click.option("--q", "qspec", required=True,
@@ -183,6 +206,7 @@ def _load_map(source: str, rank: int) -> LinearMap:
 def cmd_verify(rank, map_source, qspec, fmt):
     """Check that the map transports the quantum product at q into the
     orbifold product; exit 0 iff it does."""
+    _bound_rank("verify", rank, MAX_VERIFY_RANK)
     lmap = _load_map(map_source, rank)
     RankMismatch.check(lmap.n, rank, rank)
     q = _parse_qpoint(qspec, rank)
@@ -231,9 +255,7 @@ def cmd_scan(rank, fmt):
     """Probe the conjectured map at every primitive (n+1)-th root."""
     if rank < 1:
         raise click.UsageError("--n must be >= 1")
-    if rank > MAX_SCAN_RANK:
-        raise InputError(f"scan --n {rank} exceeds the limit "
-                         f"n <= {MAX_SCAN_RANK}")
+    _bound_rank("scan", rank, MAX_SCAN_RANK)
     results = conjecture_scan(rank)
     if fmt == "json":
         click.echo(_dump_json([r.to_json() for r in results]))
@@ -250,7 +272,8 @@ def cmd_scan(rank, fmt):
 
 
 @main.command("mckay")
-@click.option("--n", "rank", type=int, default=None)
+@click.option("--n", "rank", type=int, default=None,
+              help=f"rank 1 <= n <= {MAX_MCKAY_RANK}")
 @click.option("--group", "label", default=None,
               help="static ADE data, e.g. D_4 or E_7")
 @click.option("--full", is_flag=True,
@@ -266,6 +289,7 @@ def cmd_mckay(rank, label, full, compare_resolution, fmt):
     if rank is not None:
         if rank < 1:
             raise click.UsageError("--n must be >= 1")
+        _bound_rank("mckay", rank, MAX_MCKAY_RANK)
         graph = an_mckay(rank, reduced=not full)
     else:
         graph = ade_resolution_graph(label)
@@ -292,13 +316,15 @@ def cmd_mckay(rank, label, full, compare_resolution, fmt):
 
 
 @main.command("resolve")
-@click.option("--n", "rank", type=int, required=True)
+@click.option("--n", "rank", type=int, required=True,
+              help=f"rank 1 <= n <= {MAX_RESOLVE_RANK}")
 @click.option("--format", "fmt", default="text",
               type=click.Choice(["json", "text", "dot"]))
 def cmd_resolve(rank, fmt):
     """Resolve x y = z^(n+1) by iterated blow-ups of the origin."""
     if rank < 1:
         raise click.UsageError("--n must be >= 1")
+    _bound_rank("resolve", rank, MAX_RESOLVE_RANK)
     graph = resolve_an(rank)
     if fmt == "json":
         click.echo(_dump_json(graph.to_json()))

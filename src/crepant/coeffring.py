@@ -34,7 +34,7 @@ def accumulate(terms: dict, key, value: Cyclotomic) -> None:
     """terms[key] += value, keeping no zero coefficient.
 
     This is the one summation rule for every coefficient dict (the monomials
-    of a BaseScalar, the delta terms of a correction, the transport sums).
+    of a BaseScalar, the transport sums).
     A coefficient that cancels is deleted at once, so the next term for that
     key starts afresh: x + (-x) + y stores y in y's own conductor, not in
     the lcm of all three.  Conductors never shrink under arithmetic, so the
@@ -194,23 +194,6 @@ class BaseScalar:
     def __bool__(self):
         return bool(self.terms)
 
-    # -- grading -----------------------------------------------------------
-
-    def degrees(self) -> set[int]:
-        """Cohomological degrees present (each generator has degree 2)."""
-        return {2 * sum(m) for m in self.terms}
-
-    def degree(self) -> int:
-        """Top cohomological degree, or -1 for the zero scalar."""
-        return max(self.degrees(), default=-1)
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
-    def homogeneous_part(self, degree: int) -> "BaseScalar":
-        return BaseScalar._make(self.n, {m: c for m, c in self.terms.items()
-                                         if 2 * sum(m) == degree})
-
     def coefficient(self, mono) -> Cyclotomic:
         return self.terms.get(tuple(mono), _ZERO)
 
@@ -243,13 +226,6 @@ class BaseScalar:
                     term = term * img
             out = out + term
         return out
-
-    def swap_lm(self) -> "BaseScalar":
-        """The ring involution exchanging L and M (identity for n = 1)."""
-        if self.n == 1:
-            return self
-        return BaseScalar._make(self.n, {(j, i): c
-                                         for (i, j), c in self.terms.items()})
 
     # -- presentation ------------------------------------------------------
 

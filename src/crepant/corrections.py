@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .coeffring import SCALARS, accumulate, coerce
+from .coeffring import SCALARS, coerce
 from .exactnum import Cyclotomic
 
 
@@ -60,49 +60,6 @@ class CorrectionFunction:
 
     def __setattr__(self, *args):
         raise AttributeError("CorrectionFunction values are immutable")
-
-    @classmethod
-    def zero(cls, n: int) -> "CorrectionFunction":
-        return cls(n)
-
-    def __add__(self, other):
-        if isinstance(other, SCALARS):
-            other = CorrectionFunction(self.n, other)
-        if not isinstance(other, CorrectionFunction):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError("rank mismatch")
-        terms = dict(self.terms)
-        for idx, coeff in other.terms.items():
-            accumulate(terms, idx, coeff)
-        return CorrectionFunction(self.n, self.constant + other.constant,
-                                  terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CorrectionFunction(self.n, -self.constant,
-                                  {i: -c for i, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, SCALARS):
-            other = CorrectionFunction(self.n, other)
-        if not isinstance(other, CorrectionFunction):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, value) -> "CorrectionFunction":
-        value = coerce(value)
-        return CorrectionFunction(
-            self.n, self.constant * value,
-            {i: c * value for i, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, SCALARS):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, SCALARS):

@@ -10,9 +10,9 @@ comparison (after lifting both operands into a common conductor);
 
 Phi_N is monic with integer coefficients, so every reduction stays in the
 integers.  A product is reduced in one pass over the cached rows
-x^k mod Phi_N, phi(N) <= k <= 2 phi(N) - 2; lifts, conjugates and powers of
-zeta are reduced by monic division; the inverse solves the integer system of
-the multiplication matrix by fraction-free (Bareiss) elimination.  There is no
+x^k mod Phi_N, phi(N) <= k <= 2 phi(N) - 2; lifts and powers of zeta are
+reduced by monic division; the inverse solves the integer system of the
+multiplication matrix by fraction-free (Bareiss) elimination.  There is no
 floating point anywhere; `Cyclotomic.to_complex` exists only as a
 non-authoritative display aid.
 
@@ -262,26 +262,6 @@ class Cyclotomic:
         poly[::step] = num
         return Cyclotomic._from_poly(conductor, poly, self._den)
 
-    def descend(self, conductor: int) -> "Cyclotomic":
-        """Rewrite in the subfield Q(zeta_M), M | N, if the value lies there.
-
-        Raises ValueError when the element is not in the subfield.
-        """
-        from . import linalg
-
-        if conductor == self.conductor:
-            return self
-        if self.conductor % conductor != 0:
-            raise ValueError("target conductor must divide the conductor")
-        basis = [root_of_unity(conductor, k).lift(self.conductor).coeffs
-                 for k in range(euler_phi(conductor))]
-        rows = [[basis[j][i] for j in range(len(basis))]
-                for i in range(len(self._num))]
-        sol = linalg.solve_exact(rows, list(self.coeffs), zero=Fraction(0))
-        if sol is None:
-            raise ValueError("element does not lie in the requested subfield")
-        return Cyclotomic(conductor, sol)
-
     @staticmethod
     def common(a: "Cyclotomic", b: "Cyclotomic"):
         n = math.lcm(a.conductor, b.conductor)
@@ -415,14 +395,6 @@ class Cyclotomic:
             base = base * base
             exponent >>= 1
         return result
-
-    def conjugate(self) -> "Cyclotomic":
-        """Complex conjugation, i.e. the Galois map zeta -> zeta^-1."""
-        n = self.conductor
-        poly = [0] * n
-        for k, c in enumerate(self._num):
-            poly[-k % n] += c
-        return Cyclotomic._from_poly(n, poly, self._den)
 
     def __eq__(self, other):
         other = self._coerce(other, self.conductor)

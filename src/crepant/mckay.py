@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import linalg
 from .exactnum import Cyclotomic, InvalidRoot, branch_sqrt, root_of_unity
 
 
@@ -47,9 +46,6 @@ class McKayGraph:
                     out.append((i, j, self.adjacency[i][j]))
         return out
 
-    def degree_sequence(self):
-        return tuple(sum(row) for row in self.adjacency)
-
     def to_json(self):
         return {"group": self.group_label, "reduced": self.reduced,
                 "vertices": [{"name": n, "dim": d}
@@ -71,38 +67,32 @@ class McKayGraph:
 def an_mckay(n: int, reduced: bool = True) -> McKayGraph:
     """McKay graph of the cyclic group Z_{n+1} acting through Q.
 
+    With o = n+1, the multiplicity of lambda_i in Q (x) lambda_j is the
+    character inner product (1/o) sum_g (zeta^g + zeta^-g) zeta^{jg}
+    zeta^{-ig} = (S(1+j-i) + S(-1+j-i))/o, where S(e) = sum_g zeta^{eg} is
+    summed exactly once per residue e mod o.
+
     >>> an_mckay(2).adjacency
     ((0, 1), (1, 0))
     """
     if n < 1:
         raise ValueError("rank must be >= 1")
     order = n + 1
-    zeta = root_of_unity(order, 1)
+    powers = [root_of_unity(order, e) for e in range(order)]
+    sums = [sum(powers[e * g % order] for g in range(order))
+            for e in range(order)]
     labels = list(range(order)) if not reduced else list(range(1, order))
-    powers = [zeta ** e for e in range(order)]  # chi_r(g) = powers[r g % o]
-    q_char = [powers[g] + powers[-g % order] for g in range(order)]
     adjacency = []
     for i in labels:
         row = []
         for j in labels:
-            # <chi_Q * chi_j, chi_i> over the group, exactly;
-            # conj(chi_i(g)) = chi_i(-g)
-            total = Cyclotomic.zero(order)
-            for g in range(order):
-                total = total + (q_char[g] * powers[j * g % order]
-                                 * powers[-i * g % order])
-            value = (total / order).as_fraction()
+            value = ((sums[(1 + j - i) % order] + sums[(j - i - 1) % order])
+                     / order).as_fraction()
             assert value.denominator == 1 and value >= 0
             row.append(int(value))
         adjacency.append(tuple(row))
     vertices = tuple((f"lambda_{i}", 1) for i in labels)
-    label = f"A_{n}"
-    return McKayGraph(label, vertices, tuple(adjacency), reduced)
-
-
-def _chain(k):
-    return tuple(tuple(1 if abs(i - j) == 1 else 0 for j in range(k))
-                 for i in range(k))
+    return McKayGraph(f"A_{n}", vertices, tuple(adjacency), reduced)
 
 
 def _graph_from_edges(k, edges):
@@ -174,14 +164,6 @@ class LinearMap:
     n: int
     matrix: tuple  # rows k = e-basis index, columns l = E-basis index
 
-    def column(self, l: int):
-        return tuple(self.matrix[k][l - 1] for k in range(self.n))
-
-    def is_invertible(self) -> bool:
-        """Full rank: elimination finds a pivot in every column."""
-        pivots = linalg._eliminate([list(r) for r in self.matrix], self.n)
-        return len(pivots) == self.n
-
     def to_json(self):
         return {"n": self.n,
                 "matrix": [[c.to_json() for c in row]
@@ -203,12 +185,6 @@ class LinearMap:
         if len(matrix) != n or any(len(r) != n for r in matrix):
             raise ValueError("map matrix must be n x n")
         return cls(n, matrix)
-
-    @classmethod
-    def identity(cls, n: int) -> "LinearMap":
-        one, zero = Cyclotomic.one(1), Cyclotomic.zero(1)
-        return cls(n, tuple(tuple(one if i == j else zero
-                                  for j in range(n)) for i in range(n)))
 
 
 def chtd_map(n: int) -> LinearMap:

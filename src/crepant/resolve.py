@@ -216,12 +216,6 @@ class ResolutionGraph:
             adj[index[a]][index[b]] = adj[index[b]][index[a]] = 1
         return tuple(tuple(r) for r in adj)
 
-    def is_chain(self) -> bool:
-        adj = self.adjacency()
-        n = self.size
-        return all(adj[i][j] == (1 if abs(i - j) == 1 else 0)
-                   for i in range(n) for j in range(n))
-
     def to_json(self):
         return {"nodes": [{"id": cid, "self_intersection": s}
                           for cid, s in self.nodes],

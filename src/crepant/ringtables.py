@@ -53,23 +53,6 @@ class ExcClass:
     s: BaseScalar
     e: tuple
 
-    @classmethod
-    def zero(cls, n: int) -> "ExcClass":
-        return cls(n, BaseScalar.zero(n),
-                   tuple(BaseScalar.zero(n) for _ in range(n)))
-
-    def __add__(self, other: "ExcClass") -> "ExcClass":
-        return ExcClass(self.n, self.s + other.s,
-                        tuple(a + b for a, b in zip(self.e, other.e)))
-
-    def scale(self, value) -> "ExcClass":
-        """Multiply by a Cyclotomic/rational or by a BaseScalar."""
-        if isinstance(value, BaseScalar):
-            return ExcClass(self.n, self.s * value,
-                            tuple(c * value for c in self.e))
-        return ExcClass(self.n, self.s.scale(value),
-                        tuple(c.scale(value) for c in self.e))
-
     def is_zero(self) -> bool:
         return self.s.is_zero() and all(c.is_zero() for c in self.e)
 
@@ -288,39 +271,6 @@ def strip_corrections(table: ProductTable) -> ProductTable:
         entries[key] = ExcClass(table.n, entry.s,
                                 tuple(c.strip() for c in entry.e))
     return ProductTable(table.n, KIND_CUP, entries)
-
-
-def cr_associativity_report(n: int):
-    """Check (e_a e_b) e_c = e_a (e_b e_c) whenever both sides stay inside
-    the modeled span.
-
-    Triples needing an s * e_l product (i.e. some pairwise product hits the
-    antidiagonal) are outside the tabulated algebra and are reported as
-    skipped rather than guessed.  Returns (all_equal, checked, skipped).
-    """
-    table = cr_table(n)
-
-    def times_generator(cls: ExcClass, c: int):
-        out = ExcClass.zero(n)
-        for l in range(n):
-            if not cls.e[l].is_zero():
-                out = out + table.entry(l + 1, c).scale(cls.e[l])
-        return out
-
-    checked, skipped = [], []
-    ok = True
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            for c in range(1, n + 1):
-                if (a + b) % (n + 1) == 0 or (b + c) % (n + 1) == 0:
-                    skipped.append((a, b, c))
-                    continue
-                left = times_generator(table.entry(a, b), c)
-                right = times_generator(table.entry(b, c), a)
-                checked.append((a, b, c))
-                if left != right:
-                    ok = False
-    return ok, checked, skipped
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,121 @@
+"""Test oracles: plain functions over the library's public data.
+
+None of these is needed by a command of the library; each restates an
+operation or a property that the tests check the library against.  They read
+only public data (`Cyclotomic.coeffs`, `BaseScalar.terms`, `LinearMap.matrix`,
+`ProductTable.entry`).  pytest does not collect this module.
+"""
+
+from fractions import Fraction
+
+from crepant import linalg
+from crepant.coeffring import BaseScalar
+from crepant.exactnum import Cyclotomic, euler_phi, root_of_unity
+from crepant.mckay import LinearMap
+from crepant.ringtables import cr_table
+
+# -- Cyclotomic ---------------------------------------------------------------
+
+
+def descend(x: Cyclotomic, conductor: int) -> Cyclotomic:
+    """x rewritten in the subfield Q(zeta_M), M | N.
+
+    Raises ValueError when x does not lie in the subfield.
+    """
+    if x.conductor % conductor:
+        raise ValueError("target conductor must divide the conductor")
+    basis = [root_of_unity(conductor, k).lift(x.conductor).coeffs
+             for k in range(euler_phi(conductor))]
+    rows = [list(row) for row in zip(*basis)]
+    sol = linalg.solve_exact(rows, list(x.coeffs), zero=Fraction(0))
+    if sol is None:
+        raise ValueError("element does not lie in the requested subfield")
+    return Cyclotomic(conductor, sol)
+
+
+def conjugate(x: Cyclotomic) -> Cyclotomic:
+    """Complex conjugation, the Galois map zeta -> zeta^-1."""
+    return sum((c * root_of_unity(x.conductor, -k)
+                for k, c in enumerate(x.coeffs)), Cyclotomic.zero(x.conductor))
+
+
+# -- BaseScalar grading -------------------------------------------------------
+
+
+def degrees(s: BaseScalar) -> set:
+    """Cohomological degrees present (each generator has degree 2)."""
+    return {2 * sum(mono) for mono in s.terms}
+
+
+def degree(s: BaseScalar) -> int:
+    """Top cohomological degree, or -1 for the zero scalar."""
+    return max(degrees(s), default=-1)
+
+
+def is_homogeneous(s: BaseScalar) -> bool:
+    return len(degrees(s)) <= 1
+
+
+def homogeneous_part(s: BaseScalar, deg: int) -> BaseScalar:
+    return BaseScalar(s.n, {mono: c for mono, c in s.terms.items()
+                            if 2 * sum(mono) == deg})
+
+
+def swap_lm(s: BaseScalar) -> BaseScalar:
+    """The ring involution exchanging L and M (identity for n = 1)."""
+    if s.n == 1:
+        return s
+    return BaseScalar(s.n, {(j, i): c for (i, j), c in s.terms.items()})
+
+
+# -- maps and tables ----------------------------------------------------------
+
+
+def identity_map(n: int) -> LinearMap:
+    one, zero = Cyclotomic.one(1), Cyclotomic.zero(1)
+    return LinearMap(n, tuple(tuple(one if i == j else zero
+                                    for j in range(n)) for i in range(n)))
+
+
+def is_invertible(matrix) -> bool:
+    """Full rank: M x = 0 has the single solution x = 0."""
+    zero = Cyclotomic.zero(1)
+    try:
+        linalg.solve_exact([list(row) for row in matrix], [zero] * len(matrix),
+                           zero=zero)
+    except ValueError:  # underdetermined
+        return False
+    return True
+
+
+def cr_associativity_report(n: int):
+    """Check (e_a e_b) e_c = e_a (e_b e_c) whenever both sides stay inside
+    the modeled span.
+
+    Triples needing an s * e_l product (some pairwise product hits the
+    antidiagonal) are outside the tabulated algebra and are reported as
+    skipped rather than guessed.  Returns (all_equal, checked, skipped).
+    """
+    table = cr_table(n)
+
+    def times_generator(cls, c):
+        s, e = BaseScalar.zero(n), [BaseScalar.zero(n)] * n
+        for l, coeff in enumerate(cls.e, start=1):
+            prod = table.entry(l, c)
+            s = s + coeff * prod.s
+            e = [x + coeff * y for x, y in zip(e, prod.e)]
+        return s, e
+
+    checked, skipped = [], []
+    ok = True
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            for c in range(1, n + 1):
+                if (a + b) % (n + 1) == 0 or (b + c) % (n + 1) == 0:
+                    skipped.append((a, b, c))
+                    continue
+                checked.append((a, b, c))
+                if (times_generator(table.entry(a, b), c)
+                        != times_generator(table.entry(b, c), a)):
+                    ok = False
+    return ok, checked, skipped

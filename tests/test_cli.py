@@ -198,8 +198,9 @@ def test_malformed_map_file_is_a_usage_error(runner, tmp_path, rank,
     (1, '{"conductor": 1, "coeffs": [true]}'),
     (1, '{"conductor": 1, "coeffs": ["1/0"]}'),
     ("true", '{"conductor": 1, "coeffs": ["1"]}'),
+    (1, "[" * 100000 + "]" * 100000),
 ], ids=["string-coeffs", "float-coordinate", "float-conductor",
-        "bool-coordinate", "zero-denominator", "bool-rank"])
+        "bool-coordinate", "zero-denominator", "bool-rank", "deep-nesting"])
 def test_mistyped_map_file_is_a_usage_error(runner, tmp_path, rank, entry):
     # each of these used to verify some other map, or crash with exit 1
     path = tmp_path / "map.json"
@@ -251,18 +252,30 @@ def test_wrong_rank_map_is_refused_before_evaluation(runner, tmp_path,
     assert result.stderr == "Error: ranks differ: map 2, source 3, target 3\n"
 
 
-def test_scan_rank_is_bounded(runner, monkeypatch):
+@pytest.mark.parametrize("command, cap, argv", [
+    ("table", "MAX_TABLE_RANK", ["table", "qc", "--q", "e:1/3"]),
+    ("verify", "MAX_VERIFY_RANK", ["verify", "--map", "bgp:1", "--q", "e:1/3"]),
+    ("mckay", "MAX_MCKAY_RANK", ["mckay", "--compare-resolution"]),
+    ("resolve", "MAX_RESOLVE_RANK", ["resolve"]),
+    ("scan", "MAX_SCAN_RANK", ["scan"]),
+], ids=["table", "verify", "mckay", "resolve", "scan"])
+def test_rank_above_the_cap_is_refused_before_any_work(runner, monkeypatch,
+                                                       command, cap, argv):
     import crepant.cli as cli
 
-    def no_scan(n):
-        raise AssertionError("conjecture_scan called above the rank cap")
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{command} did work above the rank cap")
 
-    monkeypatch.setattr(cli, "conjecture_scan", no_scan)
-    rank = cli.MAX_SCAN_RANK + 1
-    result = runner.invoke(main, ["scan", "--n", str(rank)])
+    for name in ("cr_table", "cup_table", "qc_table", "qc_eval", "bgp_map",
+                 "chtd_map", "an_mckay", "resolve_an", "conjecture_scan",
+                 "_parse_qpoint"):
+        monkeypatch.setattr(cli, name, no_work)
+    limit = getattr(cli, cap)
+    assert limit >= 12  # the benchmark catalogue goes up to rank 9
+    result = runner.invoke(main, [*argv, "--n", str(limit + 1)])
     assert result.exit_code == 2
     assert result.stdout == ""
-    assert result.stderr == (f"Error: scan --n {rank} exceeds the limit "
-                             f"n <= {cli.MAX_SCAN_RANK}\n")
-    assert f"1 <= n <= {cli.MAX_SCAN_RANK}" in runner.invoke(
-        main, ["scan", "--help"]).output
+    assert result.stderr == (f"Error: {command} --n {limit + 1} exceeds the "
+                             f"limit n <= {limit}\n")
+    assert f"1 <= n <= {limit}" in runner.invoke(
+        main, [command, "--help"]).output

@@ -59,7 +59,7 @@ def test_correction_eval_a1_correction_vanishes_at_minus_one():
 
 
 def test_zero_function_evaluates_to_zero():
-    f = CorrectionFunction.zero(2)
+    f = CorrectionFunction(2)
     assert correction_eval(f, _q(5, -3)).is_zero()
 
 
@@ -192,10 +192,13 @@ def test_qc_table_corrections_are_the_cartan_contraction_of_r():
             for j in range(i, n + 1):
                 r = [r_function(n, i, j, m, cd) for m in range(1, n + 1)]
                 for l in range(n):
-                    expected = CorrectionFunction.zero(n)
+                    expected = {}
                     for m in range(n):
-                        expected = expected + r[m].scale(cd.c_inv[l][m])
-                    assert table.entry(i, j).e[l].corr == expected
+                        for idx, c in r[m].terms.items():
+                            expected[idx] = (expected.get(idx, 0)
+                                             + c * cd.c_inv[l][m])
+                    assert table.entry(i, j).e[l].corr == \
+                        CorrectionFunction(n, 0, expected)
 
 
 def test_correction_equality_is_coefficientwise():

@@ -9,13 +9,15 @@ from crepant.isocheck import (RankMismatch, conjecture_scan, solve_a1,
 from crepant.mckay import LinearMap, bgp_map, chtd_map
 from crepant.ringtables import cr_table, qc_eval, qc_table
 
+from oracles import identity_map
+
 MINUS_ONE = Cyclotomic.from_rational(-1)
 
 
 def test_identity_transport_on_cr_tables():
     for n in range(1, 5):
         t = cr_table(n)
-        assert transport_check(LinearMap.identity(n), t, t).passed
+        assert transport_check(identity_map(n), t, t).passed
 
 
 def test_rank_one_isomorphism_with_minus_two_i():
@@ -59,13 +61,13 @@ def test_chtd_map_is_not_a_ring_isomorphism():
 
 def test_rank_mismatch_detection():
     with pytest.raises(RankMismatch):
-        transport_check(LinearMap.identity(2),
+        transport_check(identity_map(2),
                         qc_eval(qc_table(1), [MINUS_ONE]), cr_table(1))
 
 
 def test_symbolic_source_is_rejected():
     with pytest.raises(ValueError):
-        transport_check(LinearMap.identity(2), qc_table(2), cr_table(2))
+        transport_check(identity_map(2), qc_table(2), cr_table(2))
 
 
 def test_report_json_schema():
@@ -191,6 +193,15 @@ def test_scan_rank_three_emits_a_verdict_per_primitive_root():
             assert r.report is not None
         doc = r.to_json()
         assert doc["m_root"] == r.m_root and doc["status"] == r.status
+
+
+def test_scan_passes_at_the_outer_roots_only_for_ranks_seven_and_nine():
+    # computed, not proven: the uniform-sign map passes at m_root = 1 and n
+    # and fails at every interior primitive root (as for n = 4, 6, 8, 10)
+    assert [(r.m_root, r.status) for r in conjecture_scan(7)] == \
+        [(1, "pass"), (3, "fail"), (5, "fail"), (7, "pass")]
+    assert [(r.m_root, r.status) for r in conjecture_scan(9)] == \
+        [(1, "pass"), (3, "fail"), (7, "fail"), (9, "pass")]
 
 
 def test_scan_never_hits_a_pole_at_equal_primitive_roots():

@@ -64,7 +64,8 @@ def test_resolution_chains():
     for n in range(1, 13):
         graph = resolve_an(n)
         assert graph.size == n
-        assert graph.is_chain()
+        assert graph.adjacency() == tuple(
+            tuple(int(abs(i - j) == 1) for j in range(n)) for i in range(n))
         assert all(s == -2 for _, s in graph.nodes)
 
 
