@@ -6,7 +6,6 @@ Everything is computed in exact arithmetic over cyclotomic fields; there is
 no floating point anywhere in the mathematical path.
 """
 
-from .cartan import CartanData, beta_pairing, cartan_build
 from .coeffring import BaseScalar
 from .corrections import (CorrectionFunction, DeltaIndex, PoleError,
                           correction_eval, delta_eval)
@@ -19,16 +18,16 @@ from .mckay import (LinearMap, McKayGraph, ade_resolution_graph, an_mckay,
                     aut_gamma, bgp_map, chtd_map)
 from .resolve import (ChartSurface, NotSingular, ResolutionGraph,
                       blowup_step, resolve_an)
-from .ringtables import (ExcClass, ProductTable, cr_table, cup_table,
-                         qc_eval, qc_table, strip_corrections)
+from .ringtables import (ExcClass, ProductTable, beta_pairing, cr_table,
+                         cup_table, qc_eval, qc_table, strip_corrections)
 
 __all__ = [
-    "BaseScalar", "CartanData", "ChartSurface", "CorrectionFunction",
+    "BaseScalar", "ChartSurface", "CorrectionFunction",
     "Cyclotomic", "DeltaIndex", "ExcClass", "InvalidRoot", "LinearMap",
     "McKayGraph", "NotSingular", "PoleError", "ProductTable",
     "RankMismatch", "ResolutionGraph", "TransportReport",
     "ade_resolution_graph", "an_mckay", "aut_gamma", "beta_pairing",
-    "bgp_map", "blowup_step", "branch_sqrt", "cartan_build", "chtd_map",
+    "bgp_map", "blowup_step", "branch_sqrt", "chtd_map",
     "conjecture_scan", "correction_eval", "cr_table", "cup_table",
     "cyclotomic_polynomial", "delta_eval", "imaginary_unit", "qc_eval",
     "qc_table", "resolve_an", "root_of_unity", "solve_a1", "solve_a2",

@@ -33,11 +33,13 @@ from .ringtables import (cr_table, cup_table, qc_eval, qc_table,
 
 POLE_EXIT = 2
 
-# Largest degree phi(N) of the field Q(zeta_N) a q-point may need, N being
-# the lcm of 4(n+1) and the literals' denominators.  A product costs
-# O(phi^2) and an inverse O(phi^3): `verify --n 2 --q e:1/5,e:1/7` (N = 420,
-# phi = 96) takes well under a second, while `e:1/2003` at rank 1
-# (phi = 8008) would run for hours.
+# Largest degree phi(N) of the field Q(zeta_N) a run may compute in, N being
+# the lcm of 4(n+1), the q literals' denominators and, for `verify`, the
+# conductors of the map's entries.  A product costs O(phi^2) and an inverse
+# O(phi^3): `verify --n 2 --q e:1/5,e:1/7` (N = 420, phi = 96) takes well
+# under a second, while `e:1/2003` at rank 1 (phi = 8008) would run for
+# hours, and a rank-1 map file with an entry in Q(zeta_8009) would make
+# `verify` run 8 s.
 MAX_QPOINT_PHI = 128
 
 # Largest rank `scan --n` accepts.  The scan's cost grows with n, with the
@@ -47,11 +49,11 @@ MAX_QPOINT_PHI = 128
 MAX_SCAN_RANK = 15
 
 # Largest rank each other command accepts, timed on the same host at its
-# most expensive input.  `table qc --n 20 --format json --check-roundtrip`
-# took 4 s, and 15 s evaluated at a point of Q(zeta_420) (phi = 96); `verify`
-# at a point of degree 96-128 took 12 s at n = 11, 16 s at n = 12 and 37 s at
-# n = 14; `mckay --n 300 --compare-resolution` took 10 s and `--n 400` 24 s;
-# `resolve --n 1000` took 4 s and `--n 2000` 16 s.
+# most expensive input.  `table qc --n 20` took 0.4 s, 3 s with `--format
+# json --check-roundtrip` and 10 s evaluated at a point of Q(zeta_420)
+# (phi = 96); `verify` at a point of degree 96-128 took 12 s at n = 11, 16 s
+# at n = 12 and 37 s at n = 14; `mckay --n 300 --compare-resolution` took
+# 10 s and `--n 400` 24 s; `resolve --n 1000` took 4 s and `--n 2000` 16 s.
 MAX_TABLE_RANK = 20
 MAX_VERIFY_RANK = 12
 MAX_MCKAY_RANK = 300
@@ -73,12 +75,19 @@ class _Main(click.Group):
 
 
 def _bound_rank(command: str, rank: int, cap: int):
+    if rank < 1:
+        raise InputError(f"{command} --n must be >= 1, got {rank}")
     if rank > cap:
         raise InputError(f"{command} --n {rank} exceeds the limit n <= {cap}")
 
 
-def _parse_qpoint(spec: str, n: int):
-    """Parse "e:j/k,e:j/k,..." into exact root-of-unity values."""
+def _parse_qpoint(spec: str, n: int, lmap: LinearMap | None = None):
+    """Parse "e:j/k,e:j/k,..." into exact root-of-unity values.
+
+    The values lie in Q(zeta_N), N = lcm(4(n+1), the denominators k).  The
+    field a run computes in, which also holds every entry of `lmap` if one
+    is given, must have degree at most MAX_QPOINT_PHI.
+    """
     tokens = [t.strip() for t in spec.split(",")]
     if len(tokens) != n:
         raise click.UsageError(f"expected {n} q-values, got {len(tokens)}")
@@ -97,11 +106,13 @@ def _parse_qpoint(spec: str, n: int):
             raise click.UsageError(f"bad q literal {tok!r}: k must be >= 1")
         literals.append((j, k))
     conductor = math.lcm(4 * (n + 1), *(k for _, k in literals))
+    rows = lmap.matrix if lmap is not None else ()
+    field = math.lcm(conductor, *(c.conductor for row in rows for c in row))
     # phi(N) >= sqrt(N/2), so the first test also bounds the factorisation
-    if (conductor > 2 * MAX_QPOINT_PHI ** 2
-            or euler_phi(conductor) > MAX_QPOINT_PHI):
+    if field > 2 * MAX_QPOINT_PHI ** 2 or euler_phi(field) > MAX_QPOINT_PHI:
+        by_map = " with this map" if field != conductor else ""
         raise InputError(
-            f"q-point {spec!r} needs Q(zeta_{conductor}), whose degree "
+            f"q-point {spec!r}{by_map} needs Q(zeta_{field}), whose degree "
             f"exceeds the limit phi <= {MAX_QPOINT_PHI}")
     return [root_of_unity(k, j).lift(conductor) for j, k in literals]
 
@@ -144,8 +155,6 @@ def main():
               help="re-ingest the emitted JSON and compare")
 def cmd_table(kind, rank, qspec, fmt, check_roundtrip):
     """Print one product table (qc is symbolic unless --q is given)."""
-    if rank < 1:
-        raise click.UsageError("--n must be >= 1")
     _bound_rank("table", rank, MAX_TABLE_RANK)
     if qspec is not None and kind != "qc":
         raise click.UsageError("--q only applies to the qc table")
@@ -199,8 +208,9 @@ def _load_map(source: str, rank: int) -> LinearMap:
 @click.option("--map", "map_source", required=True,
               help="bgp:M, chtd, or a JSON file with a LinearMap")
 @click.option("--q", "qspec", required=True,
-              help="exact q-point e:j/k,...; its field Q(zeta_N) must have "
-              f"degree phi(N) <= {MAX_QPOINT_PHI}")
+              help="exact q-point e:j/k,...; the field Q(zeta_N) holding it "
+              f"and every map entry must have degree phi(N) <= "
+              f"{MAX_QPOINT_PHI}")
 @click.option("--format", "fmt", default="text",
               type=click.Choice(["json", "text"]))
 def cmd_verify(rank, map_source, qspec, fmt):
@@ -209,7 +219,7 @@ def cmd_verify(rank, map_source, qspec, fmt):
     _bound_rank("verify", rank, MAX_VERIFY_RANK)
     lmap = _load_map(map_source, rank)
     RankMismatch.check(lmap.n, rank, rank)
-    q = _parse_qpoint(qspec, rank)
+    q = _parse_qpoint(qspec, rank, lmap)
     try:
         source = qc_eval(qc_table(rank), q)
     except PoleError as exc:
@@ -253,8 +263,6 @@ def cmd_solve(rank, fmt):
               type=click.Choice(["json", "text"]))
 def cmd_scan(rank, fmt):
     """Probe the conjectured map at every primitive (n+1)-th root."""
-    if rank < 1:
-        raise click.UsageError("--n must be >= 1")
     _bound_rank("scan", rank, MAX_SCAN_RANK)
     results = conjecture_scan(rank)
     if fmt == "json":
@@ -287,8 +295,6 @@ def cmd_mckay(rank, label, full, compare_resolution, fmt):
     if (rank is None) == (label is None):
         raise click.UsageError("give exactly one of --n or --group")
     if rank is not None:
-        if rank < 1:
-            raise click.UsageError("--n must be >= 1")
         _bound_rank("mckay", rank, MAX_MCKAY_RANK)
         graph = an_mckay(rank, reduced=not full)
     else:
@@ -322,8 +328,6 @@ def cmd_mckay(rank, label, full, compare_resolution, fmt):
               type=click.Choice(["json", "text", "dot"]))
 def cmd_resolve(rank, fmt):
     """Resolve x y = z^(n+1) by iterated blow-ups of the origin."""
-    if rank < 1:
-        raise click.UsageError("--n must be >= 1")
     _bound_rank("resolve", rank, MAX_RESOLVE_RANK)
     graph = resolve_an(rank)
     if fmt == "json":

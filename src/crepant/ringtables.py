@@ -21,7 +21,9 @@ tabulated.
 * `qc_table(n)` -- quantum-corrected product: the cup table plus
   sum_l [sum_{mu <= l <= nu} (E_i.b)(E_j.b) delta_{mu nu}(q)] K E_l with
   b = beta_{mu nu}, kept symbolic in the delta basis; `qc_eval` specializes
-  it at an exact q-point.
+  it at an exact q-point.  The pairing E_i.b (`beta_pairing`) is the row sum
+  of c_n over mu..nu, in closed form
+  [mu <= i-1 <= nu] + [mu <= i+1 <= nu] - 2[mu <= i <= nu].
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cartan import beta_pairing, cartan_build
 from .coeffring import BaseScalar, coerce
 from .corrections import (CorrectionFunction, DeltaIndex, PoleError,
                           correction_eval)
@@ -204,6 +205,19 @@ def cup_table(n: int) -> ProductTable:
     return ProductTable(n, KIND_CUP, entries)
 
 
+def beta_pairing(n: int, i: int, mu: int, nu: int) -> int:
+    """E_i . beta_{mu nu}, all indices 1-based: -2 if i = mu = nu, -1 if i
+    is one end of a longer interval, 1 next to either end, 0 otherwise.
+
+    >>> [beta_pairing(4, i, 2, 3) for i in range(1, 5)]
+    [1, -1, -1, 1]
+    """
+    if not (1 <= i <= n and 1 <= mu <= nu <= n):
+        raise ValueError("index out of range")
+    return ((mu <= i - 1 <= nu) + (mu <= i + 1 <= nu)
+            - 2 * (mu <= i <= nu))
+
+
 def qc_table(n: int) -> ProductTable:
     """The quantum-corrected table, symbolic in the delta basis.
 
@@ -211,20 +225,22 @@ def qc_table(n: int) -> ProductTable:
     2*K + (4*d11)*K
     """
     cup = cup_table(n)
-    cd = cartan_build(n)
     kappa = BaseScalar.K(n)
     betas = [DeltaIndex(mu, nu) for mu in range(1, n + 1)
              for nu in range(mu, n + 1)]
+    # the nonzero pairings E_i.b for each i, b in (mu, nu) order; each i
+    # meets only the O(n) classes beginning or ending at or next to it
+    pairings = [{b: w for b in betas if (w := beta_pairing(n, i, *b))}
+                for i in range(1, n + 1)]
     entries = {}
     for i in range(1, n + 1):
         for j in range(i, n + 1):
             base = cup.entry(i, j)
             # E_i * E_j gains (E_i.b)(E_j.b) delta_b K on E_l for every
-            # class b = beta_{mu nu} with mu <= l <= nu: this is
-            # sum_m (c^-1)_{lm} R_{ijm}, as sum_m (c^-1)_{lm} E_m.b is 1
-            # for mu <= l <= nu and 0 otherwise
-            weights = {b: beta_pairing(cd, i, *b) * beta_pairing(cd, j, *b)
-                       for b in betas}
+            # class b = beta_{mu nu} with mu <= l <= nu and nonzero weight
+            pj = pairings[j - 1]
+            weights = {b: w * pj[b] for b, w in pairings[i - 1].items()
+                       if b in pj}
             coeffs = tuple(
                 QCoeff(base.e[l - 1],
                        CorrectionFunction(n, 0, {

@@ -6,6 +6,7 @@ only public data (`Cyclotomic.coeffs`, `BaseScalar.terms`, `LinearMap.matrix`,
 `ProductTable.entry`).  pytest does not collect this module.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from crepant import linalg
@@ -66,6 +67,38 @@ def swap_lm(s: BaseScalar) -> BaseScalar:
     if s.n == 1:
         return s
     return BaseScalar(s.n, {(j, i): c for (i, j), c in s.terms.items()})
+
+
+# -- the A_n Cartan matrix ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CartanData:
+    n: int
+    c: tuple[tuple[int, ...], ...]
+    c_inv: tuple[tuple[Fraction, ...], ...]
+
+
+def cartan_build(n: int) -> CartanData:
+    """Minus the A_n Cartan matrix c_n (-2 on the diagonal, 1 next to it: the
+    intersection matrix of the exceptional (-2)-curves) and its inverse
+    (c_n^-1)_{ij} = -min(i, j) (n + 1 - max(i, j)) / (n + 1).
+    """
+    if n < 1:
+        raise ValueError("rank must be >= 1")
+    c = tuple(tuple(-2 if i == j else 1 if abs(i - j) == 1 else 0
+                    for j in range(n)) for i in range(n))
+    c_inv = tuple(tuple(Fraction(-min(i, j) * (n + 1 - max(i, j)), n + 1)
+                        for j in range(1, n + 1)) for i in range(1, n + 1))
+    return CartanData(n, c, c_inv)
+
+
+def row_sum_pairing(cd: CartanData, i: int, mu: int, nu: int) -> int:
+    """E_i . beta_{mu nu} as the row sum of c_n over mu..nu, 1-based: the
+    reference for the closed form `ringtables.beta_pairing`."""
+    if not (1 <= i <= cd.n and 1 <= mu <= nu <= cd.n):
+        raise ValueError("index out of range")
+    return sum(cd.c[i - 1][j - 1] for j in range(mu, nu + 1))
 
 
 # -- maps and tables ----------------------------------------------------------

@@ -15,7 +15,6 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from crepant.cartan import cartan_build
 from crepant.cli import main
 from crepant.coeffring import BaseScalar
 from crepant.corrections import CorrectionFunction, DeltaIndex, PoleError
@@ -27,7 +26,7 @@ from crepant.resolve import resolve_an
 from crepant.ringtables import (cr_table, cup_table, qc_eval, qc_table,
                                 strip_corrections)
 
-from oracles import degrees, is_homogeneous
+from oracles import cartan_build, degrees, is_homogeneous
 
 D11, D22, D12 = DeltaIndex(1, 1), DeltaIndex(2, 2), DeltaIndex(1, 2)
 

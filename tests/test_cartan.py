@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from crepant.cartan import beta_pairing, cartan_build
+import crepant
+from oracles import cartan_build, row_sum_pairing as beta_pairing
 
 
 def closed_form(n, l, m):
@@ -113,3 +114,29 @@ def test_index_validation():
         beta_pairing(cd, 0, 1, 1)
     with pytest.raises(ValueError):
         beta_pairing(cd, 1, 2, 1)
+
+
+def test_closed_form_pairing_matches_case_rule_and_row_sums():
+    for n in range(1, 25):
+        cd = cartan_build(n)
+        for i in range(1, n + 1):
+            for mu in range(1, n + 1):
+                for nu in range(mu, n + 1):
+                    if i == mu == nu:
+                        expected = -2
+                    elif i in (mu, nu):
+                        expected = -1
+                    elif i in (mu - 1, nu + 1):
+                        expected = 1
+                    else:
+                        expected = 0
+                    closed = crepant.beta_pairing(n, i, mu, nu)
+                    assert closed == expected == beta_pairing(cd, i, mu, nu), \
+                        (n, i, mu, nu)
+
+
+@pytest.mark.parametrize("args", [(3, 0, 1, 1), (3, 4, 1, 1), (3, 1, 2, 1),
+                                  (3, 1, 0, 1), (3, 1, 1, 4), (0, 1, 1, 1)])
+def test_closed_form_pairing_index_validation(args):
+    with pytest.raises(ValueError, match="index out of range"):
+        crepant.beta_pairing(*args)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -252,24 +253,35 @@ def test_wrong_rank_map_is_refused_before_evaluation(runner, tmp_path,
     assert result.stderr == "Error: ranks differ: map 2, source 3, target 3\n"
 
 
-@pytest.mark.parametrize("command, cap, argv", [
+RANKED_COMMANDS = [
     ("table", "MAX_TABLE_RANK", ["table", "qc", "--q", "e:1/3"]),
     ("verify", "MAX_VERIFY_RANK", ["verify", "--map", "bgp:1", "--q", "e:1/3"]),
     ("mckay", "MAX_MCKAY_RANK", ["mckay", "--compare-resolution"]),
     ("resolve", "MAX_RESOLVE_RANK", ["resolve"]),
     ("scan", "MAX_SCAN_RANK", ["scan"]),
-], ids=["table", "verify", "mckay", "resolve", "scan"])
-def test_rank_above_the_cap_is_refused_before_any_work(runner, monkeypatch,
-                                                       command, cap, argv):
+]
+RANKED_IDS = [command for command, _, _ in RANKED_COMMANDS]
+
+
+def _forbid_work(monkeypatch, message):
     import crepant.cli as cli
 
     def no_work(*args, **kwargs):
-        raise AssertionError(f"{command} did work above the rank cap")
+        raise AssertionError(message)
 
     for name in ("cr_table", "cup_table", "qc_table", "qc_eval", "bgp_map",
                  "chtd_map", "an_mckay", "resolve_an", "conjecture_scan",
                  "_parse_qpoint"):
         monkeypatch.setattr(cli, name, no_work)
+
+
+@pytest.mark.parametrize("command, cap, argv", RANKED_COMMANDS,
+                         ids=RANKED_IDS)
+def test_rank_above_the_cap_is_refused_before_any_work(runner, monkeypatch,
+                                                       command, cap, argv):
+    import crepant.cli as cli
+
+    _forbid_work(monkeypatch, f"{command} did work above the rank cap")
     limit = getattr(cli, cap)
     assert limit >= 12  # the benchmark catalogue goes up to rank 9
     result = runner.invoke(main, [*argv, "--n", str(limit + 1)])
@@ -279,3 +291,74 @@ def test_rank_above_the_cap_is_refused_before_any_work(runner, monkeypatch,
                              f"limit n <= {limit}\n")
     assert f"1 <= n <= {limit}" in runner.invoke(
         main, [command, "--help"]).output
+
+
+@pytest.mark.parametrize("rank", ["0", "-1"])
+@pytest.mark.parametrize("command, cap, argv", RANKED_COMMANDS,
+                         ids=RANKED_IDS)
+def test_rank_below_one_is_refused_before_any_work(runner, monkeypatch,
+                                                   command, cap, argv, rank):
+    _forbid_work(monkeypatch, f"{command} did work at rank {rank}")
+    result = runner.invoke(main, [*argv, "--n", rank])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"Error: {command} --n must be >= 1, got {rank}\n"
+
+
+def _diagonal_map_file(tmp_path, conductors):
+    """A map file whose diagonal entry l is zeta_N, N = conductors[l]."""
+    from crepant.exactnum import Cyclotomic, root_of_unity
+
+    zero = Cyclotomic.zero(1).to_json()
+    matrix = [[root_of_unity(c, 1).to_json() if l == m else zero
+               for m in range(len(conductors))]
+              for l, c in enumerate(conductors)]
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"n": len(conductors), "matrix": matrix}))
+    return str(path)
+
+
+@pytest.mark.parametrize("conductors, q, field", [
+    ([1009], "e:1/2", 8072),          # phi = 4032
+    ([5, 11], "e:1/3,e:1/3", 660),    # phi = 160, each entry alone is fine
+], ids=["zeta-1009", "mixed"])
+def test_map_file_field_degree_is_bounded(runner, tmp_path, monkeypatch,
+                                          conductors, q, field):
+    import crepant.cli as cli
+
+    def no_build(*args):
+        raise AssertionError("a table was built for a map past the bound")
+
+    for name in ("cr_table", "qc_table", "qc_eval"):
+        monkeypatch.setattr(cli, name, no_build)
+    result = runner.invoke(main, ["verify", "--n", str(len(conductors)),
+                                  "--map", _diagonal_map_file(tmp_path,
+                                                              conductors),
+                                  "--q", q])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"Error: q-point {q!r} with this map needs Q(zeta_{field}), whose "
+        f"degree exceeds the limit phi <= {cli.MAX_QPOINT_PHI}\n")
+    help_text = " ".join(runner.invoke(main, ["verify", "--help"]).output
+                         .split())
+    assert "every map entry must have degree phi(N) <= " \
+        f"{cli.MAX_QPOINT_PHI}" in help_text
+
+
+def test_mixed_map_file_within_the_field_bound_verifies(runner, tmp_path):
+    from crepant.exactnum import root_of_unity
+    from crepant.isocheck import transport_check
+    from crepant.mckay import LinearMap
+    from crepant.ringtables import cr_table, qc_eval, qc_table
+
+    # lcm(12, 3, 5, 7) = 420, phi = 96
+    path = _diagonal_map_file(tmp_path, [5, 7])
+    result = runner.invoke(main, ["verify", "--n", "2", "--map", path,
+                                  "--q", "e:1/3,e:1/3", "--format", "json"])
+    lmap = LinearMap.from_json(json.loads(Path(path).read_text()))
+    z3 = root_of_unity(3, 1).lift(12)
+    report = transport_check(lmap, qc_eval(qc_table(2), [z3, z3]),
+                             cr_table(2))
+    assert result.exit_code == (0 if report.passed else 1)
+    assert json.loads(result.stdout) == report.to_json()

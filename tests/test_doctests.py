@@ -13,5 +13,5 @@ def test_docstring_examples():
     results = {name: doctest.testmod(importlib.import_module(name))
                for name in names}
     assert [name for name, r in results.items() if r.failed] == []
-    # cartan_build, cr_table, cup_table, qc_table, Cyclotomic.from_json, ...
+    # beta_pairing, cr_table, cup_table, qc_table, Cyclotomic.from_json, ...
     assert sum(r.attempted for r in results.values()) >= 12

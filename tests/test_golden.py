@@ -3,9 +3,10 @@
 The files under tests/golden/ hold the exact stdout of each command below,
 captured from the `Fraction`-coordinate implementation of `exactnum` before
 the integer rewrite (the `verify` files at n = 3 and 4 from the code before
-the coefficient arithmetic moved into `coeffring`).  Any change to the
-arithmetic core, the table builders or the emitters must reproduce them
-exactly.
+the coefficient arithmetic moved into `coeffring`, the `table qc --n 12`
+files from the code before `qc_table` used the closed-form pairing).  Any
+change to the arithmetic core, the table builders or the emitters must
+reproduce them exactly.
 
 Regenerate (only when an output change is intended) with
 
@@ -33,6 +34,9 @@ def _cases():
                 cases.append((f"table-{kind}-n{n}.{EXT[fmt]}",
                               ["table", kind, "--n", str(n), "--format", fmt],
                               0))
+    for fmt in ("text", "latex"):
+        cases.append((f"table-qc-n12.{EXT[fmt]}",
+                      ["table", "qc", "--n", "12", "--format", fmt], 0))
     for n in range(1, 7):
         cases.append((f"scan-n{n}.json",
                       ["scan", "--n", str(n), "--format", "json"], 0))

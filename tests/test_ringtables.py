@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from crepant.cartan import cartan_build
 from crepant.coeffring import BaseScalar
 from crepant.corrections import CorrectionFunction, DeltaIndex, PoleError
 from crepant.exactnum import Cyclotomic, root_of_unity
@@ -12,8 +11,8 @@ from crepant.ringtables import (KIND_CUP, ExcClass, ProductTable, cr_table,
                                 strip_corrections, table_from_json,
                                 table_to_json, table_to_latex, table_to_text)
 
-from oracles import (cr_associativity_report, degrees, is_homogeneous,
-                     swap_lm)
+from oracles import (cartan_build, cr_associativity_report, degrees,
+                     is_homogeneous, swap_lm)
 
 D11, D22, D12 = DeltaIndex(1, 1), DeltaIndex(2, 2), DeltaIndex(1, 2)
 
@@ -164,6 +163,15 @@ def test_qc_rank_two_table_matches_displayed_products():
     for key in t.pairs():
         for l in range(2):
             assert t.entry(*key).e[l].cup == cup.entry(*key).e[l]
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 9), (10, 433), (14, 885)])
+def test_qc_table_carries_only_the_nonzero_weights(n, count):
+    # distinct (i <= j, beta) with (E_i.beta)(E_j.beta) != 0, about 4.5 n^2
+    t = qc_table(n)
+    triples = {(i, j, b) for i, j in t.pairs()
+               for c in t.entry(i, j).e for b in c.corr.terms}
+    assert len(triples) == count
 
 
 def test_qc_eval_rank_one_at_minus_one():
