@@ -44,13 +44,14 @@ MAX_QPOINT_PHI = 128
 
 # Largest rank `scan --n` accepts.  The scan's cost grows with n, with the
 # number of primitive (n+1)-th roots and with the degree of Q(zeta_{4(n+1)}):
-# on a 2-vCPU x86 host n = 10, 12, 14, 15 took 5-6, 15, 10-14 and 17-24 s in
-# two timings, while n = 16 (16 roots in a field of degree 32) took 65-73 s.
+# on a 2-vCPU x86 host n = 10, 12, 14, 15 took 0.7-1.7, 1.4-3.4, 1.1-2.9 and
+# 1.7-4.1 s in four timings in two sittings, while n = 16 (16 roots in a field
+# of degree 32) took 4.7-12 s through the library.
 MAX_SCAN_RANK = 15
 
 # Largest rank each other command accepts, timed on the same host at its
 # most expensive input.  `table qc --n 20` took 0.4 s, 3 s with `--format
-# json --check-roundtrip` and 10 s evaluated at a point of Q(zeta_420)
+# json --check-roundtrip` and 1.3-2.5 s evaluated at a point of Q(zeta_420)
 # (phi = 96); `verify` at a point of degree 96-128 took 12 s at n = 11, 16 s
 # at n = 12 and 37 s at n = 14; `mckay --n 300 --compare-resolution` took
 # 10 s and `--n 400` 24 s; `resolve --n 1000` took 4 s and `--n 2000` 16 s.

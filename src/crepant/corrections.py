@@ -106,18 +106,24 @@ class CorrectionFunction:
         return cls(n, Cyclotomic.from_json(data["constant"]), terms)
 
 
-def delta_eval(idx: DeltaIndex, q) -> Cyclotomic:
-    """delta_{mu nu} at a point: (q_mu...q_nu)/(1 - q_mu...q_nu), exact.
-
-    The q entries must be nonzero; PoleError signals q_mu...q_nu = 1.
-    """
-    idx = DeltaIndex(*idx)
+def _interval_product(idx: DeltaIndex, q) -> Cyclotomic:
+    """q_mu ... q_nu; the q entries must be nonzero."""
     prod = Cyclotomic.one(1)
     for ql in q[idx.mu - 1:idx.nu]:
         ql = coerce(ql)
         if ql.is_zero():
             raise ValueError("q entries must be nonzero")
         prod = prod * ql
+    return prod
+
+
+def delta_eval(idx: DeltaIndex, q) -> Cyclotomic:
+    """delta_{mu nu} at a point: (q_mu...q_nu)/(1 - q_mu...q_nu), exact.
+
+    The q entries must be nonzero; PoleError signals q_mu...q_nu = 1.
+    """
+    idx = DeltaIndex(*idx)
+    prod = _interval_product(idx, q)
     if prod == 1:
         raise PoleError(idx)
     return prod / (1 - prod)
@@ -127,8 +133,12 @@ def correction_eval(f: CorrectionFunction, q, deltas=None) -> Cyclotomic:
     """Evaluate constant + sum coeff * delta at a q-point, exactly.
 
     `deltas` is an optional cache of delta values at this same point, shared
-    by several calls: each delta_{mu nu} missing from it is computed once
-    through `delta_eval` and stored.
+    by several calls.  It holds each value under its index and under the
+    exact representation (conductor, coordinates) of its product
+    q_mu...q_nu, so each distinct product costs one `delta_eval`, and
+    indices with equal products share its value.  Products of equal field
+    value but different conductors stay apart, so every value keeps the
+    conductor its own `delta_eval` would give it.
     """
     if len(q) != f.n:
         raise ValueError(f"expected {f.n} q-values, got {len(q)}")
@@ -138,6 +148,11 @@ def correction_eval(f: CorrectionFunction, q, deltas=None) -> Cyclotomic:
     for idx in sorted(f.terms):
         delta = deltas.get(idx)
         if delta is None:
-            delta = deltas[idx] = delta_eval(idx, q)
+            prod = _interval_product(idx, q)
+            key = (prod.conductor, prod.coeffs)
+            delta = deltas.get(key)
+            if delta is None:
+                delta = deltas[key] = delta_eval(idx, q)
+            deltas[idx] = delta
         value = value + f.terms[idx] * delta
     return value

@@ -16,6 +16,14 @@ multiplication matrix by fraction-free (Bareiss) elimination.  There is no
 floating point anywhere; `Cyclotomic.to_complex` exists only as a
 non-authoritative display aid.
 
+`Kronecker` runs sums of products in one field Q(zeta_N) as big-integer
+arithmetic: each operand is packed once as one Python int, its coordinates
+over its group's common denominator evaluated at x = 2^b, so each product is
+one big-integer multiplication and each sum one addition, and each result is
+unpacked with balanced digits and reduced mod Phi_N once.  `isocheck` runs a
+transport check through it when the map, the source and the target share one
+conductor (the rule it states) and the packing pays.
+
 Besides field arithmetic the module provides the two square-root gadgets the
 rest of the library needs:
 
@@ -32,6 +40,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import struct
 from fractions import Fraction
 
 _RATIONAL = (int, Fraction)
@@ -456,6 +465,141 @@ class Cyclotomic:
             raise ValueError("cyclotomic coeffs must be a list of ints or "
                              'strings such as "-3/4"')
         return cls(conductor, [Fraction(c) for c in coeffs])
+
+
+class Kronecker:
+    """Sums of products of elements of one field Q(zeta_N), run as
+    big-integer arithmetic (Kronecker substitution).
+
+    The operands come in named groups, dicts of Cyclotomics whose
+    conductors divide N.  Each group is written over the common denominator
+    D of its values, so that a value has integer coordinates
+    a_0..a_{phi-1}, and each value is packed once as the int
+    a_0 + a_1 X + ... + a_{phi-1} X^(phi-1) at X = 2^b.  A product of packed
+    values is then the packed product polynomial, unreduced, and a sum of
+    products their packed sum: one big-integer operation each, as long as
+    every digit of a result stays in the balanced range |d| < 2^(b-1).
+    `values` reads results back digit by digit, reduces each mod Phi_N once
+    and divides it by its denominator.
+
+    The caller declares each kind of sum it forms as a shape (T, groups):
+    at most T terms, each the product of one value from each named group.
+    A shape fixes both the denominator of its results, the product of its
+    groups' D, and the bound on their digits.  A digit of the product of
+    packed x and y is sum_i x_i y_(k-i), at most ||x||_1 ||y||_1 in absolute
+    value, ||.||_1 being the sum of the absolute integer coordinates, and
+    ||x y||_1 <= ||x||_1 ||y||_1; so a digit of a sum of shape (T, groups) is
+    at most T times the product of the largest norm in each group, and b is
+    the least of 8, 16, 32, 64 (above 64, the least multiple of 8) with
+    2^(b-1) above that bound for every shape.  The digits are whole bytes,
+    so one `int.to_bytes`, and for digits of up to 8 bytes one `struct`
+    call, split a result.
+
+    When packing does not pay.  Every packed product multiplies phi digits
+    of b bits, however narrow its own factors.  A few values far wider than
+    the rest, or many different denominators whose common multiple every
+    value must then carry, make b far wider than the typical term needs,
+    and field products of one pair at a time cost less.  So `pack` returns
+    None when b is above both one 64-bit word and twice the width that the
+    same bound gives to values of the groups' mean width (the bits of a
+    value's coordinate norm and of its own denominator together).
+
+    >>> z = root_of_unity(5)
+    >>> x, y = z ** 3 - Fraction(2, 3), 2 * z
+    >>> kr = Kronecker.pack(5, {"x": {0: x}, "y": {0: y}},
+    ...                     [(1, ("x",)), (1, ("x", "y"))])
+    >>> kr.values(0, {"x": kr.packed["x"][0]})["x"] == x
+    True
+    >>> xy = kr.packed["x"][0] * kr.packed["y"][0]
+    >>> kr.values(1, {"xy": xy})["xy"] == x * y
+    True
+    """
+
+    @classmethod
+    def pack(cls, conductor: int, groups: dict, shapes: list):
+        """The groups packed for sums of the given shapes, or None when
+        packing does not pay (see the class docstring)."""
+        coords, dens, norms, means, degrees = {}, {}, {}, {}, {}
+        for name, values in groups.items():
+            lifted = {k: v.lift(conductor) for k, v in values.items()}
+            den = dens[name] = math.lcm(*(v._den for v in lifted.values()))
+            coords[name] = {k: [a * (den // v._den) for a in v._num]
+                            for k, v in lifted.items()}
+            norms[name] = max(map(_norm, coords[name].values()), default=0)
+            own = [(_norm(v._num) * v._den).bit_length()
+                   for v in lifted.values()]
+            means[name] = sum(own) / len(own) if own else 0
+            degrees[name] = max((i for a in coords[name].values()
+                                 for i, c in enumerate(a) if c), default=0)
+        bits = max(1 + (t * math.prod(norms[g] for g in gs)).bit_length()
+                   for t, gs in shapes)
+        typical = max(1 + t.bit_length() + sum(means[g] for g in gs)
+                      for t, gs in shapes)
+        if bits > max(64, 2 * typical):
+            return None
+        return cls(conductor, bits, coords, dens, degrees, shapes)
+
+    def __init__(self, conductor, bits, coords, dens, degrees, shapes):
+        width = -(-bits // 8)                    # 2^(8 width - 1) > bound
+        width = next((w for w in _SIGNED if w >= width), width)
+        self.conductor = conductor
+        self._width, self._bits = width, 8 * width
+        self._shapes = []                # (den, digits, struct split, bias)
+        for _, gs in shapes:
+            digits = 1 + sum(degrees[g] for g in gs)
+            split = (struct.Struct(f"<{digits}{_SIGNED[width]}").unpack
+                     if width in _SIGNED else None)
+            bias = sum(1 << (self._bits * (i + 1) - 1) for i in range(digits))
+            self._shapes.append((math.prod(dens[g] for g in gs), digits,
+                                 split, bias))
+        self._values = {}
+        self.packed = {name: {k: self._pack(a) for k, a in values.items()}
+                       for name, values in coords.items()}
+
+    def _pack(self, coords) -> int:
+        packed = 0
+        for a in reversed(coords):
+            packed = (packed << self._bits) + a
+        return packed
+
+    def _unpack(self, total: int, shape: int) -> Cyclotomic:
+        den, digits, split, bias = self._shapes[shape]
+        # the bias lifts every digit d to d + 2^(b-1) >= 0 and the xor flips
+        # its top bit back, leaving d in two's complement
+        data = ((total + bias) ^ bias).to_bytes(self._width * digits,
+                                                "little")
+        if split is not None:
+            digits = list(split(data))
+        else:
+            width = self._width
+            digits = [int.from_bytes(data[i:i + width], "little",
+                                     signed=True)
+                      for i in range(0, len(data), width)]
+        return Cyclotomic._make(self.conductor,
+                                _reduce(digits, self.conductor), den)
+
+    def values(self, shape: int, totals: dict) -> dict:
+        """The nonzero values of a dict of packed sums of one shape (its
+        index in the declared shapes), as Cyclotomics of conductor N under
+        the same keys; equal sums are unpacked once."""
+        out = {}
+        for key, total in totals.items():
+            if not total:
+                continue
+            value = self._values.get((total, shape))
+            if value is None:
+                value = self._values[total, shape] = self._unpack(total,
+                                                                  shape)
+            if not value.is_zero():
+                out[key] = value
+        return out
+
+
+def _norm(coords) -> int:
+    return sum(map(abs, coords))
+
+
+_SIGNED = {1: "b", 2: "h", 4: "i", 8: "q"}   # struct codes by digit bytes
 
 
 def root_of_unity(conductor: int, exponent: int = 1) -> Cyclotomic:

@@ -13,6 +13,29 @@ the orbifold table.  `transport_check` reports the exact difference per
 entry; `solve_a1` and `solve_a2` run the reduction in the opposite
 direction, extracting the polynomial system a candidate must satisfy and
 solving it exactly over Q(zeta_{4(n+1)}).
+
+The check sums its products in one of two ways, with equal results.  When
+(a) every nonzero map entry has one conductor N, (b) the conductor of every
+basis coefficient of the source divides N and (c) every target coefficient
+is rational, with a conductor dividing N, it runs as a packed kernel: each
+map entry and source coefficient is packed once into one Python int
+(`exactnum.Kronecker`), every product is one big-integer multiplication and
+every sum one addition, and each coefficient of Phi(E_i * E_j) and of
+Phi(E_i) . Phi(E_j) is unpacked and built as a Cyclotomic once.  Otherwise,
+and when packing does not pay because a few operands, or the common
+denominator of many, are far wider than the typical one (`Kronecker.pack`
+states the test), the check sums slot by slot, one field product and one
+`accumulate` per term (`_apply_map`, `_pair_through_table`).
+
+Why the two print the same bytes.  Under the rule every term the slot-by-slot
+sum hands to `accumulate` is a product with a conductor-N factor and
+factors whose conductors divide N, so it has conductor exactly N.  A sum of
+such terms, whatever their order or grouping, is its exact value at
+conductor N, or dropped when it cancels to zero; the packed kernel stores
+exactly that.  With mixed conductors the conductor a sum ends in depends on
+which terms cancel first, so reordering them could change the printed
+conductors, and the rule sends those inputs down the slot-by-slot path.
+The difference itself is taken by `BaseScalar` subtraction on both paths.
 """
 
 from __future__ import annotations
@@ -25,7 +48,8 @@ from typing import NamedTuple
 from . import linalg
 from .coeffring import BaseScalar, accumulate
 from .corrections import DeltaIndex, PoleError
-from .exactnum import Cyclotomic, imaginary_unit, root_of_unity, sqrt_rational
+from .exactnum import (Cyclotomic, Kronecker, imaginary_unit, root_of_unity,
+                       sqrt_rational)
 from .mckay import LinearMap, bgp_map
 from .ringtables import (KIND_CR, KIND_QUANTUM, ExcClass, ProductTable,
                          cr_table, qc_eval, qc_table, strip_corrections)
@@ -131,12 +155,94 @@ def _pair_through_table(lmap: LinearMap, i: int, j: int,
             [BaseScalar._make(n, acc) for acc in e_acc])
 
 
+def _parts(entry: ExcClass):
+    return (entry.s, *entry.e)
+
+
+def _packed_conductor(lmap: LinearMap, source: ProductTable,
+                      target: ProductTable) -> int | None:
+    """The one conductor N of the nonzero map entries when the packed
+    kernel's rule holds (see the module docstring), else None."""
+    conductors = {c.conductor for row in lmap.matrix for c in row
+                  if not c.is_zero()}
+    if len(conductors) != 1:
+        return None
+    (conductor,) = conductors
+    if any(conductor % c.conductor
+           for key in source.pairs() for coeff in source.entry(*key).e
+           for c in coeff.terms.values()):
+        return None
+    if any(conductor % c.conductor or not c.is_rational()
+           for key in target.pairs() for part in _parts(target.entry(*key))
+           for c in part.terms.values()):
+        return None
+    return conductor
+
+
+def _packed_images(lmap: LinearMap, source: ProductTable,
+                   target: ProductTable, conductor: int):
+    """Phi(E_i * E_j), and the s part and basis coefficients of
+    Phi(E_i) . Phi(E_j), for every source pair (i, j), as Kronecker-packed
+    sums, or None when packing does not pay; the values and conductors are
+    those of the slot-by-slot path."""
+    n = source.n
+    # the two kinds of sum below, as (most terms, factor groups of a term):
+    # a coefficient of Phi(E_i * E_j) sums over l the products (map entry
+    # (k, l)) x (source coefficient l), one of Phi(E_i) . Phi(E_j) over
+    # (k, k') the products t x (map entry (k, i)) x (map entry (k', j))
+    lhs_shape, rhs_shape = 0, 1
+    kr = Kronecker.pack(conductor, {
+        "map": {(k, l): c for k, row in enumerate(lmap.matrix)
+                for l, c in enumerate(row) if not c.is_zero()},
+        "source": {(key, l, mono): c for key in source.pairs()
+                   for l, coeff in enumerate(source.entry(*key).e)
+                   for mono, c in coeff.terms.items()},
+        "target": {(key, p, mono): c for key in target.pairs()
+                   for p, part in enumerate(_parts(target.entry(*key)))
+                   for mono, c in part.terms.items()},
+    }, [(n, ("map", "source")), (n * n, ("target", "map", "map"))])
+    if kr is None:
+        return None
+    sources = kr.packed["source"]
+    # the nonzero entries (k, packed) of each map column l
+    columns = [[(k, x) for (k, l), x in kr.packed["map"].items() if l == col]
+               for col in range(n)]
+    # the (part, monomial, numerator) terms of each target entry (a, b)
+    products = {}
+    for (key, p, mono), t in kr.packed["target"].items():
+        products.setdefault(key, []).append((p, mono, t))
+    images = []
+    for key in source.pairs():
+        i, j = key
+        lhs = [{} for _ in range(n)]
+        for l, coeff in enumerate(source.entry(i, j).e):
+            for mono in coeff.terms:
+                y = sources[key, l, mono]
+                for k, x in columns[l]:
+                    acc = lhs[k]
+                    acc[mono] = acc.get(mono, 0) + x * y
+        rhs = [{} for _ in range(n + 1)]   # the s part, then e_1..e_n
+        for k, x in columns[i - 1]:
+            for kk, y in columns[j - 1]:
+                weight = x * y
+                for p, mono, t in products.get(
+                        (min(k, kk) + 1, max(k, kk) + 1), ()):
+                    acc = rhs[p]
+                    acc[mono] = acc.get(mono, 0) + t * weight
+        rhs = [BaseScalar._make(n, kr.values(rhs_shape, acc)) for acc in rhs]
+        images.append(([BaseScalar._make(n, kr.values(lhs_shape, acc))
+                        for acc in lhs], rhs[0], rhs[1:]))
+    return images
+
+
 def transport_check(lmap: LinearMap, source: ProductTable,
                     target: ProductTable) -> TransportReport:
     """Compare Phi(source product) with the target product of the images.
 
     The source must be fully evaluated (no symbolic delta terms); the target
-    is an orbifold table.
+    is an orbifold table.  The sums run packed when the map, the source and
+    the target share one conductor and packing pays, as the module
+    docstring states.
     """
     RankMismatch.check(lmap.n, source.n, target.n)
     if source.kind == KIND_QUANTUM:
@@ -145,12 +251,16 @@ def transport_check(lmap: LinearMap, source: ProductTable,
     if target.kind != KIND_CR:
         raise ValueError("target must be a Chen-Ruan table")
     n = source.n
+    conductor = _packed_conductor(lmap, source, target)
+    images = (None if conductor is None
+              else _packed_images(lmap, source, target, conductor))
+    if images is None:
+        images = ((_apply_map(lmap, source.entry(i, j)),
+                   *_pair_through_table(lmap, i, j, target))
+                  for i, j in source.pairs())
     checks = []
-    for i, j in source.pairs():
-        entry = source.entry(i, j)
-        lhs = _apply_map(lmap, entry)
-        rhs_s, rhs_e = _pair_through_table(lmap, i, j, target)
-        diff = ExcClass(n, entry.s - rhs_s,
+    for (i, j), (lhs, rhs_s, rhs_e) in zip(source.pairs(), images):
+        diff = ExcClass(n, source.entry(i, j).s - rhs_s,
                         tuple(a - b for a, b in zip(lhs, rhs_e)))
         checks.append(EntryCheck(i, j, diff))
     return TransportReport(n, source.q, lmap, tuple(checks))

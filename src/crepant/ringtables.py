@@ -255,10 +255,12 @@ def qc_table(n: int) -> ProductTable:
 def qc_eval(table: ProductTable, q) -> ProductTable:
     """Specialize a symbolic quantum table at an exact q-point.
 
-    Each delta value is computed at most once.  Raises PoleError naming
-    both the product entry (i, j) and the delta index at which the family
-    is undefined: the first one met walking the entries in order, each
-    entry's coefficients in order and each coefficient's deltas in order.
+    Each delta value is computed at most once per distinct exact product
+    q_mu...q_nu: at q_1 = ... = q_n that is at most n values, not
+    n(n+1)/2.  Raises PoleError naming both the product entry (i, j) and
+    the delta index at which the family is undefined: the first one met
+    walking the entries in order, each entry's coefficients in order and
+    each coefficient's deltas in order.
     """
     if table.kind != KIND_QUANTUM:
         raise ValueError("qc_eval expects a symbolic quantum table")

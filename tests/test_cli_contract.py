@@ -51,10 +51,15 @@ SCALAR = st.one_of(
     st.floats(),
     st.sampled_from(["1/2", "-3/4", "1/0", "2.5", "1e3", "abc", "", "1/-2",
                      " 1", "1" * 5000]))
-VALID_ENTRY = st.sampled_from([1, 2, 3, 4, 5, 8, 12]).flatmap(
-    lambda c: st.lists(st.integers(-2, 2), min_size=euler_phi(c),
-                       max_size=euler_phi(c)).map(
-        lambda v: {"conductor": c, "coeffs": v}))
+
+
+def _entry(c):
+    return st.lists(st.integers(-2, 2), min_size=euler_phi(c),
+                    max_size=euler_phi(c)).map(
+        lambda v: {"conductor": c, "coeffs": v})
+
+
+VALID_ENTRY = st.sampled_from([1, 2, 3, 4, 5, 8, 12]).flatmap(_entry)
 ENTRY = st.one_of(
     VALID_ENTRY,
     st.fixed_dictionaries({"conductor": st.one_of(st.integers(-1, 13),
@@ -76,10 +81,17 @@ MATRIX = st.one_of(
 
 
 def _map_doc(k):
+    """Well-formed rank-k map files: entries of mixed conductors, or all of
+    one conductor, a multiple of the 4(k+1) every q-point of `_roots(k)` is
+    lifted to, so that `verify` runs the packed transport check whenever
+    the q-point's field lies in the map's."""
+    def matrix(entry):
+        return st.lists(st.lists(entry, min_size=k, max_size=k),
+                        min_size=k, max_size=k)
+    single = st.sampled_from([4, 8, 24]).flatmap(
+        lambda c: matrix(_entry(c * (k + 1))))
     return st.fixed_dictionaries({
-        "n": st.just(k),
-        "matrix": st.lists(st.lists(VALID_ENTRY, min_size=k, max_size=k),
-                           min_size=k, max_size=k)})
+        "n": st.just(k), "matrix": st.one_of(matrix(VALID_ENTRY), single)})
 
 
 MAP_DOC = st.one_of(

@@ -120,11 +120,17 @@ def test_correction_eval_reads_and_fills_the_delta_cache(monkeypatch):
     assert correction_eval(f, _q(z3, z3), deltas) == correction_eval(
         f, _q(z3, z3))
     correction_eval(g, _q(z3, z3), deltas)
-    # the cached pass computes each delta once; the uncached one again
+    # the cached pass computes each distinct product's delta once, so
+    # delta_22 (product z3) shares delta_11's value; the uncached pass
+    # computes its two again
     assert calls == [DeltaIndex(1, 1), DeltaIndex(1, 2), DeltaIndex(1, 1),
-                     DeltaIndex(1, 2), DeltaIndex(2, 2)]
-    assert sorted(deltas) == [DeltaIndex(1, 1), DeltaIndex(1, 2),
-                              DeltaIndex(2, 2)]
+                     DeltaIndex(1, 2)]
+    assert sorted(k for k in deltas if isinstance(k, DeltaIndex)) == [
+        DeltaIndex(1, 1), DeltaIndex(1, 2), DeltaIndex(2, 2)]
+    assert deltas[DeltaIndex(2, 2)] is deltas[DeltaIndex(1, 1)]
+    # the other keys are the exact products, conductor and coordinates
+    assert {k for k in deltas if not isinstance(k, DeltaIndex)} == {
+        (3, z3.coeffs), (3, (z3 * z3).coeffs)}
 
 
 def test_r_function_rank_one():

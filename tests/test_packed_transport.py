@@ -1,0 +1,337 @@
+"""The packed transport kernel against the slot-by-slot sums.
+
+`transport_check` runs Kronecker-packed sums when the map's nonzero entries
+share one conductor N, the source's basis coefficients lie in subfields of
+Q(zeta_N), the target's coefficients are rationals of such conductors and
+the packing is not far wider than the typical operand; otherwise it sums
+slot by slot.  Both must give the same report, byte for
+byte, conductors included; the slot-by-slot path is the oracle here.
+"""
+
+import json
+import math
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from crepant import isocheck  # noqa: E402
+from crepant.coeffring import BaseScalar  # noqa: E402
+from crepant.corrections import PoleError  # noqa: E402
+from crepant.exactnum import (Cyclotomic, Kronecker,  # noqa: E402
+                              euler_phi, imaginary_unit, root_of_unity)
+from crepant.isocheck import _delta_system, transport_check  # noqa: E402
+from crepant.mckay import LinearMap, bgp_map, chtd_map  # noqa: E402
+from crepant.ringtables import (KIND_CR, KIND_QUANTUM_AT,  # noqa: E402
+                                ExcClass, ProductTable, cr_table, qc_eval,
+                                qc_table, strip_corrections)
+
+
+def _bytes(report) -> str:
+    return json.dumps(report.to_json(), sort_keys=True)
+
+
+def _slot_by_slot(lmap, source, target):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(isocheck, "_packed_conductor", lambda *args: None)
+        return transport_check(lmap, source, target)
+
+
+def _assert_kernel_matches(lmap, source, target):
+    conductor = isocheck._packed_conductor(lmap, source, target)
+    assert conductor is not None
+    assert isocheck._packed_images(lmap, source, target,
+                                   conductor) is not None
+    packed = transport_check(lmap, source, target)
+    slow = _slot_by_slot(lmap, source, target)
+    assert _bytes(packed) == _bytes(slow)
+    assert packed.passed == slow.passed
+    return packed
+
+
+# -- differential: the kernel against the slot-by-slot path -------------------
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bgp_maps_at_every_primitive_root(n):
+    qct, crt = qc_table(n), cr_table(n)
+    verdicts = []
+    for m in range(1, n + 1):
+        if math.gcd(m, n + 1) != 1:
+            continue
+        source = qc_eval(qct, [root_of_unity(4 * (n + 1), 4 * m)] * n)
+        verdicts.append(_assert_kernel_matches(bgp_map(n, m), source,
+                                               crt).passed)
+    assert verdicts[0] and verdicts[-1]   # m_root = 1 and n pass
+
+
+def test_a_non_constant_point_of_the_maps_field():
+    n = 3
+    q = [root_of_unity(16, 3), root_of_unity(4, 1), root_of_unity(8, 5)]
+    source = qc_eval(qc_table(n), q)
+    assert len({x.conductor for x in q}) == 3
+    for m in (1, 3):
+        _assert_kernel_matches(bgp_map(n, m), source, cr_table(n))
+    rational = qc_eval(qc_table(n), [Cyclotomic.from_rational(x)
+                                     for x in (-1, Fraction(1, 2), 3)])
+    _assert_kernel_matches(bgp_map(n, 1), rational, cr_table(n))
+
+
+def test_the_stripped_source_of_the_rank_two_delta_system():
+    qct, crt = qc_table(2), cr_table(2)
+    stripped = strip_corrections(qct)
+    for m in (1, 2):
+        _assert_kernel_matches(bgp_map(2, m), stripped, crt)
+    # the system is built from that residual, and still solves
+    assert _delta_system(bgp_map(2, 1), qct, crt)[0]
+
+
+def test_rank_one():
+    source = qc_eval(qc_table(1), [Cyclotomic.from_rational(-1)])
+    for t in (2 * imaginary_unit(8), -2 * imaginary_unit(8),
+              Cyclotomic.one(8), Cyclotomic.from_rational(3)):
+        _assert_kernel_matches(LinearMap(1, ((t,),)), source, cr_table(1))
+    assert _assert_kernel_matches(bgp_map(1, 1), source, cr_table(1)).passed
+
+
+CONDUCTORS = [1, 3, 4, 5, 8, 12]
+# a conductor dividing none of those above: a zero map entry stored there
+# is foreign to the map's field, and the rule must ignore it
+FOREIGN = 7
+
+
+def _value(conductor, den, big=10 ** 40):
+    """Coordinates up to `big` over den, 2 den or 3 den: the denominators
+    of a generated case share one base, as a map's or a table's do."""
+    return st.lists(st.builds(Fraction, st.integers(-big, big),
+                              st.sampled_from([den, 2 * den, 3 * den])),
+                    min_size=euler_phi(conductor),
+                    max_size=euler_phi(conductor)).map(
+        lambda v: Cyclotomic(conductor, v))
+
+
+def _map(n, conductor, den):
+    entry = st.one_of(_value(conductor, den),
+                      st.just(Cyclotomic.zero(FOREIGN)),
+                      st.just(Cyclotomic.zero(conductor)))
+    return st.lists(st.lists(entry, min_size=n, max_size=n),
+                    min_size=n, max_size=n).map(
+        lambda rows: LinearMap(n, tuple(map(tuple, rows))))
+
+
+def _scalar(n, conductor, den):
+    """A BaseScalar of rank n, coefficients in subfields of Q(zeta_N)."""
+    monos = [(1,)] if n == 1 else [(0, 0), (1, 0), (0, 1)]
+    value = st.sampled_from([d for d in CONDUCTORS if conductor % d == 0]
+                            ).flatmap(lambda d: _value(d, den, 10 ** 20))
+    return st.dictionaries(st.sampled_from(monos), value, max_size=2).map(
+        lambda terms: BaseScalar(n, terms))
+
+
+def _random_source(n, conductor, den):
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    entry = st.tuples(_scalar(n, conductor, den),
+                      st.lists(_scalar(n, conductor, den), min_size=n,
+                               max_size=n))
+    return st.lists(entry, min_size=len(pairs), max_size=len(pairs)).map(
+        lambda es: ProductTable(n, KIND_QUANTUM_AT, {
+            key: ExcClass(n, s, tuple(e)) for key, (s, e) in zip(pairs, es)}))
+
+
+def _point(n, conductor):
+    """A q-point in subfields of Q(zeta_N): roots of unity and rationals."""
+    root = st.sampled_from([d for d in CONDUCTORS if conductor % d == 0]
+                           ).flatmap(lambda d: st.integers(0, d - 1).map(
+                               lambda j: root_of_unity(d, j)))
+    rational = st.sampled_from([-1, 2, Fraction(1, 3), Fraction(-5, 2)]).map(
+        Cyclotomic.from_rational)
+    return st.lists(st.one_of(root, rational), min_size=n, max_size=n)
+
+
+CASE = st.tuples(st.integers(1, 3), st.sampled_from(CONDUCTORS),
+                 st.integers(1, 10 ** 6)).flatmap(
+    lambda ncd: st.tuples(
+        _map(*ncd),
+        st.one_of(_point(*ncd[:2]), _random_source(*ncd)),
+        st.just(ncd[0])))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=CASE)
+def test_generated_single_conductor_maps(case):
+    lmap, source, n = case
+    assume(any(not c.is_zero() for row in lmap.matrix for c in row))
+    if isinstance(source, list):
+        try:
+            source = qc_eval(qc_table(n), source)
+        except PoleError:
+            assume(False)
+    target = cr_table(n)
+    conductor = isocheck._packed_conductor(lmap, source, target)
+    assert conductor is not None
+    # coordinates of very mixed sizes can make the packing far wider than
+    # the typical entry; such a case sums slot by slot, as the routing tests
+    # below pin, and is no example of the kernel
+    assume(isocheck._packed_images(lmap, source, target, conductor)
+           is not None)
+    _assert_kernel_matches(lmap, source, target)
+
+
+def test_the_width_holds_a_sum_at_its_declared_bound():
+    # x = c and y = c + zeta_4 put c^2 in the low digit of x y, so the sum
+    # of T = 4 such products has a digit of 4 c^2 >= 2^63: it fits only
+    # because the width counts T (c^2 alone is below 2^63); an overflowing
+    # digit would carry into the next one and unpack to another value
+    c = 3037000499
+    x = Cyclotomic.from_rational(c, 4)
+    y = x + root_of_unity(4)
+    kr = Kronecker.pack(4, {"x": {0: x}, "y": {0: y}}, [(4, ("x", "y"))])
+    product = kr.packed["x"][0] * kr.packed["y"][0]
+    total = product + product + product + product
+    assert kr.values(0, {"s": total}) == {"s": 4 * x * y}
+
+
+def _constant_table(n, kind, value):
+    """A rank-n table with every s part and basis coefficient `value`."""
+    part = BaseScalar(n, {(0, 0): value})
+    return ProductTable(n, kind, {key: ExcClass(n, part, (part,) * n)
+                                  for key in cr_table(n).pairs()})
+
+
+C = 3037000499   # C^2 < 2^63 <= 2 C^2
+
+
+@pytest.mark.parametrize("entry,source_value", [
+    # every right-side digit is sum_(k, k') 1 * C * C = n^2 C^2
+    (C, 1),
+    # every left-side digit is sum_l 1 * (2^62 + 1) = n (2^62 + 1)
+    (1, 2 ** 62 + 1),
+], ids=["right-side", "left-side"])
+def test_each_declared_shape_holds_sums_at_its_bound(entry, source_value):
+    # the digits pass 2^63 and fit only because each shape counts all its
+    # terms; a shape declared with fewer would overflow into the next digit
+    n = 2
+    x = Cyclotomic.from_rational(entry, 4)
+    lmap = LinearMap(n, ((x, x), (x, x)))
+    source = _constant_table(n, KIND_QUANTUM_AT, source_value)
+    _assert_kernel_matches(lmap, source, _constant_table(n, KIND_CR, 1))
+
+
+# -- routing: these inputs never reach the kernel -----------------------------
+
+
+def _two_conductor_map():
+    z3, z4 = root_of_unity(3, 1), root_of_unity(4, 1)
+    return LinearMap(2, ((z3, Cyclotomic.one(1)), (z4, z3)))
+
+
+def _wide_rational_target(n, conductor):
+    """cr_table(n) with every coefficient stored at `conductor`."""
+    crt = cr_table(n)
+
+    def widen(part):
+        return BaseScalar(n, {m: c.lift(conductor)
+                              for m, c in part.terms.items()})
+    return ProductTable(n, KIND_CR, {
+        key: ExcClass(n, widen(crt.entry(*key).s),
+                      tuple(map(widen, crt.entry(*key).e)))
+        for key in crt.pairs()})
+
+
+def _routing_cases():
+    z12 = [root_of_unity(12, 4)] * 2
+    e3_e5 = [root_of_unity(60, 20), root_of_unity(60, 12)]
+    zero = Cyclotomic.zero(1)
+    return [
+        ("chtd", chtd_map(2), qc_eval(qc_table(2), z12), cr_table(2)),
+        ("bgp-e:1/3,e:1/5", bgp_map(2, 1), qc_eval(qc_table(2), e3_e5),
+         cr_table(2)),
+        ("two-conductors", _two_conductor_map(), qc_eval(qc_table(2), z12),
+         cr_table(2)),
+        ("zero-map", LinearMap(2, ((zero, zero), (zero, zero))),
+         qc_eval(qc_table(2), z12), cr_table(2)),
+        ("target-at-conductor-8", bgp_map(2, 1), qc_eval(qc_table(2), z12),
+         _wide_rational_target(2, 8)),
+    ]
+
+
+def _refuse(*args):
+    raise AssertionError("the packed kernel ran")
+
+
+@pytest.mark.parametrize("name,lmap,source,target", _routing_cases(),
+                         ids=[c[0] for c in _routing_cases()])
+def test_routing_sends_these_inputs_slot_by_slot(name, lmap, source, target,
+                                                 monkeypatch):
+    expected = _bytes(transport_check(lmap, source, target))
+    monkeypatch.setattr(Kronecker, "pack", _refuse)
+    assert _bytes(transport_check(lmap, source, target)) == expected
+    assert isocheck._packed_conductor(lmap, source, target) is None
+
+
+def test_a_refusing_kernel_does_fail_an_input_that_reaches_it(monkeypatch):
+    monkeypatch.setattr(Kronecker, "pack", _refuse)
+    source = qc_eval(qc_table(2), [root_of_unity(12, 4)] * 2)
+    with pytest.raises(AssertionError, match="packed kernel ran"):
+        transport_check(bgp_map(2, 1), source, cr_table(2))
+
+
+# nine distinct primes near 10^6, one denominator per map entry: their
+# common multiple, which every packed entry would carry, is 180 bits wide
+PRIMES = (1000003, 1000033, 1000037, 1000039, 1000081, 1000099, 1000117,
+          1000121, 1000133)
+
+
+def _rank_three_map(entry):
+    return LinearMap(3, tuple(tuple(entry(3 * k + l) for l in range(3))
+                              for k in range(3)))
+
+
+def _dense(seed, den=1, bits=8):
+    """An element of Q(zeta_16), every coordinate near 2^bits, over den."""
+    return Cyclotomic(16, [Fraction((-1) ** (seed + a) * ((1 << bits) - a
+                                                          - 5 * seed), den)
+                           for a in range(8)])
+
+
+@pytest.mark.parametrize("name,lmap", [
+    ("distinct-denominators",
+     _rank_three_map(lambda e: _dense(e, PRIMES[e]))),
+    ("one-wide-entry",
+     _rank_three_map(lambda e: _dense(e, bits=4000 if e == 4 else 8))),
+])
+def test_a_packing_far_wider_than_its_typical_entry_runs_slot_by_slot(
+        name, lmap, monkeypatch):
+    source = qc_eval(qc_table(3), [root_of_unity(16, 4)] * 3)
+    target = cr_table(3)
+    assert isocheck._packed_conductor(lmap, source, target) == 16
+    assert isocheck._packed_images(lmap, source, target, 16) is None
+    expected = _bytes(_slot_by_slot(lmap, source, target))
+    monkeypatch.setattr(Kronecker, "values", _refuse)
+    assert _bytes(transport_check(lmap, source, target)) == expected
+
+
+def test_wide_entries_alone_still_pack():
+    # as wide as the one wide entry above, but all of them, over one
+    # denominator: the packing is as wide as the typical entry needs
+    source = qc_eval(qc_table(3), [root_of_unity(16, 4)] * 3)
+    lmap = _rank_three_map(lambda e: _dense(e, PRIMES[0], bits=4000))
+    _assert_kernel_matches(lmap, source, cr_table(3))
+
+
+def test_a_wide_rational_target_would_change_the_printed_conductors():
+    # why the rule asks the target's conductors to divide N: the slot-by-
+    # slot sums of a conductor-8 target and a conductor-12 map print
+    # conductor 24, which the packed kernel, working at N, could not
+    source = qc_eval(qc_table(2), [root_of_unity(12, 4)] * 2)
+    report = transport_check(bgp_map(2, 2), source,
+                             _wide_rational_target(2, 8))
+    assert not report.passed
+    conductors = {c.conductor for e in report.entries
+                  for part in (e.diff.s, *e.diff.e)
+                  for c in part.terms.values()}
+    assert 24 in conductors

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from crepant.coeffring import BaseScalar
-from crepant.corrections import CorrectionFunction, DeltaIndex, PoleError
+from crepant.corrections import (CorrectionFunction, DeltaIndex, PoleError,
+                                 correction_eval)
 from crepant.exactnum import Cyclotomic, root_of_unity
 from crepant.ringtables import (KIND_CUP, ExcClass, ProductTable, cr_table,
                                 cup_table, qc_eval, qc_table,
@@ -214,6 +215,32 @@ def test_qc_eval_computes_each_delta_once(monkeypatch, n, q):
     monkeypatch.setattr(corrections, "delta_eval", counting)
     qc_eval(qc_table(n), q)
     assert len(calls) == len(set(calls)) <= n * (n + 1) // 2
+
+
+def test_qc_eval_inverts_once_per_distinct_product(monkeypatch):
+    # at q_1 = ... = q_n = zeta the products q_mu...q_nu are zeta^1..zeta^n:
+    # n distinct values for n(n+1)/2 deltas, each one Bareiss inverse
+    n = 6
+    q = [root_of_unity(28, 4)] * n
+    calls = []
+    original = Cyclotomic.inverse
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Cyclotomic, "inverse", counting)
+    evaluated = qc_eval(qc_table(n), q)
+    assert len(calls) == n
+    monkeypatch.undo()
+    # sharing a value changes no value and no conductor: each coefficient
+    # equals its own uncached evaluation, byte for byte
+    for key in evaluated.pairs():
+        for got, coeff in zip(evaluated.entry(*key).e,
+                              qc_table(n).entry(*key).e):
+            alone = coeff.cup + coeff.mult.scale(correction_eval(coeff.corr,
+                                                                 q))
+            assert got.to_json() == alone.to_json()
 
 
 HALF = Fraction(1, 2)
