@@ -115,7 +115,7 @@ def _parse_qpoint(spec: str, n: int, lmap: LinearMap | None = None):
         raise InputError(
             f"q-point {spec!r}{by_map} needs Q(zeta_{field}), whose degree "
             f"exceeds the limit phi <= {MAX_QPOINT_PHI}")
-    return [root_of_unity(k, j).lift(conductor) for j, k in literals]
+    return [root_of_unity(conductor, j * conductor // k) for j, k in literals]
 
 
 def _dump_json(doc) -> str:

@@ -28,9 +28,9 @@ Besides field arithmetic the module provides the two square-root gadgets the
 rest of the library needs:
 
 * `branch_sqrt(n, m, k)` -- the branch-resolved value of
-  (zeta^k + zeta^-k - 2)^(1/2) for zeta = exp(2 pi i m/(n+1)), realized in
-  conductor 4(n+1) from the identity 2 - zeta^k - zeta^-k = 4 sin^2(pi km/(n+1))
-  and 2 sin(pi j/(n+1)) = -i (w^j - w^-j) with w = zeta_{2(n+1)}.
+  (zeta^k + zeta^-k - 2)^(1/2) for zeta = exp(2 pi i m/(n+1)), in conductor
+  4(n+1): +(w^j - w^-j) with w = zeta_{2(n+1)}, j = km mod 2(n+1) and m
+  reduced mod n+1 when (j < n+1) == (2m < n+1), and -(w^j - w^-j) otherwise.
 * `sqrt_rational(x, N)` -- the nonnegative square root of a rational x >= 0,
   built from quadratic Gauss sums when sqrt(x) is irrational.
 """
@@ -505,7 +505,7 @@ class Kronecker:
     value's coordinate norm and of its own denominator together).
 
     >>> z = root_of_unity(5)
-    >>> x, y = z ** 3 - Fraction(2, 3), 2 * z
+    >>> x, y = root_of_unity(5, 3) - Fraction(2, 3), 2 * z
     >>> kr = Kronecker.pack(5, {"x": {0: x}, "y": {0: y}},
     ...                     [(1, ("x",)), (1, ("x", "y"))])
     >>> kr.values(0, {"x": kr.packed["x"][0]})["x"] == x
@@ -629,8 +629,10 @@ def branch_sqrt(n: int, m: int, k: int) -> Cyclotomic:
     """(zeta^k + zeta^-k - 2)^(1/2) for zeta = exp(2 pi i m/(n+1)).
 
     The branch is i*|...| when the canonical representative of m in 1..n
-    satisfies 0 < m < (n+1)/2, and -i*|...| otherwise.  The result lives in
-    conductor 4(n+1).
+    satisfies 0 < m < (n+1)/2, and -i*|...| otherwise.  With w = zeta_{2(n+1)}
+    and j = km mod 2(n+1), w^j - w^-j = 2i sin(pi j/(n+1)), whose sine is
+    positive iff j < n+1; so the value is +(w^j - w^-j) when
+    (j < n+1) == (2m < n+1) and -(w^j - w^-j) otherwise, in conductor 4(n+1).
 
     >>> branch_sqrt(1, 1, 1) == -2 * imaginary_unit(8)
     True
@@ -642,16 +644,10 @@ def branch_sqrt(n: int, m: int, k: int) -> Cyclotomic:
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..{n}")
     conductor = 4 * np1
-    i_unit = imaginary_unit(conductor)
-    omega = root_of_unity(conductor, 2)  # zeta_{2(n+1)}
-    # 2 sin(pi j/(n+1)) = -i (omega^j - omega^-j); the sine is positive for
-    # 0 < j < n+1 and negative for n+1 < j < 2(n+1).  j = k*m is never a
-    # multiple of n+1 because gcd(m, n+1) = 1 and 0 < k < n+1.
+    # j is never a multiple of n+1, because gcd(m, n+1) = 1 and 0 < k < n+1
     j = (k * m_red) % (2 * np1)
-    two_sin = -i_unit * (omega ** j - omega ** (-j))
-    magnitude = two_sin if 0 < j < np1 else -two_sin
-    upper = 2 * m_red < np1
-    return i_unit * magnitude if upper else -(i_unit * magnitude)
+    e = 2 * j if (j < np1) == (2 * m_red < np1) else -2 * j
+    return root_of_unity(conductor, e) - root_of_unity(conductor, -e)
 
 
 def _legendre(t: int, p: int) -> int:
@@ -690,8 +686,9 @@ def sqrt_rational(value, conductor: int) -> Cyclotomic:
     if rest % 2 == 0:
         if conductor % 8 != 0:
             raise ValueError(f"sqrt(2) is not in Q(zeta_{conductor})")
-        z8 = root_of_unity(conductor, conductor // 8)
-        root = root * (z8 + z8 ** (-1))
+        eighth = conductor // 8
+        root = root * (root_of_unity(conductor, eighth)
+                       + root_of_unity(conductor, -eighth))
         rest //= 2
     p = 3
     while rest > 1:
@@ -699,9 +696,9 @@ def sqrt_rational(value, conductor: int) -> Cyclotomic:
             rest //= p
             if conductor % p != 0:
                 raise ValueError(f"sqrt({p}) is not in Q(zeta_{conductor})")
-            zp = root_of_unity(conductor, conductor // p)
-            gauss = sum((_legendre(t, p) * zp ** t for t in range(1, p)),
-                        Cyclotomic.zero(conductor))
+            step = conductor // p
+            gauss = sum((_legendre(t, p) * root_of_unity(conductor, t * step)
+                         for t in range(1, p)), Cyclotomic.zero(conductor))
             if p % 4 == 1:
                 root = root * gauss
             else:

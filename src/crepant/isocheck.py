@@ -334,7 +334,7 @@ def _sqrt_in_field(value: Cyclotomic, conductor: int) -> list[Cyclotomic]:
     roots = []
     for j in range(conductor):
         omega = root_of_unity(conductor, j)
-        candidate_sq = value * omega ** (-2)
+        candidate_sq = value * root_of_unity(conductor, -2 * j)
         if not candidate_sq.is_rational():
             continue
         rat = candidate_sq.as_fraction()

@@ -13,10 +13,11 @@ provided:
 
 * `chtd_map(n)` -- the K-theoretic comparison E_m -> sum_l
   zeta^{-lm}/(2 - zeta^l - zeta^-l) e_l derived from Chern character and
-  Todd class.  It matches the graphs but is NOT a ring map.
+  Todd class, in Q(zeta_{n+1}).  It matches the graphs but is NOT a ring map.
 * `bgp_map(n, m_root)` -- E_l -> sum_k zeta^{lk} (zeta^k + zeta^-k - 2)^{1/2}
-  e_k with zeta = exp(2 pi i m_root/(n+1)) and the branch-resolved square
-  root of `exactnum.branch_sqrt`.
+  e_k with zeta = exp(2 pi i m_root/(n+1)), in Q(zeta_{4(n+1)}): the root
+  zeta^{lk} times the closed-form, branch-resolved square root +-(w^j - w^-j)
+  of `exactnum.branch_sqrt`, w = zeta_{2(n+1)} and j = k m_root.
 """
 
 from __future__ import annotations
@@ -190,16 +191,17 @@ class LinearMap:
 def chtd_map(n: int) -> LinearMap:
     """The Chern-character/Todd comparison map, zeta = zeta_{n+1} principal.
 
-    Entry (l, m) is zeta^{-lm}/(2 - zeta^l - zeta^-l); by the worked A_2
-    verification this map is not a ring isomorphism.
+    Entry (l, m) is zeta^{-lm}/(2 - zeta^l - zeta^-l), with one inverse per
+    row; by the worked A_2 verification this map is not a ring isomorphism.
     """
     if n < 1:
         raise ValueError("rank must be >= 1")
-    zeta = root_of_unity(n + 1, 1)
+    order = n + 1
     rows = []
     for l in range(1, n + 1):
-        denom = 2 - zeta ** l - zeta ** (-l)
-        rows.append(tuple(zeta ** (-l * m) / denom
+        denom = 2 - root_of_unity(order, l) - root_of_unity(order, -l)
+        inv = denom.inverse()
+        rows.append(tuple(root_of_unity(order, -l * m) * inv
                           for m in range(1, n + 1)))
     return LinearMap(n, tuple(rows))
 
@@ -215,10 +217,10 @@ def bgp_map(n: int, m_root: int) -> LinearMap:
         raise InvalidRoot(
             f"m_root={m_root} is not coprime to {n + 1}")
     conductor = 4 * (n + 1)
-    zeta = root_of_unity(conductor, 4 * (m_root % (n + 1)))
+    step = 4 * (m_root % (n + 1))
     rows = []
     for k in range(1, n + 1):
         root = branch_sqrt(n, m_root, k)
-        rows.append(tuple(zeta ** (l * k) * root
+        rows.append(tuple(root_of_unity(conductor, step * l * k) * root
                           for l in range(1, n + 1)))
     return LinearMap(n, tuple(rows))

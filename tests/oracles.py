@@ -6,12 +6,14 @@ only public data (`Cyclotomic.coeffs`, `BaseScalar.terms`, `LinearMap.matrix`,
 `ProductTable.entry`).  pytest does not collect this module.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from crepant import linalg
 from crepant.coeffring import BaseScalar
-from crepant.exactnum import Cyclotomic, euler_phi, root_of_unity
+from crepant.exactnum import (Cyclotomic, InvalidRoot, euler_phi,
+                              imaginary_unit, root_of_unity)
 from crepant.mckay import LinearMap
 from crepant.ringtables import cr_table
 
@@ -38,6 +40,119 @@ def conjugate(x: Cyclotomic) -> Cyclotomic:
     """Complex conjugation, the Galois map zeta -> zeta^-1."""
     return sum((c * root_of_unity(x.conductor, -k)
                 for k, c in enumerate(x.coeffs)), Cyclotomic.zero(x.conductor))
+
+
+# -- roots of unity by powers and inverses of zeta ---------------------------
+#
+# The library builds every power of a root of unity in closed form with
+# `root_of_unity`.  These references build the same values the generic way,
+# by `Cyclotomic.__pow__` (square-and-multiply, a Bareiss inverse for each
+# negative exponent), through the sine identities the closed forms rest on.
+
+
+def power_branch_sqrt(n: int, m: int, k: int) -> Cyclotomic:
+    """`exactnum.branch_sqrt` via 2 sin(pi j/(n+1)) = -i (w^j - w^-j)."""
+    np1 = n + 1
+    m_red = m % np1
+    if math.gcd(m_red, np1) != 1:
+        raise InvalidRoot(f"zeta^{m} is not a primitive {np1}-th root of 1")
+    if not 1 <= k <= n:
+        raise ValueError(f"k must lie in 1..{n}")
+    conductor = 4 * np1
+    i_unit = imaginary_unit(conductor)
+    omega = root_of_unity(conductor, 2)  # zeta_{2(n+1)}
+    # 2 sin(pi j/(n+1)) = -i (omega^j - omega^-j); the sine is positive for
+    # 0 < j < n+1 and negative for n+1 < j < 2(n+1).  j = k*m is never a
+    # multiple of n+1 because gcd(m, n+1) = 1 and 0 < k < n+1.
+    j = (k * m_red) % (2 * np1)
+    two_sin = -i_unit * (omega ** j - omega ** (-j))
+    magnitude = two_sin if 0 < j < np1 else -two_sin
+    upper = 2 * m_red < np1
+    return i_unit * magnitude if upper else -(i_unit * magnitude)
+
+
+def power_chtd_map(n: int) -> LinearMap:
+    """`mckay.chtd_map` with zeta^e = zeta ** e and x / denom per entry."""
+    if n < 1:
+        raise ValueError("rank must be >= 1")
+    zeta = root_of_unity(n + 1, 1)
+    rows = []
+    for l in range(1, n + 1):
+        denom = 2 - zeta ** l - zeta ** (-l)
+        rows.append(tuple(zeta ** (-l * m) / denom
+                          for m in range(1, n + 1)))
+    return LinearMap(n, tuple(rows))
+
+
+def power_bgp_map(n: int, m_root: int) -> LinearMap:
+    """`mckay.bgp_map` with zeta^{lk} = zeta ** (l k) and
+    `power_branch_sqrt`."""
+    if n < 1:
+        raise ValueError("rank must be >= 1")
+    if math.gcd(m_root, n + 1) != 1:
+        raise InvalidRoot(
+            f"m_root={m_root} is not coprime to {n + 1}")
+    conductor = 4 * (n + 1)
+    zeta = root_of_unity(conductor, 4 * (m_root % (n + 1)))
+    rows = []
+    for k in range(1, n + 1):
+        root = power_branch_sqrt(n, m_root, k)
+        rows.append(tuple(zeta ** (l * k) * root
+                          for l in range(1, n + 1)))
+    return LinearMap(n, tuple(rows))
+
+
+def _legendre(t: int, p: int) -> int:
+    r = pow(t, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+def power_sqrt_rational(value, conductor: int) -> Cyclotomic:
+    """`exactnum.sqrt_rational` with sqrt(2) = z8 + z8 ** (-1) and each
+    Gauss sum over zp ** t."""
+    value = Fraction(value)
+    if value < 0:
+        raise ValueError("sqrt_rational expects a nonnegative rational")
+    if value == 0:
+        return Cyclotomic.zero(1)
+    d = value.numerator * value.denominator  # sqrt(p/q) = sqrt(p q)/q
+    square, squarefree = Fraction(1, value.denominator), 1
+    f = 2
+    while f * f <= d:
+        while d % (f * f) == 0:
+            d //= f * f
+            square *= f
+        if d % f == 0:
+            d //= f
+            squarefree *= f
+        f += 1
+    squarefree *= d
+    if squarefree == 1:
+        return Cyclotomic.from_rational(square)
+    root = Cyclotomic.from_rational(square, conductor)
+    rest = squarefree
+    if rest % 2 == 0:
+        if conductor % 8 != 0:
+            raise ValueError(f"sqrt(2) is not in Q(zeta_{conductor})")
+        z8 = root_of_unity(conductor, conductor // 8)
+        root = root * (z8 + z8 ** (-1))
+        rest //= 2
+    p = 3
+    while rest > 1:
+        if rest % p == 0:
+            rest //= p
+            if conductor % p != 0:
+                raise ValueError(f"sqrt({p}) is not in Q(zeta_{conductor})")
+            zp = root_of_unity(conductor, conductor // p)
+            gauss = sum((_legendre(t, p) * zp ** t for t in range(1, p)),
+                        Cyclotomic.zero(conductor))
+            if p % 4 == 1:
+                root = root * gauss
+            else:
+                # gauss = i sqrt(p) for p = 3 mod 4
+                root = root * (-imaginary_unit(conductor)) * gauss
+        p += 2
+    return root
 
 
 # -- BaseScalar grading -------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import time
@@ -9,7 +10,7 @@ from crepant.exactnum import (Cyclotomic, InvalidRoot, branch_sqrt,
                               cyclotomic_polynomial, euler_phi,
                               imaginary_unit, root_of_unity, sqrt_rational)
 
-from oracles import conjugate, descend
+from oracles import conjugate, descend, power_sqrt_rational
 
 
 def test_root_of_unity_examples():
@@ -146,15 +147,22 @@ def test_branch_sqrt_a2_both_roots():
 
 
 def test_branch_sqrt_square_identity():
-    for n in range(1, 9):
+    for n in range(1, 16):
         np1 = n + 1
-        for m in range(1, np1):
+        i_unit = imaginary_unit(4 * np1)
+        for m in range(1, 2 * np1):
             if math.gcd(m, np1) != 1:
                 continue
             zeta = root_of_unity(4 * np1, 4 * m)
+            upper = 0 < m % np1 < np1 / 2
             for k in range(1, n + 1):
                 v = branch_sqrt(n, m, k)
-                assert v * v == zeta ** k + zeta ** (-k) - 2, (n, m, k)
+                # zeta^-k = zeta^(n+1-k), without a Bareiss inverse per k
+                assert v * v == zeta ** k + zeta ** (np1 - k) - 2, (n, m, k)
+                # the branch is +i|v| on the upper roots, -i|v| otherwise
+                real = -i_unit * v
+                assert conjugate(real) == real, (n, m, k)
+                assert (real.to_complex().real > 0) == upper, (n, m, k)
 
 
 def test_branch_sqrt_rejects_imprimitive():
@@ -165,10 +173,13 @@ def test_branch_sqrt_rejects_imprimitive():
 def test_sqrt_rational():
     assert sqrt_rational(4, 1) == 2
     assert sqrt_rational(Fraction(9, 4), 1) == Fraction(3, 2)
-    for value, conductor in [(2, 8), (3, 12), (27, 12), (5, 20),
-                             (Fraction(3, 4), 12), (6, 24)]:
+    for value, conductor in [(4, 1), (Fraction(9, 4), 1), (2, 8), (3, 12),
+                             (27, 12), (5, 20), (Fraction(3, 4), 12), (6, 24),
+                             (7, 28), (11, 44), (13, 52)]:
         root = sqrt_rational(value, conductor)
         assert root * root == Fraction(value)
+        assert (json.dumps(root.to_json()) == json.dumps(
+            power_sqrt_rational(value, conductor).to_json())), value
     with pytest.raises(ValueError):
         sqrt_rational(3, 8)  # sqrt(3) is not in Q(zeta_8)
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -209,3 +210,39 @@ def test_scan_never_hits_a_pole_at_equal_primitive_roots():
     for n in range(1, 5):
         for r in conjecture_scan(n):
             assert r.status != "pole"
+
+
+@pytest.fixture
+def inverses(monkeypatch):
+    """Forbid `Cyclotomic.__pow__` and record every `Cyclotomic.inverse`."""
+    def no_power(self, exponent):
+        raise AssertionError(f"a Cyclotomic raised to the power {exponent}")
+
+    calls, inverse = [], Cyclotomic.inverse
+
+    def counted(self):
+        calls.append(self.conductor)
+        return inverse(self)
+
+    monkeypatch.setattr(Cyclotomic, "__pow__", no_power)
+    monkeypatch.setattr(Cyclotomic, "inverse", counted)
+    return calls
+
+
+def test_roots_of_unity_are_neither_powered_nor_inverted(inverses):
+    for n in range(1, 11):
+        for m in range(1, 2 * n + 2):
+            if math.gcd(m, n + 1) == 1:
+                bgp_map(n, m)
+        assert inverses == [], n
+        chtd_map(n)  # one inverse per row's 2 - zeta^l - zeta^-l
+        assert len(inverses) == n, n
+        inverses.clear()
+    # the scan inverts only its deltas' 1 - q^d, d = 1..n, at each of the
+    # phi(n+1) = n roots when n+1 is prime
+    for n in (6, 10):
+        conjecture_scan(n)
+        assert len(inverses) == n * n, n
+        inverses.clear()
+    solve_a1()
+    solve_a2()

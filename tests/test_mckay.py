@@ -1,15 +1,17 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
-from crepant.exactnum import (InvalidRoot, imaginary_unit, root_of_unity,
-                              sqrt_rational)
+from crepant.exactnum import (InvalidRoot, branch_sqrt, imaginary_unit,
+                              root_of_unity, sqrt_rational)
 from crepant.mckay import (LinearMap, ade_resolution_graph, an_mckay,
                            aut_gamma, bgp_map, chtd_map)
 from crepant.resolve import resolve_an
 
-from oracles import identity_map, is_invertible
+from oracles import (identity_map, is_invertible, power_bgp_map,
+                     power_branch_sqrt, power_chtd_map)
 
 
 def test_a2_reduced_is_a_chain():
@@ -93,6 +95,23 @@ def test_bgp_map_equals_the_rank_two_solution_pairs():
     assert bgp_map(2, 1).matrix == ((a, b), (b, a))
     a2, b2 = sqrt3 * z12 ** 5, sqrt3 * z12
     assert bgp_map(2, 2).matrix == ((a2, b2), (b2, a2))
+
+
+def _bytes(value) -> str:
+    return json.dumps(value.to_json())
+
+
+def test_maps_match_the_power_based_references():
+    # every m coprime to n+1 in 1..2n+1, so m > n+1 is reduced as well
+    for n in range(1, 11):
+        assert _bytes(chtd_map(n)) == _bytes(power_chtd_map(n)), n
+        for m in range(1, 2 * n + 2):
+            if math.gcd(m, n + 1) != 1:
+                continue
+            assert _bytes(bgp_map(n, m)) == _bytes(power_bgp_map(n, m)), (n, m)
+            for k in range(1, n + 1):
+                assert (_bytes(branch_sqrt(n, m, k))
+                        == _bytes(power_branch_sqrt(n, m, k))), (n, m, k)
 
 
 def test_bgp_map_invertible():
