@@ -129,30 +129,40 @@ def delta_eval(idx: DeltaIndex, q) -> Cyclotomic:
     return prod / (1 - prod)
 
 
-def correction_eval(f: CorrectionFunction, q, deltas=None) -> Cyclotomic:
-    """Evaluate constant + sum coeff * delta at a q-point, exactly.
+def cache_deltas(f: CorrectionFunction, q, deltas: dict) -> None:
+    """Store in `deltas` the value at q of every delta that f uses.
 
-    `deltas` is an optional cache of delta values at this same point, shared
-    by several calls.  It holds each value under its index and under the
-    exact representation (conductor, coordinates) of its product
-    q_mu...q_nu, so each distinct product costs one `delta_eval`, and
-    indices with equal products share its value.  Products of equal field
-    value but different conductors stay apart, so every value keeps the
-    conductor its own `delta_eval` would give it.
+    The cache is shared by all the corrections evaluated at one point.  It
+    holds each value under its index and under the exact representation
+    (conductor, coordinates) of its product q_mu...q_nu, so each distinct
+    product costs one `delta_eval`, and indices with equal products share
+    its value.  Products of equal field value but different conductors stay
+    apart, so every value keeps the conductor its own `delta_eval` would
+    give it.  The deltas are visited in index order, so the first pole met
+    is the one a term-by-term evaluation of f would raise.
     """
     if len(q) != f.n:
         raise ValueError(f"expected {f.n} q-values, got {len(q)}")
-    if deltas is None:
-        deltas = {}
-    value = f.constant
     for idx in sorted(f.terms):
-        delta = deltas.get(idx)
-        if delta is None:
+        if idx not in deltas:
             prod = _interval_product(idx, q)
             key = (prod.conductor, prod.coeffs)
             delta = deltas.get(key)
             if delta is None:
                 delta = deltas[key] = delta_eval(idx, q)
             deltas[idx] = delta
-        value = value + f.terms[idx] * delta
+
+
+def correction_eval(f: CorrectionFunction, q, deltas=None) -> Cyclotomic:
+    """Evaluate constant + sum coeff * delta at a q-point, exactly.
+
+    `deltas` is an optional cache of delta values at this same point, shared
+    by several calls and filled by `cache_deltas`.
+    """
+    if deltas is None:
+        deltas = {}
+    cache_deltas(f, q, deltas)
+    value = f.constant
+    for idx in sorted(f.terms):
+        value = value + f.terms[idx] * deltas[idx]
     return value

@@ -22,7 +22,10 @@ over its group's common denominator evaluated at x = 2^b, so each product is
 one big-integer multiplication and each sum one addition, and each result is
 unpacked with balanced digits and reduced mod Phi_N once.  `isocheck` runs a
 transport check through it when the map, the source and the target share one
-conductor (the rule it states) and the packing pays.
+conductor (the rule it states) and the packing pays; `ringtables.qc_eval`
+sums the quantum corrections at a point through it when every delta value
+there has one conductor and every weight is an integer (the rule it states),
+one group of delta values and one shape of sums weighted by integers.
 
 Besides field arithmetic the module provides the two square-root gadgets the
 rest of the library needs:

@@ -24,6 +24,21 @@ tabulated.
   it at an exact q-point.  The pairing E_i.b (`beta_pairing`) is the row sum
   of c_n over mu..nu, in closed form
   [mu <= i-1 <= nu] + [mu <= i+1 <= nu] - 2[mu <= i <= nu].
+
+`qc_eval` computes every delta value at the point first, then sums the
+corrections in one of two ways, with equal results.  When (a) every delta
+value has one conductor N, (b) every correction constant is zero, (c) every
+weight is an integer and (d) every coefficient of the multiplier (K) is
+rational, the constants, weights and multiplier coefficients all stored at
+conductors dividing N, each correction sum_b w_b delta_b is one sum of
+Kronecker-packed integers (`exactnum.Kronecker`), read back once per
+distinct sum; otherwise, and when packing does not pay, each coefficient is
+evaluated by `QCoeff.eval`.  Why the two print the same bytes: under the
+rule each term w_b delta_b and their sum have conductor exactly N, so the
+correction is its exact value at N, and times a rational multiplier
+coefficient it stays at N; a correction that sums to zero leaves the cup
+part as it is, as adding K scaled by zero does; and the cup part gains each
+scaled monomial by the same `BaseScalar` addition on both paths.
 """
 
 from __future__ import annotations
@@ -33,8 +48,8 @@ from fractions import Fraction
 
 from .coeffring import BaseScalar, coerce
 from .corrections import (CorrectionFunction, DeltaIndex, PoleError,
-                          correction_eval)
-from .exactnum import Cyclotomic
+                          cache_deltas, correction_eval)
+from .exactnum import Cyclotomic, Kronecker
 
 KIND_CR = "chen_ruan"
 KIND_CUP = "cup"
@@ -85,7 +100,13 @@ class QCoeff:
     mult: BaseScalar
 
     def eval(self, q, deltas) -> BaseScalar:
-        """The coefficient at q; `deltas` caches delta values at q."""
+        """The coefficient at q; `deltas` caches delta values at q.
+
+        This is `qc_eval`'s route for the points its packed sums do not
+        take (see the module docstring), and the oracle they are tested
+        against: the correction is summed term by term as Cyclotomics and
+        the multiplier scaled by it.
+        """
         return self.cup + self.mult.scale(
             correction_eval(self.corr, q, deltas))
 
@@ -257,26 +278,91 @@ def qc_eval(table: ProductTable, q) -> ProductTable:
 
     Each delta value is computed at most once per distinct exact product
     q_mu...q_nu: at q_1 = ... = q_n that is at most n values, not
-    n(n+1)/2.  Raises PoleError naming both the product entry (i, j) and
-    the delta index at which the family is undefined: the first one met
-    walking the entries in order, each entry's coefficients in order and
-    each coefficient's deltas in order.
+    n(n+1)/2.  They are all computed first, walking the entries in order,
+    each entry's coefficients in order and each coefficient's deltas in
+    order, so a PoleError names both the product entry (i, j) and the delta
+    index at which the family is undefined: the first one met on that walk.
+    The coefficients are then summed as Kronecker-packed integers when the
+    routing rule of the module docstring holds, and by `QCoeff.eval`
+    otherwise; both give the same values at the same conductors.
     """
     if table.kind != KIND_QUANTUM:
         raise ValueError("qc_eval expects a symbolic quantum table")
     q = [coerce(x) for x in q]
     if len(q) != table.n:
         raise ValueError(f"expected {table.n} q-values")
-    deltas = {}
-    entries = {}
+    deltas, coeffs, parts = {}, [], []
     for key in table.pairs():
         entry = table.entry(*key)
         try:
-            coeffs = tuple(c.eval(q, deltas) for c in entry.e)
+            for c in entry.e:
+                cache_deltas(c.corr, q, deltas)
         except PoleError as exc:
             raise PoleError(exc.index, entry=key) from None
-        entries[key] = ExcClass(table.n, entry.s, coeffs)
+        parts.append((key, entry.s, len(coeffs), len(coeffs) + len(entry.e)))
+        coeffs.extend(entry.e)
+    values = _packed_values(coeffs, deltas)
+    if values is None:
+        values = [c.eval(q, deltas) for c in coeffs]
+    entries = {key: ExcClass(table.n, s, tuple(values[start:stop]))
+               for key, s, start, stop in parts}
     return ProductTable(table.n, KIND_QUANTUM_AT, entries, q=q)
+
+
+def _packed_values(coeffs: list, deltas: dict):
+    """The QCoeffs `coeffs` at the point whose delta values `deltas` holds,
+    each correction summed as Kronecker-packed integers; None when the
+    routing rule of the module docstring fails or packing does not pay."""
+    conductors = {deltas[idx].conductor for c in coeffs
+                  for idx in c.corr.terms}
+    if len(conductors) != 1:
+        return None
+    (conductor,) = conductors
+
+    def fraction(x):
+        """x as a Fraction when it is rational, stored at a conductor
+        dividing N; else None."""
+        if x.is_rational() and conductor % x.conductor == 0:
+            return x.as_fraction()
+        return None
+
+    # each coefficient's (index, integer weight) terms and its multiplier's
+    # (monomial, rational coefficient) terms; a table shares one K
+    plans, mult = [], None
+    for c in coeffs:
+        if c.mult is not mult:
+            mult = c.mult
+            mults = [(mono, fraction(m)) for mono, m in mult.terms.items()]
+        weights = [(idx, fraction(w)) for idx, w in c.corr.terms.items()]
+        constant = c.corr.constant
+        if (not constant.is_zero() or conductor % constant.conductor
+                or any(m is None for _, m in mults)
+                or any(w is None or w.denominator != 1 for _, w in weights)):
+            return None
+        plans.append(([(idx, int(w)) for idx, w in weights], mults))
+    kr = Kronecker.pack(
+        conductor,
+        {"delta": {idx: deltas[idx] for ws, _ in plans for idx, _ in ws}},
+        [(max(sum(abs(w) for _, w in ws) for ws, _ in plans), ("delta",))])
+    if kr is None:
+        return None
+    packed = kr.packed["delta"]
+    scaled = {}                 # (packed sum, m) -> its value times m
+    out = []
+    for c, (weights, mults) in zip(coeffs, plans):
+        total = sum(w * packed[idx] for idx, w in weights)
+        value = kr.values(0, {0: total}).get(0)
+        if value is None:       # the correction is zero
+            out.append(c.cup)
+            continue
+        terms = {}
+        for mono, m in mults:
+            key = (total, m.numerator, m.denominator)
+            if key not in scaled:
+                scaled[key] = value * m
+            terms[mono] = scaled[key]
+        out.append(c.cup + BaseScalar._make(c.mult.n, terms))
+    return out
 
 
 def strip_corrections(table: ProductTable) -> ProductTable:

@@ -274,8 +274,9 @@ def test_routing_sends_these_inputs_slot_by_slot(name, lmap, source, target,
 
 
 def test_a_refusing_kernel_does_fail_an_input_that_reaches_it(monkeypatch):
-    monkeypatch.setattr(Kronecker, "pack", _refuse)
+    # the source is built first: qc_eval packs its corrections too
     source = qc_eval(qc_table(2), [root_of_unity(12, 4)] * 2)
+    monkeypatch.setattr(Kronecker, "pack", _refuse)
     with pytest.raises(AssertionError, match="packed kernel ran"):
         transport_check(bgp_map(2, 1), source, cr_table(2))
 
