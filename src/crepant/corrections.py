@@ -132,21 +132,29 @@ def delta_eval(idx: DeltaIndex, q) -> Cyclotomic:
 def cache_deltas(f: CorrectionFunction, q, deltas: dict) -> None:
     """Store in `deltas` the value at q of every delta that f uses.
 
-    The cache is shared by all the corrections evaluated at one point.  It
-    holds each value under its index and under the exact representation
-    (conductor, coordinates) of its product q_mu...q_nu, so each distinct
-    product costs one `delta_eval`, and indices with equal products share
-    its value.  Products of equal field value but different conductors stay
-    apart, so every value keeps the conductor its own `delta_eval` would
-    give it.  The deltas are visited in index order, so the first pole met
-    is the one a term-by-term evaluation of f would raise.
+    The cache is shared by all the corrections evaluated at one point.
+    Under ("product", index) it holds each product q_mu...q_nu, formed as
+    (q_mu...q_{nu-1}) q_nu when the shorter product is already there: one
+    field product per index.  Under the index, and under the normal form
+    (conductor, numerators, denominator) of its product, it holds the delta
+    value, so each distinct product costs one `delta_eval` and indices with
+    equal products share its value.  Products of equal field value but
+    different conductors stay apart, so every value keeps the conductor its
+    own `delta_eval` would give it; a running product has the lcm of its
+    factors' conductors, as `_interval_product`'s has.  The deltas are
+    visited in index order, so the first pole met is the one a term-by-term
+    evaluation of f would raise; a zero q entry makes a zero product, which
+    `delta_eval` refuses at the same index.
     """
     if len(q) != f.n:
         raise ValueError(f"expected {f.n} q-values, got {len(q)}")
     for idx in sorted(f.terms):
         if idx not in deltas:
-            prod = _interval_product(idx, q)
-            key = (prod.conductor, prod.coeffs)
+            shorter = deltas.get(("product", DeltaIndex(idx.mu, idx.nu - 1)))
+            prod = deltas["product", idx] = (
+                _interval_product(idx, q) if shorter is None
+                else shorter * q[idx.nu - 1])
+            key = (prod.conductor, prod._num, prod._den)
             delta = deltas.get(key)
             if delta is None:
                 delta = deltas[key] = delta_eval(idx, q)

@@ -21,11 +21,13 @@ arithmetic: each operand is packed once as one Python int, its coordinates
 over its group's common denominator evaluated at x = 2^b, so each product is
 one big-integer multiplication and each sum one addition, and each result is
 unpacked with balanced digits and reduced mod Phi_N once.  `isocheck` runs a
-transport check through it when the map, the source and the target share one
-conductor (the rule it states) and the packing pays; `ringtables.qc_eval`
-sums the quantum corrections at a point through it when every delta value
-there has one conductor and every weight is an integer (the rule it states),
-one group of delta values and one shape of sums weighted by integers.
+transport check through it, both sides of each coefficient summed into their
+difference over a common denominator, when the map, the source and the
+target share one conductor (the rule it states) and the packing pays;
+`ringtables.qc_eval` sums the quantum corrections at a point through it
+when every delta value there has one conductor and every weight is an
+integer (the rule it states), one group of delta values and one shape of
+sums weighted by integers.
 
 Besides field arithmetic the module provides the two square-root gadgets the
 rest of the library needs:
@@ -498,6 +500,15 @@ class Kronecker:
     so one `int.to_bytes`, and for digits of up to 8 bytes one `struct`
     call, split a result.
 
+    A shape (l, r) of two earlier shapes' indices declares their
+    difference.  Over their denominators D_l and D_r, x - y for sums x of
+    shape l and y of shape r is the packed sum a x - b y over
+    D = lcm(D_l, D_r), with (a, b) = (D/D_l, D/D_r) = `scales[shape]`; its
+    digits are bounded by a B_l + b B_r, B_l and B_r the two shapes' digit
+    bounds, and it is read back at D like any other sum.  So a difference
+    that cancels is the int 0 and is never unpacked.  Its typical width,
+    in the test below, is one bit above the wider of its two shapes'.
+
     When packing does not pay.  Every packed product multiplies phi digits
     of b bits, however narrow its own factors.  A few values far wider than
     the rest, or many different denominators whose common multiple every
@@ -515,6 +526,12 @@ class Kronecker:
     True
     >>> xy = kr.packed["x"][0] * kr.packed["y"][0]
     >>> kr.values(1, {"xy": xy})["xy"] == x * y
+    True
+    >>> kr = Kronecker.pack(5, {"x": {0: x}, "y": {0: y}},
+    ...                     [(1, ("x",)), (1, ("x", "y")), (0, 1)])
+    >>> a, b = kr.scales[2]
+    >>> d = a * kr.packed["x"][0] - b * kr.packed["x"][0] * kr.packed["y"][0]
+    >>> kr.values(2, {"d": d})["d"] == x - x * y
     True
     """
 
@@ -534,27 +551,42 @@ class Kronecker:
             means[name] = sum(own) / len(own) if own else 0
             degrees[name] = max((i for a in coords[name].values()
                                  for i, c in enumerate(a) if c), default=0)
-        bits = max(1 + (t * math.prod(norms[g] for g in gs)).bit_length()
-                   for t, gs in shapes)
-        typical = max(1 + t.bit_length() + sum(means[g] for g in gs)
-                      for t, gs in shapes)
+        # per shape: its denominator, digit bound, digit count and the
+        # bits a sum of values of the groups' mean width needs
+        sums = []
+        for t, gs in shapes:
+            if isinstance(gs, int):         # the difference of shapes t, gs
+                (dl, bl, nl, wl), (dr, br, nr, wr) = sums[t], sums[gs]
+                den = math.lcm(dl, dr)
+                sums.append((den, den // dl * bl + den // dr * br,
+                             max(nl, nr), 1 + max(wl, wr)))
+            else:
+                sums.append((math.prod(dens[g] for g in gs),
+                             t * math.prod(norms[g] for g in gs),
+                             1 + sum(degrees[g] for g in gs),
+                             1 + t.bit_length() + sum(means[g] for g in gs)))
+        bits = max(1 + bound.bit_length() for _, bound, _, _ in sums)
+        typical = max(width for *_, width in sums)
         if bits > max(64, 2 * typical):
             return None
-        return cls(conductor, bits, coords, dens, degrees, shapes)
+        return cls(conductor, bits, coords, shapes,
+                   [(den, digits) for den, _, digits, _ in sums])
 
-    def __init__(self, conductor, bits, coords, dens, degrees, shapes):
+    def __init__(self, conductor, bits, coords, shapes, sums):
         width = -(-bits // 8)                    # 2^(8 width - 1) > bound
         width = next((w for w in _SIGNED if w >= width), width)
         self.conductor = conductor
         self._width, self._bits = width, 8 * width
         self._shapes = []                # (den, digits, struct split, bias)
-        for _, gs in shapes:
-            digits = 1 + sum(degrees[g] for g in gs)
+        for den, digits in sums:
             split = (struct.Struct(f"<{digits}{_SIGNED[width]}").unpack
                      if width in _SIGNED else None)
             bias = sum(1 << (self._bits * (i + 1) - 1) for i in range(digits))
-            self._shapes.append((math.prod(dens[g] for g in gs), digits,
-                                 split, bias))
+            self._shapes.append((den, digits, split, bias))
+        # (a, b) of each difference shape: a x - b y is x - y over its den
+        self.scales = {s: (sums[s][0] // sums[l][0], sums[s][0] // sums[r][0])
+                       for s, (l, r) in enumerate(shapes)
+                       if isinstance(r, int)}
         self._values = {}
         self.packed = {name: {k: self._pack(a) for k, a in values.items()}
                        for name, values in coords.items()}

@@ -20,12 +20,13 @@ basis coefficient of the source divides N and (c) every target coefficient
 is rational, with a conductor dividing N, it runs as a packed kernel: each
 map entry and source coefficient is packed once into one Python int
 (`exactnum.Kronecker`), every product is one big-integer multiplication and
-every sum one addition, and each coefficient of Phi(E_i * E_j) and of
-Phi(E_i) . Phi(E_j) is unpacked and built as a Cyclotomic once.  Otherwise,
-and when packing does not pay because a few operands, or the common
-denominator of many, are far wider than the typical one (`Kronecker.pack`
-states the test), the check sums slot by slot, one field product and one
-`accumulate` per term (`_apply_map`, `_pair_through_table`).
+every sum one addition, both sides of each basis coefficient sum into one
+int, their difference over a common denominator, and only a nonzero one is
+unpacked and built as a Cyclotomic.  Otherwise, and when packing does not
+pay because a few operands, or the common denominator of many, are far
+wider than the typical one (`Kronecker.pack` states the test), the check
+sums slot by slot, one field product and one `accumulate` per term
+(`_apply_map`, `_pair_through_table`), and subtracts the two sides.
 
 Why the two print the same bytes.  Under the rule every term the slot-by-slot
 sum hands to `accumulate` is a product with a conductor-N factor and
@@ -35,7 +36,14 @@ conductor N, or dropped when it cancels to zero; the packed kernel stores
 exactly that.  With mixed conductors the conductor a sum ends in depends on
 which terms cancel first, so reordering them could change the printed
 conductors, and the rule sends those inputs down the slot-by-slot path.
-The difference itself is taken by `BaseScalar` subtraction on both paths.
+The slot-by-slot path takes the difference by `BaseScalar` subtraction,
+which under the rule, with both sides exact values at N, stores each
+monomial's difference at N, or drops it when it cancels; the kernel reads
+its packed difference back at N and drops a zero, and normal forms are
+unique, so the bytes agree.  The s part, which Phi fixes, is the source's
+own minus the right side's by `BaseScalar` subtraction on both paths: the
+source's coefficient, which may be stored at any conductor, stays as it is
+where the right side has no s term.
 """
 
 from __future__ import annotations
@@ -179,18 +187,18 @@ def _packed_conductor(lmap: LinearMap, source: ProductTable,
     return conductor
 
 
-def _packed_images(lmap: LinearMap, source: ProductTable,
-                   target: ProductTable, conductor: int):
-    """Phi(E_i * E_j), and the s part and basis coefficients of
-    Phi(E_i) . Phi(E_j), for every source pair (i, j), as Kronecker-packed
-    sums, or None when packing does not pay; the values and conductors are
-    those of the slot-by-slot path."""
+def _packed_differences(lmap: LinearMap, source: ProductTable,
+                        target: ProductTable, conductor: int):
+    """The difference Phi(E_i * E_j) - Phi(E_i) . Phi(E_j) of every source
+    pair (i, j), summed as Kronecker-packed integers, or None when packing
+    does not pay; the values and conductors are those of the slot-by-slot
+    path."""
     n = source.n
-    # the two kinds of sum below, as (most terms, factor groups of a term):
-    # a coefficient of Phi(E_i * E_j) sums over l the products (map entry
+    # the kinds of sum below, as (most terms, factor groups of a term): a
+    # coefficient of Phi(E_i * E_j) sums over l the products (map entry
     # (k, l)) x (source coefficient l), one of Phi(E_i) . Phi(E_j) over
-    # (k, k') the products t x (map entry (k, i)) x (map entry (k', j))
-    lhs_shape, rhs_shape = 0, 1
+    # (k, k') the products t x (map entry (k, i)) x (map entry (k', j)),
+    # and the last shape is their difference
     kr = Kronecker.pack(conductor, {
         "map": {(k, l): c for k, row in enumerate(lmap.matrix)
                 for l, c in enumerate(row) if not c.is_zero()},
@@ -200,39 +208,43 @@ def _packed_images(lmap: LinearMap, source: ProductTable,
         "target": {(key, p, mono): c for key in target.pairs()
                    for p, part in enumerate(_parts(target.entry(*key)))
                    for mono, c in part.terms.items()},
-    }, [(n, ("map", "source")), (n * n, ("target", "map", "map"))])
+    }, [(n, ("map", "source")), (n * n, ("target", "map", "map")), (0, 1)])
     if kr is None:
         return None
-    sources = kr.packed["source"]
+    # scaled by a and -b, both sides sum straight into their difference
+    a, b = kr.scales[2]
+    sources = {key: a * y for key, y in kr.packed["source"].items()}
     # the nonzero entries (k, packed) of each map column l
     columns = [[(k, x) for (k, l), x in kr.packed["map"].items() if l == col]
                for col in range(n)]
-    # the (part, monomial, numerator) terms of each target entry (a, b)
+    # the (part, monomial, -b numerator) terms of each target entry
     products = {}
     for (key, p, mono), t in kr.packed["target"].items():
-        products.setdefault(key, []).append((p, mono, t))
-    images = []
+        products.setdefault(key, []).append((p, mono, -b * t))
+    diffs = []
     for key in source.pairs():
         i, j = key
-        lhs = [{} for _ in range(n)]
-        for l, coeff in enumerate(source.entry(i, j).e):
+        entry = source.entry(i, j)
+        sums = [{} for _ in range(n + 1)]   # the s part, then e_1..e_n
+        for l, coeff in enumerate(entry.e):
             for mono in coeff.terms:
                 y = sources[key, l, mono]
                 for k, x in columns[l]:
-                    acc = lhs[k]
+                    acc = sums[k + 1]
                     acc[mono] = acc.get(mono, 0) + x * y
-        rhs = [{} for _ in range(n + 1)]   # the s part, then e_1..e_n
         for k, x in columns[i - 1]:
             for kk, y in columns[j - 1]:
                 weight = x * y
                 for p, mono, t in products.get(
                         (min(k, kk) + 1, max(k, kk) + 1), ()):
-                    acc = rhs[p]
+                    acc = sums[p]
                     acc[mono] = acc.get(mono, 0) + t * weight
-        rhs = [BaseScalar._make(n, kr.values(rhs_shape, acc)) for acc in rhs]
-        images.append(([BaseScalar._make(n, kr.values(lhs_shape, acc))
-                        for acc in lhs], rhs[0], rhs[1:]))
-    return images
+        minus_rhs_s, *diff_e = (BaseScalar._make(n, kr.values(2, acc))
+                                for acc in sums)
+        # Phi fixes s, so the s part is the source's own minus the right
+        # side's, whose sum above holds only the right side, negated
+        diffs.append(ExcClass(n, entry.s + minus_rhs_s, tuple(diff_e)))
+    return diffs
 
 
 def transport_check(lmap: LinearMap, source: ProductTable,
@@ -252,18 +264,19 @@ def transport_check(lmap: LinearMap, source: ProductTable,
         raise ValueError("target must be a Chen-Ruan table")
     n = source.n
     conductor = _packed_conductor(lmap, source, target)
-    images = (None if conductor is None
-              else _packed_images(lmap, source, target, conductor))
-    if images is None:
-        images = ((_apply_map(lmap, source.entry(i, j)),
-                   *_pair_through_table(lmap, i, j, target))
-                  for i, j in source.pairs())
-    checks = []
-    for (i, j), (lhs, rhs_s, rhs_e) in zip(source.pairs(), images):
-        diff = ExcClass(n, source.entry(i, j).s - rhs_s,
-                        tuple(a - b for a, b in zip(lhs, rhs_e)))
-        checks.append(EntryCheck(i, j, diff))
-    return TransportReport(n, source.q, lmap, tuple(checks))
+    diffs = (None if conductor is None
+             else _packed_differences(lmap, source, target, conductor))
+    if diffs is None:
+        diffs = []
+        for i, j in source.pairs():
+            entry = source.entry(i, j)
+            lhs = _apply_map(lmap, entry)
+            rhs_s, rhs_e = _pair_through_table(lmap, i, j, target)
+            diffs.append(ExcClass(n, entry.s - rhs_s,
+                                  tuple(a - b for a, b in zip(lhs, rhs_e))))
+    checks = tuple(EntryCheck(i, j, diff)
+                   for (i, j), diff in zip(source.pairs(), diffs))
+    return TransportReport(n, source.q, lmap, checks)
 
 
 # ---------------------------------------------------------------------------

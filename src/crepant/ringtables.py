@@ -319,27 +319,30 @@ def _packed_values(coeffs: list, deltas: dict):
         return None
     (conductor,) = conductors
 
-    def fraction(x):
-        """x as a Fraction when it is rational, stored at a conductor
-        dividing N; else None."""
-        if x.is_rational() and conductor % x.conductor == 0:
-            return x.as_fraction()
-        return None
+    def here(x):
+        """Whether x is stored at a conductor dividing N."""
+        return conductor % x.conductor == 0
 
     # each coefficient's (index, integer weight) terms and its multiplier's
-    # (monomial, rational coefficient) terms; a table shares one K
+    # (monomial, rational coefficient) terms, read from the stored
+    # numerators; a table shares one K
     plans, mult = [], None
     for c in coeffs:
         if c.mult is not mult:
             mult = c.mult
-            mults = [(mono, fraction(m)) for mono, m in mult.terms.items()]
-        weights = [(idx, fraction(w)) for idx, w in c.corr.terms.items()]
+            if not all(here(m) and m.is_rational()
+                       for m in mult.terms.values()):
+                return None
+            mults = [(mono, Fraction(m._num[0], m._den))
+                     for mono, m in mult.terms.items()]
+        weights = c.corr.terms
         constant = c.corr.constant
-        if (not constant.is_zero() or conductor % constant.conductor
-                or any(m is None for _, m in mults)
-                or any(w is None or w.denominator != 1 for _, w in weights)):
+        if (not constant.is_zero() or not here(constant)
+                or not all(w._den == 1 and here(w) and w.is_rational()
+                           for w in weights.values())):
             return None
-        plans.append(([(idx, int(w)) for idx, w in weights], mults))
+        plans.append(([(idx, w._num[0]) for idx, w in weights.items()],
+                      mults))
     kr = Kronecker.pack(
         conductor,
         {"delta": {idx: deltas[idx] for ws, _ in plans for idx, _ in ws}},

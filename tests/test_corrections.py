@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from crepant import corrections
 from crepant.corrections import (CorrectionFunction, DeltaIndex, PoleError,
-                                 correction_eval, delta_eval)
+                                 cache_deltas, correction_eval, delta_eval)
 from crepant.exactnum import Cyclotomic, root_of_unity
-from crepant.ringtables import qc_table
+from crepant.ringtables import qc_eval, qc_table
 
 from oracles import cartan_build, row_sum_pairing as beta_pairing
 
@@ -128,9 +129,115 @@ def test_correction_eval_reads_and_fills_the_delta_cache(monkeypatch):
     assert sorted(k for k in deltas if isinstance(k, DeltaIndex)) == [
         DeltaIndex(1, 1), DeltaIndex(1, 2), DeltaIndex(2, 2)]
     assert deltas[DeltaIndex(2, 2)] is deltas[DeltaIndex(1, 1)]
-    # the other keys are the exact products, conductor and coordinates
+    # the other keys are the products' normal forms (conductor, numerators,
+    # denominator), and each index's product under ("product", index)
+    z9 = z3 * z3
+    indices = sorted(k for k in deltas if isinstance(k, DeltaIndex))
     assert {k for k in deltas if not isinstance(k, DeltaIndex)} == {
-        (3, z3.coeffs), (3, (z3 * z3).coeffs)}
+        (3, z3._num, z3._den), (3, z9._num, z9._den),
+        *(("product", idx) for idx in indices)}
+    assert [deltas["product", idx] for idx in indices] == [z3, z9, z3]
+
+
+def _walk_failure(table, q):
+    """The first error a term-by-term walk of the table raises at q,
+    uncached: the pole's (index, entry), or "zero" for a zero q entry."""
+    for key in table.pairs():
+        for coeff in table.entry(*key).e:
+            for idx in sorted(coeff.corr.terms):
+                try:
+                    delta_eval(idx, q)
+                except PoleError as exc:
+                    return tuple(exc.index), key
+                except ValueError:
+                    return "zero"
+    return None
+
+
+def _qc_eval_failure(table, q):
+    try:
+        qc_eval(table, q)
+    except PoleError as exc:
+        return tuple(exc.index), exc.entry
+    except ValueError:
+        return "zero"
+    return None
+
+
+POINT_VALUES = [0, 1, -1, Fraction(1, 2), 2, root_of_unity(4, 1),
+                root_of_unity(3, 1)]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_the_cached_walk_fails_where_an_uncached_walk_does(n):
+    # the running products must raise the first pole, and the error for
+    # a zero q entry, at the index where delta_eval met them one by one
+    table = qc_table(n)
+    points = list(itertools.product(POINT_VALUES, repeat=min(n, 3)))
+    rng = random.Random(n)
+    if n > 3:
+        points = [tuple(rng.choice(POINT_VALUES) for _ in range(n))
+                  for _ in range(150)]
+    failures = set()
+    for point in points:
+        q = _q(*point)
+        failure = _walk_failure(table, q)
+        assert _qc_eval_failure(table, q) == failure, point
+        failures.add(failure if failure in (None, "zero") else "pole")
+    assert failures == {None, "zero", "pole"}
+
+
+@pytest.mark.parametrize("q", [
+    [root_of_unity(3, 1), root_of_unity(5, 1)],
+    [root_of_unity(60, 20), root_of_unity(60, 12)],       # e:1/3,e:1/5
+    [root_of_unity(3, 1), Cyclotomic.from_rational(2), root_of_unity(5, 2),
+     root_of_unity(4, 1)],
+], ids=["own-conductors", "lifted", "with-a-rational"])
+def test_cached_deltas_keep_each_index_s_own_conductor(q):
+    # a running product (q_mu...q_{nu-1}) q_nu must land at the conductor
+    # of the one-by-one product, so the shared values keep theirs
+    table, deltas = qc_table(len(q)), {}
+    for key in table.pairs():
+        for coeff in table.entry(*key).e:
+            cache_deltas(coeff.corr, q, deltas)
+    indices = [k for k in deltas if isinstance(k, DeltaIndex)]
+    assert len(indices) == len(q) * (len(q) + 1) // 2
+    for idx in indices:
+        alone = delta_eval(idx, q)
+        cached = deltas[idx]
+        assert (cached.conductor, cached._num, cached._den) == (
+            alone.conductor, alone._num, alone._den)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_cache_deltas_forms_one_product_per_index_at_equal_q(
+        n, monkeypatch):
+    table, deltas = qc_table(n), {}
+    q = [root_of_unity(4 * (n + 1), 4)] * n
+    products, calls, inside = [], [], []
+    multiply, evaluate = Cyclotomic.__mul__, corrections.delta_eval
+
+    def counting_mul(a, b):
+        if not inside:                  # not one of delta_eval's own
+            products.append((a, b))
+        return multiply(a, b)
+
+    def counting_delta(idx, q):
+        calls.append(idx)
+        inside.append(idx)
+        try:
+            return evaluate(idx, q)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Cyclotomic, "__mul__", counting_mul)
+    monkeypatch.setattr(corrections, "delta_eval", counting_delta)
+    for key in table.pairs():
+        for coeff in table.entry(*key).e:
+            cache_deltas(coeff.corr, q, deltas)
+    assert len(products) <= n * (n + 1) // 2
+    # one delta_eval per distinct product q^1, ..., q^n
+    assert len(calls) == n
 
 
 def test_r_function_rank_one():

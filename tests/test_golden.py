@@ -13,6 +13,7 @@ Regenerate (only when an output change is intended) with
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,25 @@ def test_cli_output_matches_golden(name, argv, code):
     result = CliRunner().invoke(main, argv)
     assert result.exit_code == code, result.output
     assert result.stdout_bytes == (GOLDEN / name).read_bytes()
+
+
+# sha256 of the `scan --n N --format json` output above the golden ranks,
+# recorded before the transport check subtracted its two sides packed
+SCAN_DIGESTS = {
+    7: "b5b3fcfe988f7b02fdce99ec3de2d241e8a178a25a9550bf59eff3d7e16a1b28",
+    8: "b758b6cfc1e0f536a2cec89d5381cbdf554e32b04517bc5a45317ab4a2f2ed6b",
+    9: "a5fd694da974715ecd8373969e735e0ad8b261910e10b3f04b31d2bd37412d3f",
+    10: "920c65aee622320473813e3972682f98e6df733fe2ee1374794db7c34a697453",
+}
+
+
+@pytest.mark.parametrize("n", sorted(SCAN_DIGESTS))
+def test_higher_rank_scan_matches_its_digest(n):
+    result = CliRunner().invoke(main, ["scan", "--n", str(n),
+                                       "--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == \
+        SCAN_DIGESTS[n]
 
 
 if __name__ == "__main__":

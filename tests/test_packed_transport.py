@@ -11,6 +11,7 @@ byte, conductors included; the slot-by-slot path is the oracle here.
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,16 +20,23 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from click.testing import CliRunner  # noqa: E402
+
 from crepant import isocheck  # noqa: E402
+from crepant.cli import main  # noqa: E402
 from crepant.coeffring import BaseScalar  # noqa: E402
 from crepant.corrections import PoleError  # noqa: E402
 from crepant.exactnum import (Cyclotomic, Kronecker,  # noqa: E402
                               euler_phi, imaginary_unit, root_of_unity)
-from crepant.isocheck import _delta_system, transport_check  # noqa: E402
+from crepant.isocheck import (_delta_system, conjecture_scan,  # noqa: E402
+                               transport_check)
 from crepant.mckay import LinearMap, bgp_map, chtd_map  # noqa: E402
 from crepant.ringtables import (KIND_CR, KIND_QUANTUM_AT,  # noqa: E402
                                 ExcClass, ProductTable, cr_table, qc_eval,
                                 qc_table, strip_corrections)
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def _bytes(report) -> str:
@@ -44,8 +52,8 @@ def _slot_by_slot(lmap, source, target):
 def _assert_kernel_matches(lmap, source, target):
     conductor = isocheck._packed_conductor(lmap, source, target)
     assert conductor is not None
-    assert isocheck._packed_images(lmap, source, target,
-                                   conductor) is not None
+    assert isocheck._packed_differences(lmap, source, target,
+                                        conductor) is not None
     packed = transport_check(lmap, source, target)
     slow = _slot_by_slot(lmap, source, target)
     assert _bytes(packed) == _bytes(slow)
@@ -176,8 +184,8 @@ def test_generated_single_conductor_maps(case):
     # coordinates of very mixed sizes can make the packing far wider than
     # the typical entry; such a case sums slot by slot, as the routing tests
     # below pin, and is no example of the kernel
-    assume(isocheck._packed_images(lmap, source, target, conductor)
-           is not None)
+    assume(isocheck._packed_differences(lmap, source, target,
+                                        conductor) is not None)
     _assert_kernel_matches(lmap, source, target)
 
 
@@ -219,6 +227,154 @@ def test_each_declared_shape_holds_sums_at_its_bound(entry, source_value):
     lmap = LinearMap(n, ((x, x), (x, x)))
     source = _constant_table(n, KIND_QUANTUM_AT, source_value)
     _assert_kernel_matches(lmap, source, _constant_table(n, KIND_CR, 1))
+
+
+# -- the differences: both sides summed into one packed int ------------------
+
+
+def _unpacked(monkeypatch):
+    """Record, for every packed sum read back, whether it is zero."""
+    seen = []
+    original = Kronecker._unpack
+
+    def spy(self, total, shape):
+        value = original(self, total, shape)
+        seen.append(value.is_zero())
+        return value
+
+    monkeypatch.setattr(Kronecker, "_unpack", spy)
+    return seen
+
+
+def test_a_passing_root_whose_sides_differ_as_packed_ints(monkeypatch):
+    # the two sides' unreduced product polynomials differ, so their packed
+    # difference is a nonzero int that reduces to zero mod Phi_N; it must
+    # be dropped, as the BaseScalar subtraction of equal values drops it
+    n = 4
+    source = qc_eval(qc_table(n), [root_of_unity(20, 4)] * n)
+    seen = _unpacked(monkeypatch)
+    report = _assert_kernel_matches(bgp_map(n, 1), source, cr_table(n))
+    assert report.passed
+    assert any(seen)
+
+
+def _basis_conductors(report):
+    """{(i, j, k, monomial): conductor} of the basis differences."""
+    return {(e.i, e.j, k, mono): c.conductor for e in report.entries
+            for k, scalar in enumerate(e.diff.e)
+            for mono, c in scalar.terms.items()}
+
+
+def _basis_table(n, value):
+    """A rank-n evaluated table: s part -2 and every basis coefficient
+    `value` times the constant monomial, which no orbifold entry has."""
+    s = BaseScalar(n, {(0, 0): -2})
+    e = BaseScalar(n, {(0, 0): value} if value else {})
+    return ProductTable(n, KIND_QUANTUM_AT, {
+        key: ExcClass(n, s, (e,) * n) for key in cr_table(n).pairs()})
+
+
+def test_a_monomial_only_on_the_left_keeps_its_value_at_n():
+    n = 3
+    lmap = bgp_map(n, 1)                          # conductor 16
+    source = _basis_table(n, root_of_unity(8, 1))
+    report = _assert_kernel_matches(lmap, source, cr_table(n))
+    left = {key: c for key, c in _basis_conductors(report).items()
+            if key[3] == (0, 0)}
+    assert left and set(left.values()) == {16}
+    entry = report.entries[0]
+    assert entry.diff.e[0].terms[(0, 0)] == sum(
+        (lmap.matrix[0][l] * root_of_unity(8, 1) for l in range(n)),
+        Cyclotomic.zero(1))
+
+
+def test_a_monomial_only_on_the_right_is_its_negated_value_at_n():
+    n = 3
+    lmap = bgp_map(n, 1)
+    source = _basis_table(n, 0)
+    report = _assert_kernel_matches(lmap, source, cr_table(n))
+    right = _basis_conductors(report)
+    assert right and set(right.values()) == {16}
+    assert {mono for *_, mono in right} <= {(1, 0), (0, 1)}
+
+
+def test_an_s_part_whose_right_side_cancels_keeps_the_source_coefficient():
+    # column 1 of the map is (1, 2, -2): the s part of Phi(E_1) . Phi(E_1)
+    # sums (1 (-2) + 2 2 + (-2) 1)/4 = 0 over nonzero terms, so the
+    # difference is the source's own -2, still at conductor 1
+    n = 3
+    z4 = root_of_unity(4, 1)
+    one, two = Cyclotomic.one(4), Cyclotomic.from_rational(2, 4)
+    lmap = LinearMap(n, ((one, z4, one), (two, one, one), (-two, one, z4)))
+    source = qc_eval(qc_table(n), [z4] * n)
+    report = _assert_kernel_matches(lmap, source, cr_table(n))
+    s11 = report.entries[0].diff.s
+    assert (report.entries[0].i, report.entries[0].j) == (1, 1)
+    assert s11 == source.entry(1, 1).s
+    assert [c.conductor for c in s11.terms.values()] == [1]
+    # elsewhere the right side's s part does not cancel: its difference
+    # is taken at N
+    assert {c.conductor for e in report.entries[1:]
+            for c in e.diff.s.terms.values()} == {4}
+
+
+def test_a_difference_holds_digits_at_its_declared_bound():
+    # over D = lcm(3, 2) = 6 the difference x - y is 2 x' - 3 y' for the
+    # numerators x' = (c, 0) and y' = (-c, 2): its constant digit 5 c
+    # passes 2^63, where 2 c and 3 c alone do not; a width sized for
+    # either side alone would overflow into the next digit
+    c = 2 ** 61 - 1
+    x = Cyclotomic.from_rational(Fraction(c, 3), 4)
+    y = Cyclotomic.from_rational(Fraction(-c, 2), 4) + root_of_unity(4)
+    kr = Kronecker.pack(4, {"x": {0: x}, "y": {0: y}},
+                        [(1, ("x",)), (1, ("y",)), (0, 1)])
+    assert kr.scales[2] == (2, 3)
+    assert max(2 * c, 3 * c) < 2 ** 63 <= 5 * c
+    diff = 2 * kr.packed["x"][0] - 3 * kr.packed["y"][0]
+    assert kr.values(2, {"d": diff}) == {"d": x - y}
+
+
+def _packing_spy(monkeypatch):
+    """Record, per transport check, whether it ran packed."""
+    routes = []
+    original = isocheck._packed_differences
+
+    def spy(*args):
+        out = original(*args)
+        routes.append(out is not None)
+        return out
+
+    monkeypatch.setattr(isocheck, "_packed_differences", spy)
+    return routes
+
+
+def test_every_scan_point_to_rank_twelve_packs(monkeypatch):
+    routes = _packing_spy(monkeypatch)
+    points = 0
+    for n in range(1, 13):
+        points += sum(r.report is not None for r in conjecture_scan(n))
+    assert points > 12 and routes == [True] * points
+
+
+def test_every_in_field_verify_of_the_bench_catalogue_packs(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from workloads import CATALOGUE
+    checks, in_field = [], []
+    original = isocheck._packed_conductor
+
+    def conductor(*args):
+        out = original(*args)
+        in_field.append(out is not None)
+        return out
+
+    monkeypatch.setattr(isocheck, "_packed_conductor", conductor)
+    routes = _packing_spy(monkeypatch)
+    for argv in CATALOGUE:
+        if argv[0] == "verify":
+            checks.append(CliRunner().invoke(main, argv).exit_code)
+    assert set(checks) <= {0, 1, 2}
+    assert sum(in_field) >= 10
+    assert routes == [True] * sum(in_field)
 
 
 # -- routing: these inputs never reach the kernel -----------------------------
@@ -310,7 +466,7 @@ def test_a_packing_far_wider_than_its_typical_entry_runs_slot_by_slot(
     source = qc_eval(qc_table(3), [root_of_unity(16, 4)] * 3)
     target = cr_table(3)
     assert isocheck._packed_conductor(lmap, source, target) == 16
-    assert isocheck._packed_images(lmap, source, target, 16) is None
+    assert isocheck._packed_differences(lmap, source, target, 16) is None
     expected = _bytes(_slot_by_slot(lmap, source, target))
     monkeypatch.setattr(Kronecker, "values", _refuse)
     assert _bytes(transport_check(lmap, source, target)) == expected
