@@ -19,7 +19,7 @@ from .mckay import (LinearMap, McKayGraph, ade_resolution_graph, an_mckay,
 from .resolve import (ChartSurface, NotSingular, ResolutionGraph,
                       blowup_step, resolve_an)
 from .ringtables import (ExcClass, ProductTable, beta_pairing, cr_table,
-                         cup_table, qc_eval, qc_table, strip_corrections)
+                         cup_table, qc_eval, qc_table)
 
 __all__ = [
     "BaseScalar", "ChartSurface", "CorrectionFunction",
@@ -31,5 +31,5 @@ __all__ = [
     "conjecture_scan", "correction_eval", "cr_table", "cup_table",
     "cyclotomic_polynomial", "delta_eval", "imaginary_unit", "qc_eval",
     "qc_table", "resolve_an", "root_of_unity", "solve_a1", "solve_a2",
-    "sqrt_rational", "strip_corrections", "transport_check",
+    "sqrt_rational", "transport_check",
 ]

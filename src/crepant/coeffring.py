@@ -7,9 +7,11 @@ expanded form and equality is coefficient comparison.  For n = 1 the single
 generator is K (there are no L, M at rank one).  Each generator sits in
 cohomological degree 2.
 
-H*(S) is deliberately NOT truncated: every identity the library checks is a
-polynomial identity of degree <= 2 in the generators, and a concrete base
-(say a curve, where squares vanish) can be imposed with `substitute`.
+Every scalar the library builds is a constant or a linear form in the
+generators: the tables' coefficients are combinations of L and M, and the
+quantum correction only scales the fixed class K.  So a scalar is added,
+negated and scaled by a number, never multiplied by another scalar
+(`BaseScalar * BaseScalar` raises TypeError).
 """
 
 from __future__ import annotations
@@ -157,20 +159,9 @@ class BaseScalar:
     def __mul__(self, other):
         if isinstance(other, SCALARS):
             return self.scale(other)
-        if not isinstance(other, BaseScalar):
-            return NotImplemented
-        self._check(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                accumulate(out, tuple(a + b for a, b in zip(m1, m2)),
-                           c1 * c2)
-        return BaseScalar._make(self.n, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, SCALARS):
-            return self.scale(other)
         return NotImplemented
+
+    __rmul__ = __mul__
 
     def scale(self, value) -> "BaseScalar":
         value = coerce(value)
@@ -199,33 +190,6 @@ class BaseScalar:
 
     def constant_coefficient(self) -> Cyclotomic:
         return self.coefficient((0,) if self.n == 1 else (0, 0))
-
-    # -- substitution ------------------------------------------------------
-
-    def substitute(self, assignment: dict) -> "BaseScalar":
-        """Substitute generators by BaseScalars of the same rank.
-
-        Keys are "L", "M" (rank >= 2) or "K" (rank 1); generators absent
-        from the assignment map to themselves.
-        """
-        gens = ("K",) if self.n == 1 else ("L", "M")
-        images = []
-        for idx, name in enumerate(gens):
-            img = assignment.get(name)
-            if img is None:
-                key = tuple(1 if i == idx else 0 for i in range(len(gens)))
-                img = BaseScalar(self.n, {key: 1})
-            elif img.n != self.n:
-                raise ValueError("substitution rank mismatch")
-            images.append(img)
-        out = BaseScalar.zero(self.n)
-        for mono, coeff in self.terms.items():
-            term = BaseScalar.const(self.n, coeff)
-            for img, expo in zip(images, mono):
-                for _ in range(expo):
-                    term = term * img
-            out = out + term
-        return out
 
     # -- presentation ------------------------------------------------------
 

@@ -60,7 +60,7 @@ from .exactnum import (Cyclotomic, Kronecker, imaginary_unit, root_of_unity,
                        sqrt_rational)
 from .mckay import LinearMap, bgp_map
 from .ringtables import (KIND_CR, KIND_QUANTUM, ExcClass, ProductTable,
-                         cr_table, qc_eval, qc_table, strip_corrections)
+                         cr_table, cup_table, qc_eval, qc_table)
 
 
 class RankMismatch(ValueError):
@@ -369,15 +369,16 @@ def _delta_system(lmap: LinearMap, qct: ProductTable, crt: ProductTable):
 
     Returns (rows, rhs) over Q(zeta); each basis coefficient equation is
     split into its L- and M-monomial components.  The right-hand side is
-    the transport residual of the delta-free (stripped) table; the rows hold
-    the delta coefficients of Phi(E_i * E_j).
+    the transport residual of the cup table, which is the quantum table
+    with every delta set to zero; the rows hold the delta coefficients of
+    Phi(E_i * E_j), each times K.
     """
     n = 2
     unknowns = [DeltaIndex(1, 1), DeltaIndex(2, 2), DeltaIndex(1, 2)]
     monos = [(1, 0), (0, 1)]
     rows, rhs = [], []
     kappa = BaseScalar.K(n)
-    residual = transport_check(lmap, strip_corrections(qct), crt)
+    residual = transport_check(lmap, cup_table(n), crt)
     for check in residual.entries:
         entry = qct.entry(check.i, check.j)
         for k in range(n):

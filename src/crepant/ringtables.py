@@ -27,24 +27,25 @@ tabulated.
 
 `qc_eval` computes every delta value at the point first, then sums the
 corrections in one of two ways, with equal results.  When (a) every delta
-value has one conductor N, (b) every correction constant is zero, (c) every
-weight is an integer and (d) every coefficient of the multiplier (K) is
-rational, the constants, weights and multiplier coefficients all stored at
-conductors dividing N, each correction sum_b w_b delta_b is one sum of
-Kronecker-packed integers (`exactnum.Kronecker`), read back once per
-distinct sum; otherwise, and when packing does not pay, each coefficient is
-evaluated by `QCoeff.eval`.  Why the two print the same bytes: under the
-rule each term w_b delta_b and their sum have conductor exactly N, so the
-correction is its exact value at N, and times a rational multiplier
-coefficient it stays at N; a correction that sums to zero leaves the cup
-part as it is, as adding K scaled by zero does; and the cup part gains each
-scaled monomial by the same `BaseScalar` addition on both paths.
+value has one conductor N, (b) every correction constant is zero and (c)
+every weight is an integer, the constants and weights stored at conductors
+dividing N, each correction sum_b w_b delta_b is one sum of Kronecker-packed
+integers (`exactnum.Kronecker`), read back and scaled by K's rational
+coefficient once per distinct sum; otherwise, and when packing does not
+pay, each coefficient is evaluated by `QCoeff.eval`.  Why the two print the
+same bytes: under the rule each term w_b delta_b and their sum have
+conductor exactly N, so the correction is its exact value at N, and times
+K's rational coefficient it stays at N; a correction that sums to zero
+leaves the cup part as it is, as adding K scaled by zero does; and the cup
+part gains each scaled monomial by the same `BaseScalar` addition on both
+paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .coeffring import BaseScalar, coerce
 from .corrections import (CorrectionFunction, DeltaIndex, PoleError,
@@ -72,12 +73,9 @@ class ExcClass:
     def is_zero(self) -> bool:
         return self.s.is_zero() and all(c.is_zero() for c in self.e)
 
-    def substitute(self, assignment) -> "ExcClass":
-        return ExcClass(self.n, self.s.substitute(assignment),
-                        tuple(c.substitute(assignment) for c in self.e))
-
-    def to_json(self):
-        return {"s": self.s.to_json(), "e": [c.to_json() for c in self.e]}
+    def to_json(self, coeff=lambda c: c.to_json()):
+        """`coeff` writes one basis coefficient."""
+        return {"s": self.s.to_json(), "e": [coeff(c) for c in self.e]}
 
     @classmethod
     def from_json(cls, data, n: int,
@@ -89,53 +87,48 @@ class ExcClass:
 
 @dataclass(frozen=True)
 class QCoeff:
-    """A symbolic basis coefficient: cup + corr(q) * mult.
+    """A symbolic basis coefficient: cup + corr(q) * K.
 
-    mult is the class multiplying the correction (K throughout; kept
-    explicit so that substitutions like M -> -L can kill it).
+    Every correction multiplies the same class K = `BaseScalar.K(n)`, the
+    paper's sum over b of (E_i.b)(E_j.b) delta_b(q) K, so K is not stored.
     """
 
     cup: BaseScalar
     corr: CorrectionFunction
-    mult: BaseScalar
 
-    def eval(self, q, deltas) -> BaseScalar:
-        """The coefficient at q; `deltas` caches delta values at q.
+    def eval(self, q, deltas, kappa: BaseScalar) -> BaseScalar:
+        """The coefficient at q; `deltas` caches delta values at q, and
+        `kappa` is K.
 
         This is `qc_eval`'s route for the points its packed sums do not
         take (see the module docstring), and the oracle they are tested
         against: the correction is summed term by term as Cyclotomics and
-        the multiplier scaled by it.
+        K scaled by it.
         """
-        return self.cup + self.mult.scale(
-            correction_eval(self.corr, q, deltas))
-
-    def strip(self) -> BaseScalar:
-        """Drop all delta terms (the formal q -> 0 limit)."""
-        return self.cup + self.mult.scale(self.corr.constant)
-
-    def substitute(self, assignment) -> "QCoeff":
-        return QCoeff(self.cup.substitute(assignment), self.corr,
-                      self.mult.substitute(assignment))
+        return self.cup + kappa.scale(correction_eval(self.corr, q, deltas))
 
     def __str__(self):
         if self.corr.is_zero():
             return str(self.cup)
-        mult = "K" if self.mult == BaseScalar.K(self.cup.n) else self.mult
-        head = f"({self.corr})*{mult}"
+        head = f"({self.corr})*K"
         if self.cup.is_zero():
             return head
         return f"{self.cup} + {head}"
 
-    def to_json(self):
+    def to_json(self, mult=None):
+        """`mult` is K's JSON; a table's document shares one such dict."""
+        if mult is None:
+            mult = BaseScalar.K(self.cup.n).to_json()
         return {"cup": self.cup.to_json(), "corr": self.corr.to_json(),
-                "mult": self.mult.to_json()}
+                "mult": mult}
 
     @classmethod
-    def from_json(cls, data) -> "QCoeff":
+    def from_json(cls, data, kappa: BaseScalar) -> "QCoeff":
+        """Refuses a "mult" that is not K = `kappa`."""
         cup = BaseScalar.from_json(data["cup"])
-        return cls(cup, CorrectionFunction.from_json(data["corr"], cup.n),
-                   BaseScalar.from_json(data["mult"]))
+        if BaseScalar.from_json(data["mult"]) != kappa:
+            raise ValueError("a quantum coefficient's \"mult\" must be K")
+        return cls(cup, CorrectionFunction.from_json(data["corr"], cup.n))
 
 
 class ProductTable:
@@ -159,11 +152,6 @@ class ProductTable:
 
     def generator_name(self) -> str:
         return "e" if self.kind == KIND_CR else "E"
-
-    def substitute(self, assignment) -> "ProductTable":
-        return ProductTable(self.n, self.kind,
-                            {k: v.substitute(assignment)
-                             for k, v in self._entries.items()}, self.q)
 
     def __eq__(self, other):
         if not isinstance(other, ProductTable):
@@ -246,7 +234,6 @@ def qc_table(n: int) -> ProductTable:
     2*K + (4*d11)*K
     """
     cup = cup_table(n)
-    kappa = BaseScalar.K(n)
     betas = [DeltaIndex(mu, nu) for mu in range(1, n + 1)
              for nu in range(mu, n + 1)]
     # the nonzero pairings E_i.b for each i, b in (mu, nu) order; each i
@@ -266,8 +253,7 @@ def qc_table(n: int) -> ProductTable:
                 QCoeff(base.e[l - 1],
                        CorrectionFunction(n, 0, {
                            b: w for b, w in weights.items()
-                           if b.mu <= l <= b.nu}),
-                       kappa)
+                           if b.mu <= l <= b.nu}))
                 for l in range(1, n + 1))
             entries[(i, j)] = ExcClass(n, base.s, coeffs)
     return ProductTable(n, KIND_QUANTUM, entries)
@@ -301,18 +287,20 @@ def qc_eval(table: ProductTable, q) -> ProductTable:
             raise PoleError(exc.index, entry=key) from None
         parts.append((key, entry.s, len(coeffs), len(coeffs) + len(entry.e)))
         coeffs.extend(entry.e)
-    values = _packed_values(coeffs, deltas)
+    kappa = BaseScalar.K(table.n)
+    values = _packed_values(coeffs, deltas, kappa)
     if values is None:
-        values = [c.eval(q, deltas) for c in coeffs]
+        values = [c.eval(q, deltas, kappa) for c in coeffs]
     entries = {key: ExcClass(table.n, s, tuple(values[start:stop]))
                for key, s, start, stop in parts}
     return ProductTable(table.n, KIND_QUANTUM_AT, entries, q=q)
 
 
-def _packed_values(coeffs: list, deltas: dict):
+def _packed_values(coeffs: list, deltas: dict, kappa: BaseScalar):
     """The QCoeffs `coeffs` at the point whose delta values `deltas` holds,
-    each correction summed as Kronecker-packed integers; None when the
-    routing rule of the module docstring fails or packing does not pay."""
+    each correction summed as Kronecker-packed integers and times K =
+    `kappa`; None when the routing rule of the module docstring fails or
+    packing does not pay."""
     conductors = {deltas[idx].conductor for c in coeffs
                   for idx in c.corr.terms}
     if len(conductors) != 1:
@@ -323,61 +311,38 @@ def _packed_values(coeffs: list, deltas: dict):
         """Whether x is stored at a conductor dividing N."""
         return conductor % x.conductor == 0
 
-    # each coefficient's (index, integer weight) terms and its multiplier's
-    # (monomial, rational coefficient) terms, read from the stored
-    # numerators; a table shares one K
-    plans, mult = [], None
+    # each coefficient's (index, integer weight) terms, read from the stored
+    # numerators
+    plans = []
     for c in coeffs:
-        if c.mult is not mult:
-            mult = c.mult
-            if not all(here(m) and m.is_rational()
-                       for m in mult.terms.values()):
-                return None
-            mults = [(mono, Fraction(m._num[0], m._den))
-                     for mono, m in mult.terms.items()]
         weights = c.corr.terms
         constant = c.corr.constant
         if (not constant.is_zero() or not here(constant)
                 or not all(w._den == 1 and here(w) and w.is_rational()
                            for w in weights.values())):
             return None
-        plans.append(([(idx, w._num[0]) for idx, w in weights.items()],
-                      mults))
+        plans.append([(idx, w._num[0]) for idx, w in weights.items()])
     kr = Kronecker.pack(
         conductor,
-        {"delta": {idx: deltas[idx] for ws, _ in plans for idx, _ in ws}},
-        [(max(sum(abs(w) for _, w in ws) for ws, _ in plans), ("delta",))])
+        {"delta": {idx: deltas[idx] for ws in plans for idx, _ in ws}},
+        [(max(sum(abs(w) for _, w in ws) for ws in plans), ("delta",))])
     if kr is None:
         return None
     packed = kr.packed["delta"]
-    scaled = {}                 # (packed sum, m) -> its value times m
+    # K's coefficients are one rational k: 1 on K at rank one, 1/(n+1) on
+    # both L and M above it
+    k = next(iter(kappa.terms.values())).as_fraction()
+    scaled = {}         # packed sum -> K times its value, None for zero
     out = []
-    for c, (weights, mults) in zip(coeffs, plans):
+    for c, weights in zip(coeffs, plans):
         total = sum(w * packed[idx] for idx, w in weights)
-        value = kr.values(0, {0: total}).get(0)
-        if value is None:       # the correction is zero
-            out.append(c.cup)
-            continue
-        terms = {}
-        for mono, m in mults:
-            key = (total, m.numerator, m.denominator)
-            if key not in scaled:
-                scaled[key] = value * m
-            terms[mono] = scaled[key]
-        out.append(c.cup + BaseScalar._make(c.mult.n, terms))
+        if total not in scaled:
+            value = kr.values(0, {0: total}).get(0)
+            scaled[total] = None if value is None else BaseScalar._make(
+                kappa.n, dict.fromkeys(kappa.terms, value * k))
+        corr = scaled[total]
+        out.append(c.cup if corr is None else c.cup + corr)
     return out
-
-
-def strip_corrections(table: ProductTable) -> ProductTable:
-    """Drop every delta term of a symbolic quantum table (q -> 0 limit)."""
-    if table.kind != KIND_QUANTUM:
-        raise ValueError("strip_corrections expects a symbolic quantum table")
-    entries = {}
-    for key in table.pairs():
-        entry = table.entry(*key)
-        entries[key] = ExcClass(table.n, entry.s,
-                                tuple(c.strip() for c in entry.e))
-    return ProductTable(table.n, KIND_CUP, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +350,12 @@ def strip_corrections(table: ProductTable) -> ProductTable:
 
 
 def table_to_json(table: ProductTable):
+    coeff = BaseScalar.to_json
+    if table.kind == KIND_QUANTUM:
+        coeff = partial(QCoeff.to_json, mult=BaseScalar.K(table.n).to_json())
     doc = {"n": table.n, "kind": table.kind,
            "entries": [{"i": i, "j": j,
-                        **table.entry(i, j).to_json()}
+                        **table.entry(i, j).to_json(coeff)}
                        for i, j in table.pairs()]}
     if table.q is not None:
         doc["q"] = [x.to_json() for x in table.q]
@@ -396,7 +364,9 @@ def table_to_json(table: ProductTable):
 
 def table_from_json(doc) -> ProductTable:
     n, kind = doc["n"], doc["kind"]
-    coeff = QCoeff.from_json if kind == KIND_QUANTUM else BaseScalar.from_json
+    coeff = BaseScalar.from_json
+    if kind == KIND_QUANTUM:
+        coeff = partial(QCoeff.from_json, kappa=BaseScalar.K(n))
     entries = {(e["i"], e["j"]): ExcClass.from_json(e, n, coeff)
                for e in doc["entries"]}
     q = ([Cyclotomic.from_json(x) for x in doc["q"]]
@@ -503,15 +473,13 @@ def _ltx_corr(corr: CorrectionFunction) -> str:
     return _join_signed(parts)
 
 
-def _ltx_entry_coeff(coeff) -> str:
+def _ltx_entry_coeff(coeff, kappa: str) -> str:
+    """`kappa` is K's LaTeX, bracketed when it is a sum."""
     if isinstance(coeff, BaseScalar):
         return _ltx_base(coeff)
     if coeff.corr.is_zero():
         return _ltx_base(coeff.cup)
-    mult = _ltx_base(coeff.mult)
-    if " + " in mult or " - " in mult:
-        mult = f"\\left({mult}\\right)"
-    head = f"\\left({_ltx_corr(coeff.corr)}\\right){mult}"
+    head = f"\\left({_ltx_corr(coeff.corr)}\\right){kappa}"
     if coeff.cup.is_zero():
         return head
     return f"{_ltx_base(coeff.cup)} + {head}"
@@ -522,6 +490,9 @@ def table_to_latex(table: ProductTable) -> str:
     gen = table.generator_name()
     op = {"chen_ruan": "\\cup_{\\rm CR}", "cup": "\\cup",
           "quantum": "\\ast_{\\rho}", "quantum_at": "\\ast_{\\rho}"}
+    kappa = _ltx_base(BaseScalar.K(table.n))
+    if " + " in kappa or " - " in kappa:
+        kappa = f"\\left({kappa}\\right)"
     lines = ["\\begin{align*}"]
     for i, j in table.pairs():
         entry = table.entry(i, j)
@@ -529,7 +500,7 @@ def table_to_latex(table: ProductTable) -> str:
         if not entry.s.is_zero():
             parts.append(f"{_ltx_base(entry.s)}\\,[S]")
         for l, coeff in enumerate(entry.e, start=1):
-            text = _ltx_entry_coeff(coeff)
+            text = _ltx_entry_coeff(coeff, kappa)
             if text == "0":
                 continue
             parts.append(f"\\left[{text}\\right]{gen}_{{{l}}}")

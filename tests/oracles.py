@@ -3,7 +3,8 @@
 None of these is needed by a command of the library; each restates an
 operation or a property that the tests check the library against.  They read
 only public data (`Cyclotomic.coeffs`, `BaseScalar.terms`, `LinearMap.matrix`,
-`ProductTable.entry`).  pytest does not collect this module.
+`ProductTable.entry`, `QCoeff.cup`/`corr`).  pytest does not collect this
+module.
 """
 
 import math
@@ -11,11 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from crepant import linalg
-from crepant.coeffring import BaseScalar
+from crepant.coeffring import BaseScalar, accumulate
 from crepant.exactnum import (Cyclotomic, InvalidRoot, euler_phi,
                               imaginary_unit, root_of_unity)
 from crepant.mckay import LinearMap
-from crepant.ringtables import cr_table
+from crepant.ringtables import (KIND_CUP, ExcClass, ProductTable, QCoeff,
+                                cr_table)
 
 # -- Cyclotomic ---------------------------------------------------------------
 
@@ -155,6 +157,75 @@ def power_sqrt_rational(value, conductor: int) -> Cyclotomic:
     return root
 
 
+# -- the polynomial ring H*(S) ----------------------------------------------
+#
+# The library's scalars are constants and linear forms, only added and scaled
+# by numbers.  These restate the polynomial ring they live in: the product of
+# two scalars, the substitution of generators, and the degenerations of the
+# tables built on them.
+
+
+def product(a: BaseScalar, b: BaseScalar) -> BaseScalar:
+    """a * b, summed by `accumulate` over a's terms, then b's, in order."""
+    if a.n != b.n:
+        raise ValueError("rank mismatch")
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            accumulate(out, tuple(x + y for x, y in zip(m1, m2)), c1 * c2)
+    return BaseScalar(a.n, out)
+
+
+def substitute(x, assignment: dict):
+    """x with generators replaced by BaseScalars of the same rank.
+
+    x is a BaseScalar, an ExcClass, a ProductTable or a QCoeff.  Keys are
+    "L", "M" (rank >= 2) or "K" (rank 1); generators absent from the
+    assignment map to themselves.  A QCoeff keeps its correction and has
+    its cup part substituted; the class K that the correction multiplies is
+    implied by the QCoeff, so its image is `substitute(BaseScalar.K(n), ...)`.
+    """
+    if isinstance(x, ProductTable):
+        return ProductTable(x.n, x.kind,
+                            {key: substitute(x.entry(*key), assignment)
+                             for key in x.pairs()}, x.q)
+    if isinstance(x, ExcClass):
+        return ExcClass(x.n, substitute(x.s, assignment),
+                        tuple(substitute(c, assignment) for c in x.e))
+    if isinstance(x, QCoeff):
+        return QCoeff(substitute(x.cup, assignment), x.corr)
+    gens = ("K",) if x.n == 1 else ("L", "M")
+    images = []
+    for idx, name in enumerate(gens):
+        img = assignment.get(name)
+        if img is None:
+            key = tuple(1 if i == idx else 0 for i in range(len(gens)))
+            img = BaseScalar(x.n, {key: 1})
+        elif img.n != x.n:
+            raise ValueError("substitution rank mismatch")
+        images.append(img)
+    out = BaseScalar.zero(x.n)
+    for mono, coeff in x.terms.items():
+        term = BaseScalar.const(x.n, coeff)
+        for img, expo in zip(images, mono):
+            for _ in range(expo):
+                term = product(term, img)
+        out = out + term
+    return out
+
+
+def strip_corrections(table: ProductTable) -> ProductTable:
+    """The q -> 0 limit of a symbolic quantum table, as a cup table: each
+    coefficient's cup part plus K times its correction's constant."""
+    kappa = BaseScalar.K(table.n)
+    entries = {}
+    for key in table.pairs():
+        entry = table.entry(*key)
+        entries[key] = ExcClass(table.n, entry.s, tuple(
+            c.cup + kappa.scale(c.corr.constant) for c in entry.e))
+    return ProductTable(table.n, KIND_CUP, entries)
+
+
 # -- BaseScalar grading -------------------------------------------------------
 
 
@@ -250,8 +321,8 @@ def cr_associativity_report(n: int):
         s, e = BaseScalar.zero(n), [BaseScalar.zero(n)] * n
         for l, coeff in enumerate(cls.e, start=1):
             prod = table.entry(l, c)
-            s = s + coeff * prod.s
-            e = [x + coeff * y for x, y in zip(e, prod.e)]
+            s = s + product(coeff, prod.s)
+            e = [x + product(coeff, y) for x, y in zip(e, prod.e)]
         return s, e
 
     checked, skipped = [], []

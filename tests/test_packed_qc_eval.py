@@ -1,10 +1,11 @@
 """`qc_eval`'s packed corrections against the `QCoeff.eval` path.
 
-When every delta value at the point has one conductor N, every correction
-constant is zero, every weight an integer and every multiplier coefficient
-rational (all stored in subfields of Q(zeta_N)), `qc_eval` sums each
-correction as Kronecker-packed integers; otherwise, and when packing does
-not pay, it evaluates coefficient by coefficient through `QCoeff.eval`.
+When (a) every delta value at the point has one conductor N, (b) every
+correction constant is zero and (c) every weight is an integer (constants
+and weights stored in subfields of Q(zeta_N)), `qc_eval` sums each
+correction as Kronecker-packed integers and scales K by each distinct sum
+once; otherwise, and when packing does not pay, it evaluates coefficient by
+coefficient through `QCoeff.eval`.
 Both must give the same table, byte for byte, conductors included, and the
 same pole; the `QCoeff.eval` path is the oracle here.
 """

@@ -9,11 +9,11 @@ from crepant.corrections import (CorrectionFunction, DeltaIndex, PoleError,
 from crepant.exactnum import Cyclotomic, root_of_unity
 from crepant.ringtables import (KIND_CUP, ExcClass, ProductTable, cr_table,
                                 cup_table, qc_eval, qc_table,
-                                strip_corrections, table_from_json,
-                                table_to_json, table_to_latex, table_to_text)
+                                table_from_json, table_to_json,
+                                table_to_latex, table_to_text)
 
 from oracles import (cartan_build, cr_associativity_report, degrees,
-                     is_homogeneous, swap_lm)
+                     is_homogeneous, strip_corrections, substitute, swap_lm)
 
 D11, D22, D12 = DeltaIndex(1, 1), DeltaIndex(2, 2), DeltaIndex(1, 2)
 
@@ -238,8 +238,8 @@ def test_qc_eval_inverts_once_per_distinct_product(monkeypatch):
     for key in evaluated.pairs():
         for got, coeff in zip(evaluated.entry(*key).e,
                               qc_table(n).entry(*key).e):
-            alone = coeff.cup + coeff.mult.scale(correction_eval(coeff.corr,
-                                                                 q))
+            alone = coeff.cup + BaseScalar.K(n).scale(
+                correction_eval(coeff.corr, q))
             assert got.to_json() == alone.to_json()
 
 
@@ -293,12 +293,13 @@ def test_degree_homogeneity():
                 for coeff in entry.e:
                     assert degrees(coeff) <= {0, 2}
                     assert is_homogeneous(coeff)
+        # every correction multiplies K
+        assert degrees(BaseScalar.K(n)) <= {2}
         for key in qct.pairs():
             entry = qct.entry(*key)
             assert degrees(entry.s) <= {0}
             for coeff in entry.e:
                 assert degrees(coeff.cup) <= {0, 2}
-                assert degrees(coeff.mult) <= {2}
 
 
 def test_stripping_deltas_recovers_cup_table():
@@ -307,7 +308,10 @@ def test_stripping_deltas_recovers_cup_table():
 
 
 def _involute_entry(entry, n):
-    """sigma: E_l -> E_{n+1-l}, L <-> M, delta_{mu nu} -> reflected index."""
+    """sigma: E_l -> E_{n+1-l}, L <-> M, delta_{mu nu} -> reflected index.
+
+    The class K that every correction multiplies is fixed by L <-> M.
+    """
     e = []
     for l in range(1, n + 1):
         src = entry.e[(n + 1 - l) - 1]
@@ -318,7 +322,7 @@ def _involute_entry(entry, n):
                 n, src.corr.constant,
                 {DeltaIndex(n + 1 - idx.nu, n + 1 - idx.mu): c
                  for idx, c in src.corr.terms.items()})
-            e.append(type(src)(swap_lm(src.cup), corr, swap_lm(src.mult)))
+            e.append(type(src)(swap_lm(src.cup), corr))
     cls = type(entry)
     return cls(n, swap_lm(entry.s), tuple(e))
 
@@ -338,13 +342,13 @@ def test_symplectic_degeneration_kills_all_corrections():
     for n in range(1, 7):
         sub = {"K": BaseScalar.zero(1)} if n == 1 \
             else {"M": -BaseScalar.L(n)}
-        qs = qc_table(n).substitute(sub)
-        cs = cup_table(n).substitute(sub)
+        qs = substitute(qc_table(n), sub)
+        cs = substitute(cup_table(n), sub)
         for key in qs.pairs():
             qe, ce = qs.entry(*key), cs.entry(*key)
             assert qe.s == ce.s
             for l in range(n):
-                assert qe.e[l].mult.is_zero()
+                assert substitute(BaseScalar.K(n), sub).is_zero()
                 assert qe.e[l].cup == ce.e[l]
 
 
@@ -371,11 +375,20 @@ def test_latex_emitter_contains_deltas():
 
 def test_json_roundtrip_all_kinds():
     z3 = root_of_unity(3, 1)
-    tables = [cr_table(3), cup_table(2), qc_table(2),
+    tables = [cr_table(3), cup_table(2),
+              *(qc_table(n) for n in range(1, 10)),
               qc_eval(qc_table(2), [z3, z3])]
     for table in tables:
         doc = json.loads(json.dumps(table_to_json(table), sort_keys=True))
         assert table_from_json(doc) == table
+
+
+def test_a_quantum_coefficient_whose_mult_is_not_k_is_refused():
+    doc = json.loads(json.dumps(table_to_json(qc_table(2))))
+    assert table_from_json(doc) == qc_table(2)
+    doc["entries"][0]["e"][1]["mult"] = BaseScalar.L(2).to_json()
+    with pytest.raises(ValueError):
+        table_from_json(doc)
 
 
 def test_json_output_is_deterministic():
