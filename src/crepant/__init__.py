@@ -8,7 +8,7 @@ no floating point anywhere in the mathematical path.
 
 from .coeffring import BaseScalar
 from .corrections import (CorrectionFunction, DeltaIndex, PoleError,
-                          correction_eval, delta_eval)
+                          delta_eval)
 from .exactnum import (Cyclotomic, InvalidRoot, branch_sqrt,
                        cyclotomic_polynomial, imaginary_unit, root_of_unity,
                        sqrt_rational)
@@ -28,8 +28,8 @@ __all__ = [
     "RankMismatch", "ResolutionGraph", "TransportReport",
     "ade_resolution_graph", "an_mckay", "aut_gamma", "beta_pairing",
     "bgp_map", "blowup_step", "branch_sqrt", "chtd_map",
-    "conjecture_scan", "correction_eval", "cr_table", "cup_table",
-    "cyclotomic_polynomial", "delta_eval", "imaginary_unit", "qc_eval",
-    "qc_table", "resolve_an", "root_of_unity", "solve_a1", "solve_a2",
-    "sqrt_rational", "transport_check",
+    "conjecture_scan", "cr_table", "cup_table", "cyclotomic_polynomial",
+    "delta_eval", "imaginary_unit", "qc_eval", "qc_table", "resolve_an",
+    "root_of_unity", "solve_a1", "solve_a2", "sqrt_rational",
+    "transport_check",
 ]

@@ -75,11 +75,13 @@ class _Main(click.Group):
             raise InputError(str(exc)) from exc
 
 
-def _bound_rank(command: str, rank: int, cap: int):
+def _bound_rank(command: str, rank: int, cap: int, option: str = "--n"):
+    """Refuse a rank outside 1..cap, given as `option`, before any work."""
     if rank < 1:
-        raise InputError(f"{command} --n must be >= 1, got {rank}")
+        raise InputError(f"{command} {option} must be >= 1, got {rank}")
     if rank > cap:
-        raise InputError(f"{command} --n {rank} exceeds the limit n <= {cap}")
+        raise InputError(
+            f"{command} {option} {rank} exceeds the limit n <= {cap}")
 
 
 def _parse_qpoint(spec: str, n: int, lmap: LinearMap | None = None):
@@ -284,7 +286,8 @@ def cmd_scan(rank, fmt):
 @click.option("--n", "rank", type=int, default=None,
               help=f"rank 1 <= n <= {MAX_MCKAY_RANK}")
 @click.option("--group", "label", default=None,
-              help="static ADE data, e.g. D_4 or E_7")
+              help="static ADE data, e.g. D_4 or E_7; A_n and D_n need "
+              f"n <= {MAX_MCKAY_RANK}")
 @click.option("--full", is_flag=True,
               help="include the trivial representation")
 @click.option("--compare-resolution", is_flag=True,
@@ -299,6 +302,10 @@ def cmd_mckay(rank, label, full, compare_resolution, fmt):
         _bound_rank("mckay", rank, MAX_MCKAY_RANK)
         graph = an_mckay(rank, reduced=not full)
     else:
+        kind, _, num = label.partition("_")
+        if kind in ("A", "D") and num.isdigit():
+            _bound_rank("mckay", int(num), MAX_MCKAY_RANK,
+                        f"--group {kind}_n")
         graph = ade_resolution_graph(label)
     if fmt == "json":
         doc = graph.to_json()

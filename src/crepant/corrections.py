@@ -1,6 +1,6 @@
 """Quantum-correction functions in the finite delta basis.
 
-Every correction that can appear is a constant plus a finite combination of
+Every correction that can appear is an integer combination of
 
     delta_{mu nu}(q) = q_mu ... q_nu / (1 - q_mu ... q_nu),
 
@@ -8,16 +8,18 @@ the summed geometric series attached to the contracted curve class
 beta_{mu nu} = beta_mu + ... + beta_nu.  Only these classes carry nonzero
 three-point invariants, so representing corrections in this basis (rather
 than as general rational functions) makes equality a coefficient comparison.
-The delta functions are linearly independent, and evaluation is exact; a
-point where some q_mu ... q_nu = 1 is a genuine pole of the family and
-raises PoleError.
+Each weight is a product of intersection numbers E_i.beta, so an integer,
+and there is no constant term: every correction vanishes as q -> 0.
+The delta functions are linearly independent, and their values are exact;
+a point where some q_mu ... q_nu = 1 is a genuine pole of the family and
+raises PoleError.  `ringtables.qc_eval` sums the corrections at a point.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .coeffring import SCALARS, coerce
+from .coeffring import coerce
 from .exactnum import Cyclotomic
 
 
@@ -41,69 +43,67 @@ class PoleError(ArithmeticError):
 
 
 class CorrectionFunction:
-    """constant + sum of coeff * delta_{mu nu}, coefficients in Q(zeta)."""
+    """sum of w * delta_{mu nu} with integer weights w."""
 
-    __slots__ = ("n", "constant", "terms")
+    __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, constant=0, terms=None):
+    def __init__(self, n: int, terms=None):
         clean = {}
-        for idx, coeff in (terms or {}).items():
+        for idx, weight in (terms or {}).items():
             idx = DeltaIndex(*idx)
             if not 1 <= idx.mu <= idx.nu <= n:
                 raise ValueError(f"delta index {idx} out of range for n={n}")
-            coeff = coerce(coeff)
-            if not coeff.is_zero():
-                clean[idx] = coeff
+            if isinstance(weight, bool) or not isinstance(weight, int):
+                raise ValueError(f"delta weight {weight!r} is not an int")
+            if weight:
+                clean[idx] = weight
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "constant", coerce(constant))
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, *args):
         raise AttributeError("CorrectionFunction values are immutable")
 
     def __eq__(self, other):
-        if isinstance(other, SCALARS):
-            other = CorrectionFunction(self.n, other)
         if not isinstance(other, CorrectionFunction):
             return NotImplemented
-        return (self.n == other.n and self.constant == other.constant
-                and self.terms == other.terms)
+        return self.n == other.n and self.terms == other.terms
 
     __hash__ = None
 
     def is_zero(self) -> bool:
-        return self.constant.is_zero() and not self.terms
+        return not self.terms
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.terms)
 
     def __str__(self):
-        parts = []
-        if not self.constant.is_zero() or not self.terms:
-            parts.append(str(self.constant))
-        for idx in sorted(self.terms):
-            coeff = self.terms[idx]
-            sym = f"d{idx.mu}{idx.nu}"
-            cs = str(coeff)
-            if any(op in cs for op in (" + ", " - ")):
-                cs = f"({cs})"
-            parts.append(sym if cs == "1" else f"{cs}*{sym}")
-        return " + ".join(parts).replace("+ -", "- ")
+        parts = [f"d{idx.mu}{idx.nu}" if w == 1 else f"{w}*d{idx.mu}{idx.nu}"
+                 for idx, w in sorted(self.terms.items())]
+        return " + ".join(parts or ["0"]).replace("+ -", "- ")
 
     def __repr__(self):
-        return f"CorrectionFunction({self.n}, {self.constant!r}, {self.terms!r})"
+        return f"CorrectionFunction({self.n}, {self.terms!r})"
 
     def to_json(self):
-        return {"constant": self.constant.to_json(),
+        """A zero "constant" and each weight as a conductor-1 Cyclotomic."""
+        return {"constant": Cyclotomic.zero(1).to_json(),
                 "terms": [{"mu": i.mu, "nu": i.nu,
-                           "coeff": c.to_json()}
-                          for i, c in sorted(self.terms.items())]}
+                           "coeff": Cyclotomic.from_rational(w).to_json()}
+                          for i, w in sorted(self.terms.items())]}
 
     @classmethod
     def from_json(cls, data, n: int) -> "CorrectionFunction":
-        terms = {DeltaIndex(t["mu"], t["nu"]): Cyclotomic.from_json(t["coeff"])
-                 for t in data["terms"]}
-        return cls(n, Cyclotomic.from_json(data["constant"]), terms)
+        """Refuses a nonzero "constant" and a weight that is not an
+        integer."""
+        if Cyclotomic.from_json(data["constant"]):
+            raise ValueError("a correction's \"constant\" must be zero")
+        terms = {}
+        for t in data["terms"]:
+            w = Cyclotomic.from_json(t["coeff"])
+            if not w.is_rational() or w._den != 1:
+                raise ValueError(f"delta weight {w} is not an integer")
+            terms[DeltaIndex(t["mu"], t["nu"])] = w._num[0]
+        return cls(n, terms)
 
 
 def _interval_product(idx: DeltaIndex, q) -> Cyclotomic:
@@ -159,18 +159,3 @@ def cache_deltas(f: CorrectionFunction, q, deltas: dict) -> None:
             if delta is None:
                 delta = deltas[key] = delta_eval(idx, q)
             deltas[idx] = delta
-
-
-def correction_eval(f: CorrectionFunction, q, deltas=None) -> Cyclotomic:
-    """Evaluate constant + sum coeff * delta at a q-point, exactly.
-
-    `deltas` is an optional cache of delta values at this same point, shared
-    by several calls and filled by `cache_deltas`.
-    """
-    if deltas is None:
-        deltas = {}
-    cache_deltas(f, q, deltas)
-    value = f.constant
-    for idx in sorted(f.terms):
-        value = value + f.terms[idx] * deltas[idx]
-    return value

@@ -24,10 +24,9 @@ unpacked with balanced digits and reduced mod Phi_N once.  `isocheck` runs a
 transport check through it, both sides of each coefficient summed into their
 difference over a common denominator, when the map, the source and the
 target share one conductor (the rule it states) and the packing pays;
-`ringtables.qc_eval` sums the quantum corrections at a point through it
-when every delta value there has one conductor and every weight is an
-integer (the rule it states), one group of delta values and one shape of
-sums weighted by integers.
+`ringtables.qc_eval` sums every quantum correction at a point through it,
+one group of delta values (all of one conductor, the point's) and one
+shape of sums weighted by integers.
 
 Besides field arithmetic the module provides the two square-root gadgets the
 rest of the library needs:
@@ -513,10 +512,14 @@ class Kronecker:
     of b bits, however narrow its own factors.  A few values far wider than
     the rest, or many different denominators whose common multiple every
     value must then carry, make b far wider than the typical term needs,
-    and field products of one pair at a time cost less.  So `pack` returns
-    None when b is above both one 64-bit word and twice the width that the
-    same bound gives to values of the groups' mean width (the bits of a
-    value's coordinate norm and of its own denominator together).
+    and field products of one pair at a time cost less.  So when a shape
+    multiplies two or more groups, `pack` returns None when b is above both
+    one 64-bit word and twice the width that the same bound gives to values
+    of the groups' mean width (the bits of a value's coordinate norm and of
+    its own denominator together).  Shapes of single values multiply
+    nothing: a sum of them costs one big-integer addition per term however
+    wide b is, no more than the field additions it replaces, so such shapes
+    always pack.
 
     >>> z = root_of_unity(5)
     >>> x, y = root_of_unity(5, 3) - Fraction(2, 3), 2 * z
@@ -538,7 +541,7 @@ class Kronecker:
     @classmethod
     def pack(cls, conductor: int, groups: dict, shapes: list):
         """The groups packed for sums of the given shapes, or None when
-        packing does not pay (see the class docstring)."""
+        packing products does not pay (see the class docstring)."""
         coords, dens, norms, means, degrees = {}, {}, {}, {}, {}
         for name, values in groups.items():
             lifted = {k: v.lift(conductor) for k, v in values.items()}
@@ -567,7 +570,9 @@ class Kronecker:
                              1 + t.bit_length() + sum(means[g] for g in gs)))
         bits = max(1 + bound.bit_length() for _, bound, _, _ in sums)
         typical = max(width for *_, width in sums)
-        if bits > max(64, 2 * typical):
+        products = any(not isinstance(gs, int) and len(gs) > 1
+                       for _, gs in shapes)
+        if products and bits > max(64, 2 * typical):
             return None
         return cls(conductor, bits, coords, shapes,
                    [(den, digits) for den, _, digits, _ in sums])

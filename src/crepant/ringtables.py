@@ -25,31 +25,28 @@ tabulated.
   of c_n over mu..nu, in closed form
   [mu <= i-1 <= nu] + [mu <= i+1 <= nu] - 2[mu <= i <= nu].
 
-`qc_eval` computes every delta value at the point first, then sums the
-corrections in one of two ways, with equal results.  When (a) every delta
-value has one conductor N, (b) every correction constant is zero and (c)
-every weight is an integer, the constants and weights stored at conductors
-dividing N, each correction sum_b w_b delta_b is one sum of Kronecker-packed
-integers (`exactnum.Kronecker`), read back and scaled by K's rational
-coefficient once per distinct sum; otherwise, and when packing does not
-pay, each coefficient is evaluated by `QCoeff.eval`.  Why the two print the
-same bytes: under the rule each term w_b delta_b and their sum have
-conductor exactly N, so the correction is its exact value at N, and times
-K's rational coefficient it stays at N; a correction that sums to zero
-leaves the cup part as it is, as adding K scaled by zero does; and the cup
-part gains each scaled monomial by the same `BaseScalar` addition on both
-paths.
+`qc_eval` lifts the point into one field Q(zeta_N), N the lcm of its
+entries' conductors, and computes every delta value there first, so every
+value has conductor N.  Each correction sum_b w_b delta_b, its weights
+integers, is then one sum of Kronecker-packed integers
+(`exactnum.Kronecker`), read back at N and scaled by K's rational
+coefficient once per distinct sum; the cup part gains the scaled monomials
+by `BaseScalar` addition, and a correction that sums to zero leaves it as
+it is.  These are the values and conductors that summing each correction
+term by term as Cyclotomics at the lifted point and adding K scaled by it
+gives, the reference the tests hold it to.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
 from .coeffring import BaseScalar, coerce
 from .corrections import (CorrectionFunction, DeltaIndex, PoleError,
-                          cache_deltas, correction_eval)
+                          cache_deltas)
 from .exactnum import Cyclotomic, Kronecker
 
 KIND_CR = "chen_ruan"
@@ -95,17 +92,6 @@ class QCoeff:
 
     cup: BaseScalar
     corr: CorrectionFunction
-
-    def eval(self, q, deltas, kappa: BaseScalar) -> BaseScalar:
-        """The coefficient at q; `deltas` caches delta values at q, and
-        `kappa` is K.
-
-        This is `qc_eval`'s route for the points its packed sums do not
-        take (see the module docstring), and the oracle they are tested
-        against: the correction is summed term by term as Cyclotomics and
-        K scaled by it.
-        """
-        return self.cup + kappa.scale(correction_eval(self.corr, q, deltas))
 
     def __str__(self):
         if self.corr.is_zero():
@@ -251,7 +237,7 @@ def qc_table(n: int) -> ProductTable:
                        if b in pj}
             coeffs = tuple(
                 QCoeff(base.e[l - 1],
-                       CorrectionFunction(n, 0, {
+                       CorrectionFunction(n, {
                            b: w for b, w in weights.items()
                            if b.mu <= l <= b.nu}))
                 for l in range(1, n + 1))
@@ -262,21 +248,23 @@ def qc_table(n: int) -> ProductTable:
 def qc_eval(table: ProductTable, q) -> ProductTable:
     """Specialize a symbolic quantum table at an exact q-point.
 
-    Each delta value is computed at most once per distinct exact product
-    q_mu...q_nu: at q_1 = ... = q_n that is at most n values, not
-    n(n+1)/2.  They are all computed first, walking the entries in order,
-    each entry's coefficients in order and each coefficient's deltas in
-    order, so a PoleError names both the product entry (i, j) and the delta
-    index at which the family is undefined: the first one met on that walk.
-    The coefficients are then summed as Kronecker-packed integers when the
-    routing rule of the module docstring holds, and by `QCoeff.eval`
-    otherwise; both give the same values at the same conductors.
+    The point is lifted into Q(zeta_N), N the lcm of its entries'
+    conductors, and the table stores it so.  Each delta value is computed
+    at most once per distinct exact product q_mu...q_nu: at
+    q_1 = ... = q_n that is at most n values, not n(n+1)/2.  They are all
+    computed first, walking the entries in order, each entry's coefficients
+    in order and each coefficient's deltas in order, so a PoleError names
+    both the product entry (i, j) and the delta index at which the family is
+    undefined: the first one met on that walk.  The coefficients are then
+    summed as Kronecker-packed integers (see the module docstring).
     """
     if table.kind != KIND_QUANTUM:
         raise ValueError("qc_eval expects a symbolic quantum table")
     q = [coerce(x) for x in q]
     if len(q) != table.n:
         raise ValueError(f"expected {table.n} q-values")
+    conductor = math.lcm(*(x.conductor for x in q))
+    q = [x.lift(conductor) for x in q]
     deltas, coeffs, parts = {}, [], []
     for key in table.pairs():
         entry = table.entry(*key)
@@ -287,55 +275,31 @@ def qc_eval(table: ProductTable, q) -> ProductTable:
             raise PoleError(exc.index, entry=key) from None
         parts.append((key, entry.s, len(coeffs), len(coeffs) + len(entry.e)))
         coeffs.extend(entry.e)
-    kappa = BaseScalar.K(table.n)
-    values = _packed_values(coeffs, deltas, kappa)
-    if values is None:
-        values = [c.eval(q, deltas, kappa) for c in coeffs]
+    values = _packed_values(coeffs, deltas, BaseScalar.K(table.n),
+                            conductor)
     entries = {key: ExcClass(table.n, s, tuple(values[start:stop]))
                for key, s, start, stop in parts}
     return ProductTable(table.n, KIND_QUANTUM_AT, entries, q=q)
 
 
-def _packed_values(coeffs: list, deltas: dict, kappa: BaseScalar):
-    """The QCoeffs `coeffs` at the point whose delta values `deltas` holds,
-    each correction summed as Kronecker-packed integers and times K =
-    `kappa`; None when the routing rule of the module docstring fails or
-    packing does not pay."""
-    conductors = {deltas[idx].conductor for c in coeffs
-                  for idx in c.corr.terms}
-    if len(conductors) != 1:
-        return None
-    (conductor,) = conductors
-
-    def here(x):
-        """Whether x is stored at a conductor dividing N."""
-        return conductor % x.conductor == 0
-
-    # each coefficient's (index, integer weight) terms, read from the stored
-    # numerators
-    plans = []
-    for c in coeffs:
-        weights = c.corr.terms
-        constant = c.corr.constant
-        if (not constant.is_zero() or not here(constant)
-                or not all(w._den == 1 and here(w) and w.is_rational()
-                           for w in weights.values())):
-            return None
-        plans.append([(idx, w._num[0]) for idx, w in weights.items()])
+def _packed_values(coeffs: list, deltas: dict, kappa: BaseScalar,
+                   conductor: int) -> list:
+    """The QCoeffs `coeffs` at the point whose delta values, all of
+    conductor `conductor`, `deltas` holds: each correction summed as
+    Kronecker-packed integers and times K = `kappa`."""
     kr = Kronecker.pack(
         conductor,
-        {"delta": {idx: deltas[idx] for ws in plans for idx, _ in ws}},
-        [(max(sum(abs(w) for _, w in ws) for ws in plans), ("delta",))])
-    if kr is None:
-        return None
+        {"delta": {idx: deltas[idx] for c in coeffs for idx in c.corr.terms}},
+        [(max(sum(map(abs, c.corr.terms.values())) for c in coeffs),
+          ("delta",))])
     packed = kr.packed["delta"]
     # K's coefficients are one rational k: 1 on K at rank one, 1/(n+1) on
     # both L and M above it
     k = next(iter(kappa.terms.values())).as_fraction()
     scaled = {}         # packed sum -> K times its value, None for zero
     out = []
-    for c, weights in zip(coeffs, plans):
-        total = sum(w * packed[idx] for idx, w in weights)
+    for c in coeffs:
+        total = sum(w * packed[idx] for idx, w in c.corr.terms.items())
         if total not in scaled:
             value = kr.values(0, {0: total}).get(0)
             scaled[total] = None if value is None else BaseScalar._make(
@@ -463,13 +427,9 @@ def _ltx_base(sc: BaseScalar) -> str:
 
 def _ltx_corr(corr: CorrectionFunction) -> str:
     parts = []
-    for idx in sorted(corr.terms):
-        cs = _ltx_wrap(corr.terms[idx])
+    for idx, w in sorted(corr.terms.items()):
         sym = f"\\delta_{{{idx.mu}{idx.nu}}}"
-        parts.append(sym if cs == "1" else f"-{sym}" if cs == "-1"
-                     else f"{cs}{sym}")
-    if not corr.constant.is_zero() or not parts:
-        parts.append(_ltx_cyclotomic(corr.constant))
+        parts.append(sym if w == 1 else f"-{sym}" if w == -1 else f"{w}{sym}")
     return _join_signed(parts)
 
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from crepant import linalg
 from crepant.coeffring import BaseScalar, accumulate
+from crepant.corrections import CorrectionFunction, cache_deltas
 from crepant.exactnum import (Cyclotomic, InvalidRoot, euler_phi,
                               imaginary_unit, root_of_unity)
 from crepant.mckay import LinearMap
@@ -216,14 +217,40 @@ def substitute(x, assignment: dict):
 
 def strip_corrections(table: ProductTable) -> ProductTable:
     """The q -> 0 limit of a symbolic quantum table, as a cup table: each
-    coefficient's cup part plus K times its correction's constant."""
-    kappa = BaseScalar.K(table.n)
+    coefficient's cup part, every delta vanishing at q = 0."""
     entries = {}
     for key in table.pairs():
         entry = table.entry(*key)
-        entries[key] = ExcClass(table.n, entry.s, tuple(
-            c.cup + kappa.scale(c.corr.constant) for c in entry.e))
+        entries[key] = ExcClass(table.n, entry.s,
+                                tuple(c.cup for c in entry.e))
     return ProductTable(table.n, KIND_CUP, entries)
+
+
+# -- corrections at a point ---------------------------------------------------
+#
+# `ringtables.qc_eval` sums every correction at a point as one packed integer
+# per coefficient.  These evaluate term by term in the field instead.
+
+
+def correction_eval(f: CorrectionFunction, q, deltas=None) -> Cyclotomic:
+    """sum w * delta at a q-point, each term a field product and sum.
+
+    `deltas` is an optional cache of delta values at this same point, shared
+    by several calls and filled by `corrections.cache_deltas`.
+    """
+    if deltas is None:
+        deltas = {}
+    cache_deltas(f, q, deltas)
+    value = Cyclotomic.zero(1)
+    for idx in sorted(f.terms):
+        value = value + f.terms[idx] * deltas[idx]
+    return value
+
+
+def qcoeff_eval(c: QCoeff, q, deltas, kappa: BaseScalar) -> BaseScalar:
+    """A quantum coefficient at q, `deltas` caching delta values at q and
+    `kappa` being K: its cup part plus K scaled by its correction."""
+    return c.cup + kappa.scale(correction_eval(c.corr, q, deltas))
 
 
 # -- BaseScalar grading -------------------------------------------------------

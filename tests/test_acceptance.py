@@ -100,8 +100,8 @@ def test_criterion_04_rank_two_table_fidelity():
             got = entry.e[l]
             # cup part: (cl L + cm M)/3; correction multiplies K = (L+M)/3
             assert got.cup == (L.scale(cl) + M.scale(cm)).scale(third)
-            assert got.corr == CorrectionFunction(2, 0, dl)
-            assert got.corr == CorrectionFunction(2, 0, dm)
+            assert got.corr == CorrectionFunction(2, dl)
+            assert got.corr == CorrectionFunction(2, dm)
             assert got.to_json()["mult"] == BaseScalar.K(2).to_json()
     _report(4, "rank-2 symbolic table matches the worked display exactly")
 

@@ -270,8 +270,8 @@ def _forbid_work(monkeypatch, message):
         raise AssertionError(message)
 
     for name in ("cr_table", "cup_table", "qc_table", "qc_eval", "bgp_map",
-                 "chtd_map", "an_mckay", "resolve_an", "conjecture_scan",
-                 "_parse_qpoint"):
+                 "chtd_map", "an_mckay", "ade_resolution_graph",
+                 "resolve_an", "conjecture_scan", "_parse_qpoint"):
         monkeypatch.setattr(cli, name, no_work)
 
 
@@ -303,6 +303,25 @@ def test_rank_below_one_is_refused_before_any_work(runner, monkeypatch,
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == f"Error: {command} --n must be >= 1, got {rank}\n"
+
+
+@pytest.mark.parametrize("kind", ["A", "D"])
+def test_a_group_rank_above_the_mckay_cap_is_refused_before_any_work(
+        runner, monkeypatch, kind):
+    import crepant.cli as cli
+
+    limit = cli.MAX_MCKAY_RANK
+    assert runner.invoke(main, ["mckay", "--group", f"D_{limit}"]
+                         ).exit_code == 0
+    _forbid_work(monkeypatch, f"mckay --group {kind}_n did work above the "
+                 "rank cap")
+    result = runner.invoke(main, ["mckay", "--group", f"{kind}_{limit + 1}"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == (f"Error: mckay --group {kind}_n {limit + 1} "
+                             f"exceeds the limit n <= {limit}\n")
+    help_text = runner.invoke(main, ["mckay", "--help"]).output
+    assert f"A_n and D_n need n <= {limit}" in " ".join(help_text.split())
 
 
 def _diagonal_map_file(tmp_path, conductors):

@@ -6,19 +6,20 @@ import pytest
 
 from crepant import corrections
 from crepant.corrections import (CorrectionFunction, DeltaIndex, PoleError,
-                                 cache_deltas, correction_eval, delta_eval)
+                                 cache_deltas, delta_eval)
 from crepant.exactnum import Cyclotomic, root_of_unity
 from crepant.ringtables import qc_eval, qc_table
 
-from oracles import cartan_build, row_sum_pairing as beta_pairing
+from oracles import cartan_build, correction_eval
+from oracles import row_sum_pairing as beta_pairing
 
 
 def r_function(n, i, j, m, cd):
     """Oracle: the structure function
     sum_{mu <= nu} (E_i.b)(E_j.b)(E_m.b) delta_{mu nu}, b = beta_{mu nu}.
 
-    Fully symmetric in (i, j, m); its constant term is always zero, which is
-    exactly the statement that corrections vanish in the q -> 0 limit.
+    Fully symmetric in (i, j, m); it has no constant term, which is exactly
+    the statement that corrections vanish in the q -> 0 limit.
     """
     terms = {}
     for mu in range(1, n + 1):
@@ -26,7 +27,7 @@ def r_function(n, i, j, m, cd):
             terms[DeltaIndex(mu, nu)] = (beta_pairing(cd, i, mu, nu)
                                          * beta_pairing(cd, j, mu, nu)
                                          * beta_pairing(cd, m, mu, nu))
-    return CorrectionFunction(n, 0, terms)
+    return CorrectionFunction(n, terms)
 
 
 def _q(*values):
@@ -56,8 +57,8 @@ def test_delta_rejects_zero_entries():
 
 def test_correction_eval_a1_correction_vanishes_at_minus_one():
     # the corrected coefficient 2 + 4 q/(1-q) vanishes at q = -1
-    f = CorrectionFunction(1, 2, {DeltaIndex(1, 1): 4})
-    assert correction_eval(f, _q(-1)).is_zero()
+    f = CorrectionFunction(1, {DeltaIndex(1, 1): 4})
+    assert (2 + correction_eval(f, _q(-1))).is_zero()
 
 
 def test_zero_function_evaluates_to_zero():
@@ -67,8 +68,8 @@ def test_zero_function_evaluates_to_zero():
 
 def test_correction_eval_by_direct_substitution():
     z3 = root_of_unity(3, 1)
-    f = CorrectionFunction(2, 0, {DeltaIndex(1, 1): 1, DeltaIndex(2, 2): 1,
-                                  DeltaIndex(1, 2): 1})
+    f = CorrectionFunction(2, {DeltaIndex(1, 1): 1, DeltaIndex(2, 2): 1,
+                               DeltaIndex(1, 2): 1})
     expected = 2 * z3 / (1 - z3) + z3 ** 2 / (1 - z3 ** 2)
     assert correction_eval(f, _q(z3, z3)) == expected
 
@@ -86,8 +87,8 @@ def test_correction_eval_against_truncated_series_oracle():
                 for nu in range(mu, n + 1):
                     terms[DeltaIndex(mu, nu)] = rng.randint(-3, 3)
             const = rng.randint(-2, 2)
-            f = CorrectionFunction(n, const, terms)
-            exact = correction_eval(f, _q(*q)).to_complex()
+            f = CorrectionFunction(n, terms)
+            exact = (const + correction_eval(f, _q(*q))).to_complex()
             approx = complex(const)
             for (mu, nu), coeff in terms.items():
                 prod = 1.0
@@ -98,7 +99,7 @@ def test_correction_eval_against_truncated_series_oracle():
 
 
 def test_pole_propagates_with_index():
-    f = CorrectionFunction(2, 1, {DeltaIndex(1, 2): 5})
+    f = CorrectionFunction(2, {DeltaIndex(1, 2): 5})
     with pytest.raises(PoleError) as err:
         correction_eval(f, _q(-1, -1))
     assert err.value.index == DeltaIndex(1, 2)
@@ -115,8 +116,8 @@ def test_correction_eval_reads_and_fills_the_delta_cache(monkeypatch):
 
     monkeypatch.setattr(corrections, "delta_eval", counting)
     z3 = root_of_unity(3, 1)
-    f = CorrectionFunction(2, 0, {DeltaIndex(1, 1): 1, DeltaIndex(1, 2): 1})
-    g = CorrectionFunction(2, 0, {DeltaIndex(1, 2): 2, DeltaIndex(2, 2): 1})
+    f = CorrectionFunction(2, {DeltaIndex(1, 1): 1, DeltaIndex(1, 2): 1})
+    g = CorrectionFunction(2, {DeltaIndex(1, 2): 2, DeltaIndex(2, 2): 1})
     deltas = {}
     assert correction_eval(f, _q(z3, z3), deltas) == correction_eval(
         f, _q(z3, z3))
@@ -243,14 +244,13 @@ def test_cache_deltas_forms_one_product_per_index_at_equal_q(
 def test_r_function_rank_one():
     cd = cartan_build(1)
     assert r_function(1, 1, 1, 1, cd) == \
-        CorrectionFunction(1, 0, {DeltaIndex(1, 1): -8})
+        CorrectionFunction(1, {DeltaIndex(1, 1): -8})
 
 
 def test_r_function_rank_two_diagonal():
     cd = cartan_build(2)
     assert r_function(2, 1, 1, 1, cd) == CorrectionFunction(
-        2, 0, {DeltaIndex(1, 1): -8, DeltaIndex(2, 2): 1,
-               DeltaIndex(1, 2): -1})
+        2, {DeltaIndex(1, 1): -8, DeltaIndex(2, 2): 1, DeltaIndex(1, 2): -1})
 
 
 def _pairing_oracle(n, i, mu, nu):
@@ -277,7 +277,7 @@ def test_r_function_against_enumeration_oracle():
                     if w:
                         expected[DeltaIndex(mu, nu)] = w
             assert r_function(n, i, j, m, cd) == \
-                CorrectionFunction(n, 0, expected)
+                CorrectionFunction(n, expected)
 
 
 def test_r_function_total_symmetry():
@@ -290,10 +290,12 @@ def test_r_function_total_symmetry():
 
 
 def test_r_function_constant_term_vanishes():
+    # a correction stores no constant; its JSON writes the constant zero
     for n in range(1, 6):
         cd = cartan_build(n)
         for i, j, m in itertools.product(range(1, n + 1), repeat=3):
-            assert r_function(n, i, j, m, cd).constant.is_zero()
+            doc = r_function(n, i, j, m, cd).to_json()
+            assert Cyclotomic.from_json(doc["constant"]).is_zero()
 
 
 def test_qc_table_corrections_are_the_cartan_contraction_of_r():
@@ -311,19 +313,37 @@ def test_qc_table_corrections_are_the_cartan_contraction_of_r():
                         for idx, c in r[m].terms.items():
                             expected[idx] = (expected.get(idx, 0)
                                              + c * cd.c_inv[l][m])
-                    assert table.entry(i, j).e[l].corr == \
-                        CorrectionFunction(n, 0, expected)
+                    # the contraction's weights are integers
+                    assert all(c.denominator == 1
+                               for c in expected.values())
+                    assert table.entry(i, j).e[l].corr == CorrectionFunction(
+                        n, {idx: int(c) for idx, c in expected.items()})
 
 
 def test_correction_equality_is_coefficientwise():
-    a = CorrectionFunction(2, 1, {DeltaIndex(1, 1): 2})
-    b = CorrectionFunction(2, 1, {DeltaIndex(1, 1): 2, DeltaIndex(2, 2): 0})
-    c = CorrectionFunction(2, 1, {DeltaIndex(2, 2): 2})
+    a = CorrectionFunction(2, {DeltaIndex(1, 1): 2})
+    b = CorrectionFunction(2, {DeltaIndex(1, 1): 2, DeltaIndex(2, 2): 0})
+    c = CorrectionFunction(2, {DeltaIndex(2, 2): 2})
     assert a == b
     assert a != c
 
 
 def test_json_roundtrip():
-    f = CorrectionFunction(2, Fraction(1, 3),
-                           {DeltaIndex(1, 2): root_of_unity(3, 1)})
+    f = CorrectionFunction(2, {DeltaIndex(1, 2): -3, DeltaIndex(1, 1): 1})
     assert CorrectionFunction.from_json(f.to_json(), 2) == f
+
+
+def test_json_writes_a_zero_constant_and_conductor_one_weights():
+    f = CorrectionFunction(2, {DeltaIndex(1, 2): -3})
+    assert f.to_json() == {
+        "constant": {"conductor": 1, "coeffs": ["0"]},
+        "terms": [{"mu": 1, "nu": 2,
+                   "coeff": {"conductor": 1, "coeffs": ["-3"]}}]}
+
+
+@pytest.mark.parametrize("weight", [
+    Fraction(1, 2), Fraction(2), Cyclotomic.from_rational(2),
+    root_of_unity(3, 1), 2.0, True])
+def test_a_weight_that_is_not_an_int_is_refused(weight):
+    with pytest.raises(ValueError):
+        CorrectionFunction(2, {DeltaIndex(1, 2): weight})

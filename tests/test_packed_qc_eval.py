@@ -1,42 +1,59 @@
-"""`qc_eval`'s packed corrections against the `QCoeff.eval` path.
+"""`qc_eval`'s packed corrections against a term-by-term reference.
 
-When (a) every delta value at the point has one conductor N, (b) every
-correction constant is zero and (c) every weight is an integer (constants
-and weights stored in subfields of Q(zeta_N)), `qc_eval` sums each
-correction as Kronecker-packed integers and scales K by each distinct sum
-once; otherwise, and when packing does not pay, it evaluates coefficient by
-coefficient through `QCoeff.eval`.
-Both must give the same table, byte for byte, conductors included, and the
-same pole; the `QCoeff.eval` path is the oracle here.
+`qc_eval` lifts the point into one field Q(zeta_N), N the lcm of its
+entries' conductors, so every delta value there has conductor N, and sums
+each correction, an integer combination of deltas, as Kronecker-packed
+integers, scaling K once per distinct sum.  The reference sums each
+correction term by term as Cyclotomics at the lifted point and adds K
+scaled by it (`oracles.qcoeff_eval`).  Both must give the same table, byte
+for byte, conductors included, and the same pole.
 """
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
-from crepant import ringtables
+from crepant.coeffring import BaseScalar
 from crepant.corrections import PoleError
 from crepant.exactnum import Cyclotomic, Kronecker, root_of_unity
-from crepant.isocheck import conjecture_scan
-from crepant.ringtables import qc_eval, qc_table, table_to_json
+from crepant.ringtables import (KIND_QUANTUM_AT, ExcClass, ProductTable,
+                                qc_eval, qc_table, table_to_json)
+
+from oracles import qcoeff_eval
 
 
-def _outcome(table, q):
+def _reference(table, q, lift=True):
+    """The table at q, coefficient by coefficient through `qcoeff_eval`,
+    at q lifted into Q(zeta_N) unless `lift` is false."""
+    if lift:
+        conductor = math.lcm(*(x.conductor for x in q))
+        q = [x.lift(conductor) for x in q]
+    kappa, deltas, entries = BaseScalar.K(table.n), {}, {}
+    for key in table.pairs():
+        entry = table.entry(*key)
+        try:
+            coeffs = tuple(qcoeff_eval(c, q, deltas, kappa) for c in entry.e)
+        except PoleError as exc:
+            raise PoleError(exc.index, entry=key) from None
+        entries[key] = ExcClass(table.n, entry.s, coeffs)
+    return ProductTable(table.n, KIND_QUANTUM_AT, entries, q=q)
+
+
+def _outcome(evaluate, table, q):
     """The evaluated table's JSON, or the pole's (index, entry)."""
     try:
-        return json.dumps(table_to_json(qc_eval(table, q)), sort_keys=True)
+        return json.dumps(table_to_json(evaluate(table, q)), sort_keys=True)
     except PoleError as exc:
         return tuple(exc.index), exc.entry
 
 
-def _assert_routes_agree(table, q):
-    packed = _outcome(table, q)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ringtables, "_packed_values", lambda *args: None)
-        # a boolean, so that a failure does not diff two large documents
-        same = _outcome(table, q) == packed
-    assert same, f"the routes differ at q = {list(map(str, q))}"
+def _assert_matches_reference(table, q):
+    packed = _outcome(qc_eval, table, q)
+    # a boolean, so that a failure does not diff two large documents
+    same = _outcome(_reference, table, q) == packed
+    assert same, f"qc_eval differs at q = {list(map(str, q))}"
     return packed
 
 
@@ -54,7 +71,8 @@ def test_equal_roots_at_every_m(n):
     # m = 0 and every m sharing a factor with n + 1 hit a pole
     table = qc_table(n)
     for m in range(2 * n + 3):
-        _assert_routes_agree(table, [root_of_unity(4 * (n + 1), 4 * m)] * n)
+        _assert_matches_reference(table,
+                                  [root_of_unity(4 * (n + 1), 4 * m)] * n)
 
 
 @pytest.mark.parametrize("n,q", [
@@ -74,39 +92,31 @@ def test_equal_roots_at_every_m(n):
 ], ids=["n4-mixed-roots", "e:1/3,e:1/5", "cube-roots", "rational",
         "pole-minus-one", *(f"pole-{k}" for k in range(8))])
 def test_mixed_rational_and_pole_points(n, q):
-    _assert_routes_agree(qc_table(n), q)
+    _assert_matches_reference(qc_table(n), q)
 
 
 def test_rank_one_at_minus_one_cancels():
     # the correction -2 K cancels the cup part 2 K: the coefficient is zero
-    doc = json.loads(_assert_routes_agree(qc_table(1), _rationals(-1)))
+    doc = json.loads(_assert_matches_reference(qc_table(1), _rationals(-1)))
     assert doc["entries"][0]["e"] == [{"rank": 1, "terms": []}]
 
 
-def test_a_refused_packing_evaluates_the_same(monkeypatch):
-    n = 6
-    q = [root_of_unity(28, 4)] * n
-    table = qc_table(n)
-    expected = _outcome(table, q)
-    monkeypatch.setattr(Kronecker, "pack", lambda *args: None)
-    assert _assert_routes_agree(table, q) == expected
+def test_a_mixed_point_is_stored_lifted_to_its_lcm():
+    # Q(zeta_3), Q(zeta_4), Q(zeta_5), Q(zeta_20): N = 60
+    evaluated = qc_eval(qc_table(4), MIXED)
+    assert [x.conductor for x in evaluated.q] == [60] * 4
+    assert {c.conductor for key in evaluated.pairs()
+            for coeff in evaluated.entry(*key).e
+            for c in coeff.terms.values() if not c.is_rational()} == {60}
+    # the values are those at the point as given, only stored at N
+    assert evaluated == _reference(qc_table(4), MIXED, lift=False)
 
 
-def test_scan_points_take_the_packed_route(monkeypatch):
-    routes = []
-    original = ringtables._packed_values
-
-    def spy(*args):
-        out = original(*args)
-        routes.append(out is not None)
-        return out
-
-    monkeypatch.setattr(ringtables, "_packed_values", spy)
-    conjecture_scan(4)
-    assert routes == [True, True, True, True]
-    routes.clear()
-    qc_eval(qc_table(4), MIXED)
-    assert routes == [False]
+def test_a_point_of_one_conductor_is_stored_as_given():
+    q = [root_of_unity(28, 4)] * 6
+    evaluated = qc_eval(qc_table(6), q)
+    assert all(x is y for x, y in zip(evaluated.q, q))
+    _assert_matches_reference(qc_table(6), q)
 
 
 def test_a_single_group_shape_holds_signed_weights_at_its_bound():
@@ -119,3 +129,28 @@ def test_a_single_group_shape_holds_signed_weights_at_its_bound():
                         [(sum(map(abs, weights.values())), ("delta",))])
     total = sum(w * kr.packed["delta"][k] for k, w in weights.items())
     assert kr.values(0, {"t": total}) == {"t": 4 * x}
+
+
+def test_a_single_group_far_wider_than_its_typical_value_packs():
+    # one value of 2^200 among twenty of 1 or 2: the digits need 202 bits,
+    # far above twice the typical sum's width, but a sum of single values
+    # multiplies nothing, so it packs and reads back exactly
+    values = {k: root_of_unity(5, k % 4) + k % 2 for k in range(20)}
+    values["wide"] = Cyclotomic.from_rational(2 ** 200, 5) - root_of_unity(5)
+    weights = {k: (-1) ** i * (i + 1) for i, k in enumerate(values)}
+    kr = Kronecker.pack(5, {"delta": values},
+                        [(sum(map(abs, weights.values())), ("delta",))])
+    assert kr is not None
+    total = sum(w * kr.packed["delta"][k] for k, w in weights.items())
+    expected = sum((w * values[k] for k, w in weights.items()),
+                   Cyclotomic.zero(5))
+    assert kr.values(0, {"t": total}) == {"t": expected}
+
+
+def test_a_product_of_wide_and_narrow_groups_is_still_refused():
+    # the same values multiplied by a narrow group: packing does not pay
+    values = {k: root_of_unity(5, k % 4) + k % 2 for k in range(20)}
+    values["wide"] = Cyclotomic.from_rational(2 ** 200, 5) - root_of_unity(5)
+    narrow = {0: root_of_unity(5, 2)}
+    assert Kronecker.pack(5, {"delta": values, "y": narrow},
+                          [(21, ("delta", "y"))]) is None

@@ -4,16 +4,16 @@ from fractions import Fraction
 import pytest
 
 from crepant.coeffring import BaseScalar
-from crepant.corrections import (CorrectionFunction, DeltaIndex, PoleError,
-                                 correction_eval)
+from crepant.corrections import CorrectionFunction, DeltaIndex, PoleError
 from crepant.exactnum import Cyclotomic, root_of_unity
 from crepant.ringtables import (KIND_CUP, ExcClass, ProductTable, cr_table,
                                 cup_table, qc_eval, qc_table,
                                 table_from_json, table_to_json,
                                 table_to_latex, table_to_text)
 
-from oracles import (cartan_build, cr_associativity_report, degrees,
-                     is_homogeneous, strip_corrections, substitute, swap_lm)
+from oracles import (cartan_build, correction_eval, cr_associativity_report,
+                     degrees, is_homogeneous, strip_corrections, substitute,
+                     swap_lm)
 
 D11, D22, D12 = DeltaIndex(1, 1), DeltaIndex(2, 2), DeltaIndex(1, 2)
 
@@ -143,7 +143,7 @@ def test_qc_rank_one_displayed_product():
     coeff = t.entry(1, 1).e[0]
     assert t.entry(1, 1).s == BaseScalar.const(1, -2)
     assert coeff.cup == BaseScalar.K(1).scale(2)
-    assert coeff.corr == CorrectionFunction(1, 0, {D11: 4})
+    assert coeff.corr == CorrectionFunction(1, {D11: 4})
 
 
 def test_qc_rank_two_table_matches_displayed_products():
@@ -153,12 +153,12 @@ def test_qc_rank_two_table_matches_displayed_products():
     def corr(entry, l):
         return t.entry(*entry).e[l].corr
 
-    assert corr((1, 1), 0) == CorrectionFunction(2, 0, {D11: 4, D12: 1})
-    assert corr((1, 1), 1) == CorrectionFunction(2, 0, {D22: 1, D12: 1})
-    assert corr((1, 2), 0) == CorrectionFunction(2, 0, {D11: -2, D12: 1})
-    assert corr((1, 2), 1) == CorrectionFunction(2, 0, {D22: -2, D12: 1})
-    assert corr((2, 2), 0) == CorrectionFunction(2, 0, {D11: 1, D12: 1})
-    assert corr((2, 2), 1) == CorrectionFunction(2, 0, {D22: 4, D12: 1})
+    assert corr((1, 1), 0) == CorrectionFunction(2, {D11: 4, D12: 1})
+    assert corr((1, 1), 1) == CorrectionFunction(2, {D22: 1, D12: 1})
+    assert corr((1, 2), 0) == CorrectionFunction(2, {D11: -2, D12: 1})
+    assert corr((1, 2), 1) == CorrectionFunction(2, {D22: -2, D12: 1})
+    assert corr((2, 2), 0) == CorrectionFunction(2, {D11: 1, D12: 1})
+    assert corr((2, 2), 1) == CorrectionFunction(2, {D22: 4, D12: 1})
     # and the delta-free parts agree with the cup table
     cup = cup_table(2)
     for key in t.pairs():
@@ -319,9 +319,8 @@ def _involute_entry(entry, n):
             e.append(swap_lm(src))
         else:
             corr = CorrectionFunction(
-                n, src.corr.constant,
-                {DeltaIndex(n + 1 - idx.nu, n + 1 - idx.mu): c
-                 for idx, c in src.corr.terms.items()})
+                n, {DeltaIndex(n + 1 - idx.nu, n + 1 - idx.mu): c
+                    for idx, c in src.corr.terms.items()})
             e.append(type(src)(swap_lm(src.cup), corr))
     cls = type(entry)
     return cls(n, swap_lm(entry.s), tuple(e))
@@ -387,6 +386,23 @@ def test_a_quantum_coefficient_whose_mult_is_not_k_is_refused():
     doc = json.loads(json.dumps(table_to_json(qc_table(2))))
     assert table_from_json(doc) == qc_table(2)
     doc["entries"][0]["e"][1]["mult"] = BaseScalar.L(2).to_json()
+    with pytest.raises(ValueError):
+        table_from_json(doc)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("constant", Cyclotomic.from_rational(1)),
+    ("coeff", Cyclotomic.from_rational(Fraction(1, 2))),
+    ("coeff", root_of_unity(3, 1)),
+], ids=["nonzero-constant", "half-weight", "zeta3-weight"])
+def test_a_correction_that_is_not_an_integer_combination_is_refused(
+        field, value):
+    doc = json.loads(json.dumps(table_to_json(qc_table(2))))
+    corr = doc["entries"][0]["e"][0]["corr"]
+    if field == "constant":
+        corr["constant"] = value.to_json()
+    else:
+        corr["terms"][0]["coeff"] = value.to_json()
     with pytest.raises(ValueError):
         table_from_json(doc)
 
