@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 
 import click
@@ -32,14 +33,18 @@ from .ringtables import (cr_table, cup_table, qc_eval, qc_table,
                          table_to_text)
 
 POLE_EXIT = 2
+# ASCII digits only: int() would also take "1_0", " 1", "+3" and other
+# scripts' digits
+_QLITERAL = re.compile(r"e:([+-]?[0-9]+)(?:/([0-9]+))?")
 
 # Largest degree phi(N) of the field Q(zeta_N) a run may compute in, N being
 # the lcm of 4(n+1), the q literals' denominators and, for `verify`, the
-# conductors of the map's entries.  A product costs O(phi^2) and an inverse
-# O(phi^3): `verify --n 2 --q e:1/5,e:1/7` (N = 420, phi = 96) takes well
-# under a second, while `e:1/2003` at rank 1 (phi = 8008) would run for
-# hours, and a rank-1 map file with an entry in Q(zeta_8009) would make
-# `verify` run 8 s.
+# conductors of the map's entries.  A product costs O(phi^2), an inverse of
+# 1 - zeta^a (every delta value's) O(N phi) and any other inverse O(phi^3):
+# `verify --n 2 --q e:1/5,e:1/7` (N = 420, phi = 96) takes well under a
+# second, while at `e:1/2003` at rank 1 (phi = 8008) one product is 64
+# million coordinate products, and a rank-1 map file with an entry in
+# Q(zeta_8009) would make `verify` run 8 s.
 MAX_QPOINT_PHI = 128
 
 # Largest rank `scan --n` accepts.  The scan's cost grows with n, with the
@@ -51,10 +56,11 @@ MAX_SCAN_RANK = 15
 
 # Largest rank each other command accepts, timed on the same host at its
 # most expensive input.  `table qc --n 20` took 0.4 s, 3 s with `--format
-# json --check-roundtrip` and 1.3-2.5 s evaluated at a point of Q(zeta_420)
-# (phi = 96); `verify` at a point of degree 96-128 took 12 s at n = 11, 16 s
-# at n = 12 and 37 s at n = 14; `mckay --n 300 --compare-resolution` took
-# 10 s and `--n 400` 24 s; `resolve --n 1000` took 4 s and `--n 2000` 16 s.
+# json --check-roundtrip` and 1.1-1.8 s with `--format json` evaluated at a
+# point of Q(zeta_420) (phi = 96); `verify` at a point of degree 96-128 took
+# 12 s at n = 11, 16 s at n = 12 and 37 s at n = 14; `mckay --n 300
+# --compare-resolution` took 10 s and `--n 400` 24 s; `resolve --n 1000`
+# took 4 s and `--n 2000` 16 s.
 MAX_TABLE_RANK = 20
 MAX_VERIFY_RANK = 12
 MAX_MCKAY_RANK = 300
@@ -99,12 +105,10 @@ def _parse_qpoint(spec: str, n: int, lmap: LinearMap | None = None):
         if not tok.startswith("e:"):
             raise click.UsageError(
                 f"bad q literal {tok!r}: use e:j/k for exp(2*pi*i*j/k)")
-        body = tok[2:]
-        num, _, den = body.partition("/")
-        try:
-            j, k = int(num), int(den or "1")
-        except ValueError:
+        literal = _QLITERAL.fullmatch(tok)
+        if literal is None:
             raise click.UsageError(f"bad q literal {tok!r}")
+        j, k = int(literal[1]), int(literal[2] or "1")
         if k < 1:
             raise click.UsageError(f"bad q literal {tok!r}: k must be >= 1")
         literals.append((j, k))
@@ -177,7 +181,7 @@ def cmd_table(kind, rank, qspec, fmt, check_roundtrip):
         doc = table_to_json(table)
         if table_from_json(json.loads(_dump_json(doc))) != table:
             click.echo("round-trip mismatch", err=True)
-            sys.exit(POLE_EXIT)
+            sys.exit(1)
     if fmt == "json":
         click.echo(_dump_json(table_to_json(table)))
     elif fmt == "latex":

@@ -11,22 +11,25 @@ comparison (after lifting both operands into a common conductor);
 Phi_N is monic with integer coefficients, so every reduction stays in the
 integers.  A product is reduced in one pass over the cached rows
 x^k mod Phi_N, phi(N) <= k <= 2 phi(N) - 2; lifts and powers of zeta are
-reduced by monic division; the inverse solves the integer system of the
-multiplication matrix by fraction-free (Bareiss) elimination.  There is no
-floating point anywhere; `Cyclotomic.to_complex` exists only as a
-non-authoritative display aid.
+reduced by monic division, after folding zeta^(N/2) = -1 when N is even.  A
+rational adds into the constant coordinate of a value whose conductor its
+own divides, with no lift.  The inverse of 1 - zeta^a is a closed form,
+1/(1 - w) = -(1/o) sum_{j<o} j w^j for w = zeta^a of order o; any other
+inverse solves the integer system of the multiplication matrix by
+fraction-free (Bareiss) elimination.  There is no floating point anywhere;
+`Cyclotomic.to_complex` exists only as a non-authoritative display aid.
 
 `Kronecker` runs sums of products in one field Q(zeta_N) as big-integer
-arithmetic: each operand is packed once as one Python int, its coordinates
-over its group's common denominator evaluated at x = 2^b, so each product is
-one big-integer multiplication and each sum one addition, and each result is
-unpacked with balanced digits and reduced mod Phi_N once.  `isocheck` runs a
-transport check through it, both sides of each coefficient summed into their
-difference over a common denominator, when the map, the source and the
-target share one conductor (the rule it states) and the packing pays;
-`ringtables.qc_eval` sums every quantum correction at a point through it,
-one group of delta values (all of one conductor, the point's) and one
-shape of sums weighted by integers.
+arithmetic: each distinct operand of a group is packed once as one Python
+int, its coordinates over its group's common denominator evaluated at
+x = 2^b, so each product is one big-integer multiplication and each sum one
+addition, and each result is unpacked with balanced digits and reduced mod
+Phi_N once.  `isocheck` runs a transport check through it, both sides of
+each coefficient summed into their difference over a common denominator,
+when the map, the source and the target share one conductor (the rule it
+states) and the packing pays; `ringtables.qc_eval` sums every quantum
+correction at a point through it, one group of delta values (all of one
+conductor, the point's) and one shape of sums weighted by integers.
 
 Besides field arithmetic the module provides the two square-root gadgets the
 rest of the library needs:
@@ -34,7 +37,8 @@ rest of the library needs:
 * `branch_sqrt(n, m, k)` -- the branch-resolved value of
   (zeta^k + zeta^-k - 2)^(1/2) for zeta = exp(2 pi i m/(n+1)), in conductor
   4(n+1): +(w^j - w^-j) with w = zeta_{2(n+1)}, j = km mod 2(n+1) and m
-  reduced mod n+1 when (j < n+1) == (2m < n+1), and -(w^j - w^-j) otherwise.
+  reduced mod n+1 when (j < n+1) == (2m < n+1), and -(w^j - w^-j) otherwise;
+  `branch_exponent` gives that rule as the exponent of zeta_{4(n+1)}.
 * `sqrt_rational(x, N)` -- the nonnegative square root of a rational x >= 0,
   built from quadratic Gauss sums when sqrt(x) is irrational.
 """
@@ -131,19 +135,36 @@ def _reduction_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(rows)
 
 
-def _reduce(poly: list[int], n: int) -> list[int]:
-    """An integer polynomial of any degree mod the monic Phi_n, padded to
-    phi(n) coordinates."""
+@functools.lru_cache(maxsize=None)
+def _division_terms(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(phi(n), the (degree, coefficient) pairs of Phi_n's nonzero terms
+    below its leading one)."""
     phi = cyclotomic_polynomial(n)
     m = len(phi) - 1
-    terms = [(i, c) for i, c in enumerate(phi[:m]) if c]
+    return m, tuple((i, c) for i, c in enumerate(phi[:m]) if c)
+
+
+def _reduce(poly: list[int], n: int) -> list[int]:
+    """An integer polynomial of any degree mod the monic Phi_n, padded to
+    phi(n) coordinates; `poly` is overwritten.
+
+    For even n, zeta_n^(n/2) = -1 first folds every degree >= n/2 down by
+    n/2, flipping its sign once per wrap; monic division by Phi_n then
+    runs over the degrees from n/2 - 1 down to phi(n) only.
+    """
+    m, terms = _division_terms(n)
+    half = n // 2
+    if n % 2 == 0 and len(poly) > half:
+        for top in range(len(poly) - 1, half - 1, -1):
+            poly[top - half] -= poly[top]
+        del poly[half:]
     for top in range(len(poly) - 1, m - 1, -1):
         c = poly[top]
         if c:
             base = top - m
             for i, p in terms:
                 poly[base + i] -= c * p
-    poly = poly[:m]
+    del poly[m:]
     return poly + [0] * (m - len(poly))
 
 
@@ -308,7 +329,22 @@ class Cyclotomic:
         other = self._coerce(other, self.conductor)
         if other is NotImplemented:
             return NotImplemented
-        a, b = Cyclotomic.common(self, other)
+        a, b = self, other
+        if a.conductor != b.conductor:
+            if b.conductor % a.conductor == 0 and not any(a._num[1:]):
+                a, b = b, a
+            if a.conductor % b.conductor == 0 and not any(b._num[1:]):
+                # a rational of a dividing conductor adds into the constant
+                # coordinate, with no lift
+                ad, bd = a._den, b._den
+                if ad == bd:
+                    return Cyclotomic._make(
+                        a.conductor, (a._num[0] + b._num[0],) + a._num[1:],
+                        ad)
+                num = [x * bd for x in a._num]
+                num[0] += b._num[0] * ad
+                return Cyclotomic._make(a.conductor, num, ad * bd)
+            a, b = Cyclotomic.common(a, b)
         ad, bd = a._den, b._den
         if ad == bd:
             return Cyclotomic._make(a.conductor,
@@ -365,6 +401,11 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
+        """1/self.  A rational inverts directly, and 1 - w for a root of
+        unity w = zeta_N^a != 1 of order o in closed form:
+        (1 - w) sum_{j<o} j w^j = -o, so 1/(1 - w) = -(1/o) sum_{j<o} j w^j.
+        Every other value solves the multiplication matrix by Bareiss
+        elimination."""
         num, n = self._num, self.conductor
         if not any(num):
             raise ZeroDivisionError("division by zero in Q(zeta_N)")
@@ -372,6 +413,15 @@ class Cyclotomic:
             c = num[0]
             return Cyclotomic._make(
                 n, (self._den if c > 0 else -self._den,) + num[1:], abs(c))
+        if self._den == 1:
+            a = _root_exponents(n).get(
+                (1 - num[0],) + tuple(-x for x in num[1:]))
+            if a is not None:
+                o = n // math.gcd(a, n)
+                poly = [0] * n
+                for j in range(1, o):
+                    poly[a * j % n] -= j
+                return Cyclotomic._from_poly(n, poly, o)
         # Column k of the multiplication matrix is x^k * num mod Phi_N; solve
         # for the coordinates z/d of 1/num, then 1/self = den * z/d.
         x_m = _reduction_rows(n)[0]
@@ -478,7 +528,8 @@ class Kronecker:
     The operands come in named groups, dicts of Cyclotomics whose
     conductors divide N.  Each group is written over the common denominator
     D of its values, so that a value has integer coordinates
-    a_0..a_{phi-1}, and each value is packed once as the int
+    a_0..a_{phi-1}, and each distinct value (keys whose values share a
+    normal form share it) is lifted and packed once as the int
     a_0 + a_1 X + ... + a_{phi-1} X^(phi-1) at X = 2^b.  A product of packed
     values is then the packed product polynomial, unreduced, and a sum of
     products their packed sum: one big-integer operation each, as long as
@@ -516,10 +567,10 @@ class Kronecker:
     multiplies two or more groups, `pack` returns None when b is above both
     one 64-bit word and twice the width that the same bound gives to values
     of the groups' mean width (the bits of a value's coordinate norm and of
-    its own denominator together).  Shapes of single values multiply
-    nothing: a sum of them costs one big-integer addition per term however
-    wide b is, no more than the field additions it replaces, so such shapes
-    always pack.
+    its own denominator together, averaged over every key, repeats
+    included).  Shapes of single values multiply nothing: a sum of them
+    costs one big-integer addition per term however wide b is, no more than
+    the field additions it replaces, so such shapes always pack.
 
     >>> z = root_of_unity(5)
     >>> x, y = root_of_unity(5, 3) - Fraction(2, 3), 2 * z
@@ -544,16 +595,23 @@ class Kronecker:
         packing products does not pay (see the class docstring)."""
         coords, dens, norms, means, degrees = {}, {}, {}, {}, {}
         for name, values in groups.items():
-            lifted = {k: v.lift(conductor) for k, v in values.items()}
-            den = dens[name] = math.lcm(*(v._den for v in lifted.values()))
-            coords[name] = {k: [a * (den // v._den) for a in v._num]
-                            for k, v in lifted.items()}
-            norms[name] = max(map(_norm, coords[name].values()), default=0)
-            own = [(_norm(v._num) * v._den).bit_length()
-                   for v in lifted.values()]
-            means[name] = sum(own) / len(own) if own else 0
-            degrees[name] = max((i for a in coords[name].values()
-                                 for i, c in enumerate(a) if c), default=0)
+            # keys whose values share a normal form share one packed int
+            index, position, lifted = {}, {}, []
+            for k, v in values.items():
+                form = (v.conductor, v._num, v._den)
+                if form not in position:
+                    position[form] = len(lifted)
+                    lifted.append(v.lift(conductor))
+                index[k] = position[form]
+            den = dens[name] = math.lcm(*(v._den for v in lifted))
+            rows = [[a * (den // v._den) for a in v._num] for v in lifted]
+            coords[name] = (rows, index)
+            norms[name] = max(map(_norm, rows), default=0)
+            own = [(_norm(v._num) * v._den).bit_length() for v in lifted]
+            means[name] = (sum(own[i] for i in index.values()) / len(index)
+                           if index else 0)
+            degrees[name] = max((i for a in rows for i, c in enumerate(a)
+                                 if c), default=0)
         # per shape: its denominator, digit bound, digit count and the
         # bits a sum of values of the groups' mean width needs
         sums = []
@@ -593,8 +651,10 @@ class Kronecker:
                        for s, (l, r) in enumerate(shapes)
                        if isinstance(r, int)}
         self._values = {}
-        self.packed = {name: {k: self._pack(a) for k, a in values.items()}
-                       for name, values in coords.items()}
+        self.packed = {}
+        for name, (rows, index) in coords.items():
+            ints = [self._pack(a) for a in rows]
+            self.packed[name] = {k: ints[i] for k, i in index.items()}
 
     def _pack(self, coords) -> int:
         packed = 0
@@ -642,6 +702,12 @@ def _norm(coords) -> int:
 _SIGNED = {1: "b", 2: "h", 4: "i", 8: "q"}   # struct codes by digit bytes
 
 
+@functools.lru_cache(maxsize=None)
+def _root_exponents(n: int) -> dict[tuple[int, ...], int]:
+    """The exponent a of each zeta_n^a, 0 <= a < n, by its numerators."""
+    return {root_of_unity(n, a)._num: a for a in range(n)}
+
+
 def root_of_unity(conductor: int, exponent: int = 1) -> Cyclotomic:
     """zeta_N^j as an element of Q(zeta_N).
 
@@ -677,17 +743,22 @@ def branch_sqrt(n: int, m: int, k: int) -> Cyclotomic:
     >>> branch_sqrt(1, 1, 1) == -2 * imaginary_unit(8)
     True
     """
+    e = branch_exponent(n, m, k)
+    return root_of_unity(4 * (n + 1), e) - root_of_unity(4 * (n + 1), -e)
+
+
+def branch_exponent(n: int, m: int, k: int) -> int:
+    """The e with branch_sqrt(n, m, k) = zeta_{4(n+1)}^e - zeta_{4(n+1)}^-e:
+    2j when (j < n+1) == (2m < n+1), else -2j."""
     np1 = n + 1
     m_red = m % np1
     if math.gcd(m_red, np1) != 1:
         raise InvalidRoot(f"zeta^{m} is not a primitive {np1}-th root of 1")
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..{n}")
-    conductor = 4 * np1
     # j is never a multiple of n+1, because gcd(m, n+1) = 1 and 0 < k < n+1
     j = (k * m_red) % (2 * np1)
-    e = 2 * j if (j < np1) == (2 * m_red < np1) else -2 * j
-    return root_of_unity(conductor, e) - root_of_unity(conductor, -e)
+    return 2 * j if (j < np1) == (2 * m_red < np1) else -2 * j
 
 
 def _legendre(t: int, p: int) -> int:

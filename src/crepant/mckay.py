@@ -17,7 +17,8 @@ provided:
 * `bgp_map(n, m_root)` -- E_l -> sum_k zeta^{lk} (zeta^k + zeta^-k - 2)^{1/2}
   e_k with zeta = exp(2 pi i m_root/(n+1)), in Q(zeta_{4(n+1)}): the root
   zeta^{lk} times the closed-form, branch-resolved square root +-(w^j - w^-j)
-  of `exactnum.branch_sqrt`, w = zeta_{2(n+1)} and j = k m_root.
+  of `exactnum.branch_sqrt`, w = zeta_{2(n+1)} and j = k m_root, each entry
+  built as one two-term polynomial in zeta_{4(n+1)}.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exactnum import Cyclotomic, InvalidRoot, branch_sqrt, root_of_unity
+from .exactnum import Cyclotomic, InvalidRoot, branch_exponent, root_of_unity
 
 
 @dataclass(frozen=True)
@@ -220,7 +221,14 @@ def bgp_map(n: int, m_root: int) -> LinearMap:
     step = 4 * (m_root % (n + 1))
     rows = []
     for k in range(1, n + 1):
-        root = branch_sqrt(n, m_root, k)
-        rows.append(tuple(root_of_unity(conductor, step * l * k) * root
-                          for l in range(1, n + 1)))
+        # zeta^{lk} (w^j - w^-j) = z^(s + e) - z^(s - e), z = zeta_{4(n+1)}
+        e = branch_exponent(n, m_root, k)
+        row = []
+        for l in range(1, n + 1):
+            s = step * l * k
+            poly = [0] * conductor
+            poly[(s + e) % conductor] += 1
+            poly[(s - e) % conductor] -= 1
+            row.append(Cyclotomic._from_poly(conductor, poly))
+        rows.append(tuple(row))
     return LinearMap(n, tuple(rows))

@@ -48,6 +48,34 @@ def test_table_rejects_float_q(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("literal,parsed", [
+    ("e:1_0/3", False), ("e: 1/3", False), ("e:\u0661/3", False),
+    ("e:1/+3", False), ("e:1/", False),
+    ("e:-1/3", True), ("e:+1/3", True), ("e:1", True)])
+def test_q_literals_take_ascii_digits_only(runner, literal, parsed):
+    # int() reads each refused literal as e:1/3, e:10/3 or e:1/1
+    result = runner.invoke(main, ["table", "qc", "--n", "1",
+                                  "--q", literal])
+    if parsed:  # e:1 is q = 1, a pole: exit 2 with the pole's JSON
+        assert result.exit_code == (2 if literal == "e:1" else 0)
+        assert result.stderr == "" and result.stdout
+    else:
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"bad q literal {literal!r}" in result.stderr
+
+
+def test_a_round_trip_mismatch_is_a_failed_check(runner, monkeypatch):
+    import crepant.cli as cli
+
+    monkeypatch.setattr(cli, "table_from_json", lambda doc: cli.cr_table(2))
+    result = runner.invoke(main, ["table", "qc", "--n", "2",
+                                  "--format", "json", "--check-roundtrip"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "round-trip mismatch\n"
+
+
 def test_output_determinism(runner):
     first = runner.invoke(main, ["table", "qc", "--n", "3",
                                  "--format", "json"])

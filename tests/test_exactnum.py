@@ -73,6 +73,25 @@ def test_cross_conductor_arithmetic():
     assert (i * i) == minus_one
 
 
+@pytest.mark.parametrize("rational,other,conductor", [
+    (Cyclotomic.from_rational(Fraction(1, 3), 3), root_of_unity(4), 12),
+    (Fraction(1, 3), root_of_unity(28) / 2, 28),
+    (Cyclotomic.from_rational(Fraction(-5, 7), 4), root_of_unity(28), 28),
+    (Cyclotomic.from_rational(2, 12), root_of_unity(12, 5) / 3, 12),
+], ids=["3+4", "fraction+28", "4+28", "12+12"])
+def test_a_rational_plus_an_irrational_has_the_lcm_conductor(rational, other,
+                                                             conductor):
+    # a rational of a dividing conductor is added into the constant
+    # coordinate; any other pair is lifted to the lcm, in either order
+    total = rational + other
+    assert total.conductor == conductor
+    assert (other + rational).to_json() == total.to_json()
+    r = Cyclotomic._coerce(rational, 1)
+    assert total.coeffs == tuple(
+        x + (r.as_fraction() if i == 0 else 0)
+        for i, x in enumerate(other.lift(conductor).coeffs))
+
+
 def test_lift_then_descend_is_identity():
     rng = random.Random(7)
     for n, m in [(3, 12), (4, 8), (6, 12), (1, 5), (12, 24)]:

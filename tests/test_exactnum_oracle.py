@@ -2,11 +2,13 @@
 
 An element of Q(zeta_N) is compared with the polynomial of its coordinates
 in QQ[x]; sympy reduces modulo its own cyclotomic_poly(N), so agreement
-checks the integer core (Phi_N, reduction rows, lifts, Bareiss inverse)
-against an independent implementation.
+checks the integer core (Phi_N, the reduction with its x^(N/2) = -1 fold,
+reduction rows, lifts, the closed-form inverse of 1 - zeta^a and the Bareiss
+inverse) against an independent implementation.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,8 +19,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from crepant.exactnum import (Cyclotomic, cyclotomic_polynomial,  # noqa: E402
-                              euler_phi)
+from crepant.exactnum import (Cyclotomic, _reduce,  # noqa: E402
+                              cyclotomic_polynomial, euler_phi,
+                              root_of_unity)
 
 X = sympy.Symbol("x")
 MAX_CONDUCTOR = 84
@@ -130,3 +133,35 @@ def test_lift_matches_sympy_and_keeps_equality(data):
 def test_zero_has_unit_denominator():
     z = Cyclotomic(12, [Fraction(0)] * 4) * Fraction(5, 3)
     assert z.is_zero() and z._den == 1 and z == 0
+
+
+def test_reduce_matches_sympy_rem():
+    # lengths 1 to 2N + 3 reach the x^(N/2) = -1 fold at every even N, with
+    # wraps past N, and the division below it
+    rng = random.Random(16)
+    for n in range(1, 101):
+        for length in (1, n // 2 + 1, n + 1, 2 * n + 3,
+                       rng.randint(1, 2 * n + 3)):
+            poly = [rng.randint(-9, 9) for _ in range(length)]
+            expected = sympy.rem(sympy.Poly(poly[::-1], X, domain="ZZ"),
+                                 sympy.Poly(sympy.cyclotomic_poly(n, X), X))
+            coeffs = [int(c) for c in expected.all_coeffs()[::-1]]
+            assert _reduce(list(poly), n) == coeffs + [0] * (
+                euler_phi(n) - len(coeffs)), (n, poly)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 8, 12, 20, 28, 44, 60])
+def test_inverse_of_one_minus_a_root_matches_sympy(n):
+    for a in range(1, n):
+        x = 1 - root_of_unity(n, a)
+        expected = sympy.invert(_poly(x), _phi(n))
+        assert x.inverse().coeffs == _coords(expected, n), (n, a)
+
+
+def test_one_minus_a_root_times_its_inverse_is_one():
+    for n in range(1, 61):
+        for a in range(1, n):
+            x = 1 - root_of_unity(n, a)
+            inv = x.inverse()
+            assert inv.conductor == n and x * inv == 1, (n, a)
+            _assert_normal(inv)

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from crepant.exactnum import (InvalidRoot, branch_sqrt, imaginary_unit,
-                              root_of_unity, sqrt_rational)
+from crepant.exactnum import (Cyclotomic, InvalidRoot, branch_sqrt,
+                              imaginary_unit, root_of_unity, sqrt_rational)
 from crepant.mckay import (LinearMap, ade_resolution_graph, an_mckay,
                            aut_gamma, bgp_map, chtd_map)
 from crepant.resolve import resolve_an
@@ -112,6 +112,28 @@ def test_maps_match_the_power_based_references():
             for k in range(1, n + 1):
                 assert (_bytes(branch_sqrt(n, m, k))
                         == _bytes(power_branch_sqrt(n, m, k))), (n, m, k)
+
+
+def test_bgp_map_entries_take_no_field_product(monkeypatch):
+    # each entry zeta^{lk} (w^e - w^-e) is built as the two-term polynomial
+    # z^(s+e) - z^(s-e), equal to the root times the branch square root
+    expected = {}
+    for n in range(1, 13):
+        for m in range(1, n + 1):
+            if math.gcd(m, n + 1) == 1:
+                expected[n, m] = [
+                    [_bytes(root_of_unity(4 * (n + 1), 4 * m * l * k)
+                            * branch_sqrt(n, m, k)) for l in range(1, n + 1)]
+                    for k in range(1, n + 1)]
+
+    def no_product(self, other):
+        raise AssertionError("bgp_map formed a field product")
+
+    monkeypatch.setattr(Cyclotomic, "__mul__", no_product)
+    monkeypatch.setattr(Cyclotomic, "__rmul__", no_product)
+    for (n, m), rows in expected.items():
+        assert [[_bytes(c) for c in row]
+                for row in bgp_map(n, m).matrix] == rows, (n, m)
 
 
 def test_bgp_map_invertible():

@@ -154,3 +154,34 @@ def test_a_product_of_wide_and_narrow_groups_is_still_refused():
     narrow = {0: root_of_unity(5, 2)}
     assert Kronecker.pack(5, {"delta": values, "y": narrow},
                           [(21, ("delta", "y"))]) is None
+
+
+def test_repeated_values_share_one_int_and_count_in_the_mean_width(
+        monkeypatch):
+    # twenty equal copies of a 2^400-wide value and three narrow values,
+    # times a narrow group: averaged over all 23 values the typical width is
+    # above half the 402-bit digits, so the shape packs; averaged over the
+    # four distinct values it would not
+    wide = Cyclotomic.from_rational(2 ** 400, 5) - root_of_unity(5)
+    values = {k: wide + 0 for k in range(20)}
+    values.update({20 + k: root_of_unity(5, k) for k in range(3)})
+    y = {0: root_of_unity(5, 2)}
+    lifts = []
+    original = Cyclotomic.lift
+
+    def counting(self, conductor):
+        lifts.append(self)
+        return original(self, conductor)
+
+    monkeypatch.setattr(Cyclotomic, "lift", counting)
+    kr = Kronecker.pack(10, {"x": values, "y": y}, [(1, ("x", "y"))])
+    assert len(lifts) == 5              # once per distinct value
+    monkeypatch.undo()
+    assert kr is not None and kr._bits == 408
+    assert len({kr.packed["x"][k] for k in range(20)}) == 1
+    for k, v in values.items():
+        product = kr.packed["x"][k] * kr.packed["y"][0]
+        assert kr.values(0, {k: product}) == {k: v * y[0]}
+    distinct = {k: values[k] for k in (0, 20, 21, 22)}
+    assert Kronecker.pack(10, {"x": distinct, "y": y},
+                          [(1, ("x", "y"))]) is None

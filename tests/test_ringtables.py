@@ -219,7 +219,8 @@ def test_qc_eval_computes_each_delta_once(monkeypatch, n, q):
 
 def test_qc_eval_inverts_once_per_distinct_product(monkeypatch):
     # at q_1 = ... = q_n = zeta the products q_mu...q_nu are zeta^1..zeta^n:
-    # n distinct values for n(n+1)/2 deltas, each one Bareiss inverse
+    # n distinct values for n(n+1)/2 deltas, each one inverse of 1 - zeta^d,
+    # in closed form
     n = 6
     q = [root_of_unity(28, 4)] * n
     calls = []
