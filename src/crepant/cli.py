@@ -36,6 +36,7 @@ POLE_EXIT = 2
 # ASCII digits only: int() would also take "1_0", " 1", "+3" and other
 # scripts' digits
 _QLITERAL = re.compile(r"e:([+-]?[0-9]+)(?:/([0-9]+))?")
+_BGP = re.compile(r"bgp:([+-]?[0-9]+)")
 
 # Largest degree phi(N) of the field Q(zeta_N) a run may compute in, N being
 # the lcm of 4(n+1), the q literals' denominators and, for `verify`, the
@@ -194,11 +195,10 @@ def _load_map(source: str, rank: int) -> LinearMap:
     if source == "chtd":
         return chtd_map(rank)
     if source.startswith("bgp:"):
-        try:
-            m_root = int(source[4:])
-        except ValueError:
+        spec = _BGP.fullmatch(source)
+        if spec is None:
             raise click.UsageError(f"bad map spec {source!r}")
-        return bgp_map(rank, m_root)
+        return bgp_map(rank, int(spec[1]))
     try:
         with open(source) as fh:
             doc = json.load(fh)
@@ -307,7 +307,7 @@ def cmd_mckay(rank, label, full, compare_resolution, fmt):
         graph = an_mckay(rank, reduced=not full)
     else:
         kind, _, num = label.partition("_")
-        if kind in ("A", "D") and num.isdigit():
+        if kind in ("A", "D") and num.isascii() and num.isdigit():
             _bound_rank("mckay", int(num), MAX_MCKAY_RANK,
                         f"--group {kind}_n")
         graph = ade_resolution_graph(label)

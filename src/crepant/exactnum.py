@@ -19,17 +19,14 @@ inverse solves the integer system of the multiplication matrix by
 fraction-free (Bareiss) elimination.  There is no floating point anywhere;
 `Cyclotomic.to_complex` exists only as a non-authoritative display aid.
 
-`Kronecker` runs sums of products in one field Q(zeta_N) as big-integer
-arithmetic: each distinct operand of a group is packed once as one Python
-int, its coordinates over its group's common denominator evaluated at
-x = 2^b, so each product is one big-integer multiplication and each sum one
-addition, and each result is unpacked with balanced digits and reduced mod
-Phi_N once.  `isocheck` runs a transport check through it, both sides of
-each coefficient summed into their difference over a common denominator,
-when the map, the source and the target share one conductor (the rule it
-states) and the packing pays; `ringtables.qc_eval` sums every quantum
-correction at a point through it, one group of delta values (all of one
-conductor, the point's) and one shape of sums weighted by integers.
+`Kronecker` runs one kind of sum of products in one field Q(zeta_N) as
+big-integer arithmetic: each distinct operand of a group is packed once as
+one Python int, its coordinates over its group's common denominator
+evaluated at x = 2^b, so each product is one big-integer multiplication and
+each sum one addition, and each result is unpacked with balanced digits and
+reduced mod Phi_N once.  Its caller declares the kinds of term a sum may
+hold; the pack gives each kind's scale to the sum's common denominator, the
+digit width the sum needs and the width a typical operand would need.
 
 Besides field arithmetic the module provides the two square-root gadgets the
 rest of the library needs:
@@ -534,65 +531,51 @@ class Kronecker:
     values is then the packed product polynomial, unreduced, and a sum of
     products their packed sum: one big-integer operation each, as long as
     every digit of a result stays in the balanced range |d| < 2^(b-1).
-    `values` reads results back digit by digit, reduces each mod Phi_N once
-    and divides it by its denominator.
+    `values` reads sums back digit by digit, reduces each mod Phi_N once
+    and divides it by the sum's denominator.
 
-    The caller declares each kind of sum it forms as a shape (T, groups):
-    at most T terms, each the product of one value from each named group.
-    A shape fixes both the denominator of its results, the product of its
-    groups' D, and the bound on their digits.  A digit of the product of
-    packed x and y is sum_i x_i y_(k-i), at most ||x||_1 ||y||_1 in absolute
-    value, ||.||_1 being the sum of the absolute integer coordinates, and
-    ||x y||_1 <= ||x||_1 ||y||_1; so a digit of a sum of shape (T, groups) is
-    at most T times the product of the largest norm in each group, and b is
-    the least of 8, 16, 32, 64 (above 64, the least multiple of 8) with
-    2^(b-1) above that bound for every shape.  The digits are whole bytes,
-    so one `int.to_bytes`, and for digits of up to 8 bytes one `struct`
-    call, split a result.
+    A packing serves one kind of sum, whose terms the caller declares as
+    kinds (T, groups): at most T terms, each the product of one value from
+    each named group.  A term of kind k is over the product D_k of its
+    groups' D, so the sum is read back over D = lcm of the D_k, and the
+    caller scales each term of kind k by `scales[k]` = D/D_k, applying any
+    sign itself.  A digit of the product of packed x and y is
+    sum_i x_i y_(k-i), at most ||x||_1 ||y||_1 in absolute value, ||.||_1
+    being the sum of the absolute integer coordinates, and
+    ||x y||_1 <= ||x||_1 ||y||_1; so a digit of the sum is at most
+    sum_k scales[k] T_k times the product of the largest norm in each of
+    kind k's groups, and `bits`, one above that bound's bit length, is the
+    width a digit needs.  It is stored in b bits, the least of 8, 16, 32, 64
+    (above 64, the least multiple of 8) that holds it: whole bytes, so one
+    `int.to_bytes`, and for digits of up to 8 bytes one `struct` call,
+    split a result.  A sum whose terms cancel as polynomials is the int 0,
+    and `values` skips it unread.
 
-    A shape (l, r) of two earlier shapes' indices declares their
-    difference.  Over their denominators D_l and D_r, x - y for sums x of
-    shape l and y of shape r is the packed sum a x - b y over
-    D = lcm(D_l, D_r), with (a, b) = (D/D_l, D/D_r) = `scales[shape]`; its
-    digits are bounded by a B_l + b B_r, B_l and B_r the two shapes' digit
-    bounds, and it is read back at D like any other sum.  So a difference
-    that cancels is the int 0 and is never unpacked.  Its typical width,
-    in the test below, is one bit above the wider of its two shapes'.
-
-    When packing does not pay.  Every packed product multiplies phi digits
-    of b bits, however narrow its own factors.  A few values far wider than
-    the rest, or many different denominators whose common multiple every
-    value must then carry, make b far wider than the typical term needs,
-    and field products of one pair at a time cost less.  So when a shape
-    multiplies two or more groups, `pack` returns None when b is above both
-    one 64-bit word and twice the width that the same bound gives to values
-    of the groups' mean width (the bits of a value's coordinate norm and of
-    its own denominator together, averaged over every key, repeats
-    included).  Shapes of single values multiply nothing: a sum of them
-    costs one big-integer addition per term however wide b is, no more than
-    the field additions it replaces, so such shapes always pack.
+    `typical` is the width the same bound gives to values of each group's
+    mean width (the bits of a value's coordinate norm and of its own
+    denominator together, averaged over every key, repeats included): the
+    widest kind's, plus the bits that adding the kinds together takes.  A
+    few values far wider than the rest, or many different denominators
+    whose common multiple every value must carry, put `bits` far above it.
 
     >>> z = root_of_unity(5)
     >>> x, y = root_of_unity(5, 3) - Fraction(2, 3), 2 * z
+    >>> kr = Kronecker.pack(5, {"x": {0: x}, "y": {0: y}}, [(1, ("x", "y"))])
+    >>> xy = kr.packed["x"][0] * kr.packed["y"][0]
+    >>> kr.values({"xy": xy})["xy"] == x * y
+    True
     >>> kr = Kronecker.pack(5, {"x": {0: x}, "y": {0: y}},
     ...                     [(1, ("x",)), (1, ("x", "y"))])
-    >>> kr.values(0, {"x": kr.packed["x"][0]})["x"] == x
-    True
-    >>> xy = kr.packed["x"][0] * kr.packed["y"][0]
-    >>> kr.values(1, {"xy": xy})["xy"] == x * y
-    True
-    >>> kr = Kronecker.pack(5, {"x": {0: x}, "y": {0: y}},
-    ...                     [(1, ("x",)), (1, ("x", "y")), (0, 1)])
-    >>> a, b = kr.scales[2]
+    >>> a, b = kr.scales
     >>> d = a * kr.packed["x"][0] - b * kr.packed["x"][0] * kr.packed["y"][0]
-    >>> kr.values(2, {"d": d})["d"] == x - x * y
+    >>> kr.values({"d": d})["d"] == x - x * y
     True
     """
 
     @classmethod
-    def pack(cls, conductor: int, groups: dict, shapes: list):
-        """The groups packed for sums of the given shapes, or None when
-        packing products does not pay (see the class docstring)."""
+    def pack(cls, conductor: int, groups: dict, kinds: list) -> "Kronecker":
+        """The groups packed for one sum of terms of the given kinds (see
+        the class docstring)."""
         coords, dens, norms, means, degrees = {}, {}, {}, {}, {}
         for name, values in groups.items():
             # keys whose values share a normal form share one packed int
@@ -612,44 +595,28 @@ class Kronecker:
                            if index else 0)
             degrees[name] = max((i for a in rows for i, c in enumerate(a)
                                  if c), default=0)
-        # per shape: its denominator, digit bound, digit count and the
-        # bits a sum of values of the groups' mean width needs
-        sums = []
-        for t, gs in shapes:
-            if isinstance(gs, int):         # the difference of shapes t, gs
-                (dl, bl, nl, wl), (dr, br, nr, wr) = sums[t], sums[gs]
-                den = math.lcm(dl, dr)
-                sums.append((den, den // dl * bl + den // dr * br,
-                             max(nl, nr), 1 + max(wl, wr)))
-            else:
-                sums.append((math.prod(dens[g] for g in gs),
-                             t * math.prod(norms[g] for g in gs),
-                             1 + sum(degrees[g] for g in gs),
-                             1 + t.bit_length() + sum(means[g] for g in gs)))
-        bits = max(1 + bound.bit_length() for _, bound, _, _ in sums)
-        typical = max(width for *_, width in sums)
-        products = any(not isinstance(gs, int) and len(gs) > 1
-                       for _, gs in shapes)
-        if products and bits > max(64, 2 * typical):
-            return None
-        return cls(conductor, bits, coords, shapes,
-                   [(den, digits) for den, _, digits, _ in sums])
+        kind_dens = [math.prod(dens[g] for g in gs) for _, gs in kinds]
+        den = math.lcm(*kind_dens)
+        scales = [den // d for d in kind_dens]
+        bound = sum(s * t * math.prod(norms[g] for g in gs)
+                    for s, (t, gs) in zip(scales, kinds))
+        typical = (len(kinds) - 1).bit_length() + max(
+            1 + t.bit_length() + sum(means[g] for g in gs) for t, gs in kinds)
+        digits = max(1 + sum(degrees[g] for g in gs) for _, gs in kinds)
+        return cls(conductor, coords, den, scales, 1 + bound.bit_length(),
+                   typical, digits)
 
-    def __init__(self, conductor, bits, coords, shapes, sums):
+    def __init__(self, conductor, coords, den, scales, bits, typical, digits):
         width = -(-bits // 8)                    # 2^(8 width - 1) > bound
         width = next((w for w in _SIGNED if w >= width), width)
-        self.conductor = conductor
-        self._width, self._bits = width, 8 * width
-        self._shapes = []                # (den, digits, struct split, bias)
-        for den, digits in sums:
-            split = (struct.Struct(f"<{digits}{_SIGNED[width]}").unpack
-                     if width in _SIGNED else None)
-            bias = sum(1 << (self._bits * (i + 1) - 1) for i in range(digits))
-            self._shapes.append((den, digits, split, bias))
-        # (a, b) of each difference shape: a x - b y is x - y over its den
-        self.scales = {s: (sums[s][0] // sums[l][0], sums[s][0] // sums[r][0])
-                       for s, (l, r) in enumerate(shapes)
-                       if isinstance(r, int)}
+        self.conductor, self.scales = conductor, scales
+        self.bits, self.typical = bits, typical
+        self._den, self._digits = den, digits
+        self._width, self._stride = width, 8 * width
+        self._split = (struct.Struct(f"<{digits}{_SIGNED[width]}").unpack
+                       if width in _SIGNED else None)
+        self._bias = sum(1 << (self._stride * (i + 1) - 1)
+                         for i in range(digits))
         self._values = {}
         self.packed = {}
         for name, (rows, index) in coords.items():
@@ -659,37 +626,34 @@ class Kronecker:
     def _pack(self, coords) -> int:
         packed = 0
         for a in reversed(coords):
-            packed = (packed << self._bits) + a
+            packed = (packed << self._stride) + a
         return packed
 
-    def _unpack(self, total: int, shape: int) -> Cyclotomic:
-        den, digits, split, bias = self._shapes[shape]
+    def _unpack(self, total: int) -> Cyclotomic:
         # the bias lifts every digit d to d + 2^(b-1) >= 0 and the xor flips
         # its top bit back, leaving d in two's complement
-        data = ((total + bias) ^ bias).to_bytes(self._width * digits,
-                                                "little")
-        if split is not None:
-            digits = list(split(data))
+        data = ((total + self._bias) ^ self._bias).to_bytes(
+            self._width * self._digits, "little")
+        if self._split is not None:
+            digits = list(self._split(data))
         else:
             width = self._width
             digits = [int.from_bytes(data[i:i + width], "little",
                                      signed=True)
                       for i in range(0, len(data), width)]
         return Cyclotomic._make(self.conductor,
-                                _reduce(digits, self.conductor), den)
+                                _reduce(digits, self.conductor), self._den)
 
-    def values(self, shape: int, totals: dict) -> dict:
-        """The nonzero values of a dict of packed sums of one shape (its
-        index in the declared shapes), as Cyclotomics of conductor N under
-        the same keys; equal sums are unpacked once."""
+    def values(self, totals: dict) -> dict:
+        """The nonzero values of a dict of packed sums, as Cyclotomics of
+        conductor N under the same keys; equal sums are unpacked once."""
         out = {}
         for key, total in totals.items():
             if not total:
                 continue
-            value = self._values.get((total, shape))
+            value = self._values.get(total)
             if value is None:
-                value = self._values[total, shape] = self._unpack(total,
-                                                                  shape)
+                value = self._values[total] = self._unpack(total)
             if not value.is_zero():
                 out[key] = value
         return out

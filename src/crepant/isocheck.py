@@ -14,30 +14,39 @@ entry; `solve_a1` and `solve_a2` run the reduction in the opposite
 direction, extracting the polynomial system a candidate must satisfy and
 solving it exactly over Q(zeta_{4(n+1)}).
 
-The check sums its products in one of two ways, with equal results.  When
-(a) every nonzero map entry has one conductor N, (b) the conductor of every
-basis coefficient of the source divides N and (c) every target coefficient
-is rational, with a conductor dividing N, it runs as a packed kernel: each
-map entry and source coefficient is packed once into one Python int
-(`exactnum.Kronecker`), every product is one big-integer multiplication and
-every sum one addition, both sides of each basis coefficient sum into one
-int, their difference over a common denominator, and only a nonzero one is
-unpacked and built as a Cyclotomic.  Otherwise, and when packing does not
-pay because a few operands, or the common denominator of many, are far
-wider than the typical one (`Kronecker.pack` states the test), the check
-sums slot by slot, one field product and one `accumulate` per term
-(`_apply_map`, `_pair_through_table`), and subtracts the two sides.
+The check sums its products in one of two ways, with equal results.  It
+runs as a packed kernel when
 
-Why the two print the same bytes.  Under the rule every term the slot-by-slot
+  (a) every nonzero map entry has one conductor N,
+  (b) the conductor of every basis coefficient of the source divides N,
+  (c) the conductor of every target coefficient divides N, and
+  (d) packing pays: the packed digits need at most 64 bits, or at most
+      twice the width that operands of the typical size would need
+      (`Kronecker.bits` and `Kronecker.typical`).
+
+Each map entry and source and target coefficient is then packed once into
+one Python int (`exactnum.Kronecker`), every product is one big-integer
+multiplication and every sum one addition, both sides of each basis
+coefficient sum into one int, their difference over a common denominator,
+and only a nonzero one is unpacked and built as a Cyclotomic.  Otherwise
+the check sums slot by slot, one field product and one `accumulate` per
+term (`_apply_map`, `_pair_through_table`), and subtracts the two sides.
+`_packing` decides the route.  Clause (d) keeps the slot path for a few
+operands, or a common denominator of many, far wider than the typical one:
+every packed product multiplies phi digits of the full width, however
+narrow its own factors, where field products of one pair at a time cost
+less.
+
+Why the two print the same bytes.  Under (a)-(c) every term the slot-by-slot
 sum hands to `accumulate` is a product with a conductor-N factor and
 factors whose conductors divide N, so it has conductor exactly N.  A sum of
 such terms, whatever their order or grouping, is its exact value at
 conductor N, or dropped when it cancels to zero; the packed kernel stores
 exactly that.  With mixed conductors the conductor a sum ends in depends on
 which terms cancel first, so reordering them could change the printed
-conductors, and the rule sends those inputs down the slot-by-slot path.
+conductors, and (a)-(c) send those inputs down the slot-by-slot path.
 The slot-by-slot path takes the difference by `BaseScalar` subtraction,
-which under the rule, with both sides exact values at N, stores each
+which under (a)-(c), with both sides exact values at N, stores each
 monomial's difference at N, or drops it when it cancels; the kernel reads
 its packed difference back at N and drops a zero, and normal forms are
 unique, so the bytes agree.  The s part, which Phi fixes, is the source's
@@ -167,10 +176,10 @@ def _parts(entry: ExcClass):
     return (entry.s, *entry.e)
 
 
-def _packed_conductor(lmap: LinearMap, source: ProductTable,
-                      target: ProductTable) -> int | None:
-    """The one conductor N of the nonzero map entries when the packed
-    kernel's rule holds (see the module docstring), else None."""
+def _packing(lmap: LinearMap, source: ProductTable,
+             target: ProductTable) -> Kronecker | None:
+    """The operands packed for the kernel when clauses (a)-(d) of the
+    module docstring hold, else None."""
     conductors = {c.conductor for row in lmap.matrix for c in row
                   if not c.is_zero()}
     if len(conductors) != 1:
@@ -180,25 +189,15 @@ def _packed_conductor(lmap: LinearMap, source: ProductTable,
            for key in source.pairs() for coeff in source.entry(*key).e
            for c in coeff.terms.values()):
         return None
-    if any(conductor % c.conductor or not c.is_rational()
+    if any(conductor % c.conductor
            for key in target.pairs() for part in _parts(target.entry(*key))
            for c in part.terms.values()):
         return None
-    return conductor
-
-
-def _packed_differences(lmap: LinearMap, source: ProductTable,
-                        target: ProductTable, conductor: int):
-    """The difference Phi(E_i * E_j) - Phi(E_i) . Phi(E_j) of every source
-    pair (i, j), summed as Kronecker-packed integers, or None when packing
-    does not pay; the values and conductors are those of the slot-by-slot
-    path."""
     n = source.n
-    # the kinds of sum below, as (most terms, factor groups of a term): a
-    # coefficient of Phi(E_i * E_j) sums over l the products (map entry
-    # (k, l)) x (source coefficient l), one of Phi(E_i) . Phi(E_j) over
-    # (k, k') the products t x (map entry (k, i)) x (map entry (k', j)),
-    # and the last shape is their difference
+    # the kinds of term summed below, as (most terms, factor groups of a
+    # term): a coefficient of Phi(E_i * E_j) sums over l the products (map
+    # entry (k, l)) x (source coefficient l), one of Phi(E_i) . Phi(E_j)
+    # over (k, k') the products t x (map entry (k, i)) x (map entry (k', j))
     kr = Kronecker.pack(conductor, {
         "map": {(k, l): c for k, row in enumerate(lmap.matrix)
                 for l, c in enumerate(row) if not c.is_zero()},
@@ -208,11 +207,19 @@ def _packed_differences(lmap: LinearMap, source: ProductTable,
         "target": {(key, p, mono): c for key in target.pairs()
                    for p, part in enumerate(_parts(target.entry(*key)))
                    for mono, c in part.terms.items()},
-    }, [(n, ("map", "source")), (n * n, ("target", "map", "map")), (0, 1)])
-    if kr is None:
+    }, [(n, ("map", "source")), (n * n, ("target", "map", "map"))])
+    if kr.bits > max(64, 2 * kr.typical):
         return None
+    return kr
+
+
+def _packed_differences(source: ProductTable, kr: Kronecker):
+    """The difference Phi(E_i * E_j) - Phi(E_i) . Phi(E_j) of every source
+    pair (i, j), summed as the Kronecker-packed integers of `_packing`; the
+    values and conductors are those of the slot-by-slot path."""
+    n = source.n
     # scaled by a and -b, both sides sum straight into their difference
-    a, b = kr.scales[2]
+    a, b = kr.scales
     sources = {key: a * y for key, y in kr.packed["source"].items()}
     # the nonzero entries (k, packed) of each map column l
     columns = [[(k, x) for (k, l), x in kr.packed["map"].items() if l == col]
@@ -239,7 +246,7 @@ def _packed_differences(lmap: LinearMap, source: ProductTable,
                         (min(k, kk) + 1, max(k, kk) + 1), ()):
                     acc = sums[p]
                     acc[mono] = acc.get(mono, 0) + t * weight
-        minus_rhs_s, *diff_e = (BaseScalar._make(n, kr.values(2, acc))
+        minus_rhs_s, *diff_e = (BaseScalar._make(n, kr.values(acc))
                                 for acc in sums)
         # Phi fixes s, so the s part is the source's own minus the right
         # side's, whose sum above holds only the right side, negated
@@ -263,10 +270,10 @@ def transport_check(lmap: LinearMap, source: ProductTable,
     if target.kind != KIND_CR:
         raise ValueError("target must be a Chen-Ruan table")
     n = source.n
-    conductor = _packed_conductor(lmap, source, target)
-    diffs = (None if conductor is None
-             else _packed_differences(lmap, source, target, conductor))
-    if diffs is None:
+    kr = _packing(lmap, source, target)
+    if kr is not None:
+        diffs = _packed_differences(source, kr)
+    else:
         diffs = []
         for i, j in source.pairs():
             entry = source.entry(i, j)

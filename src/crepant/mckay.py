@@ -111,7 +111,7 @@ def ade_resolution_graph(label: str) -> McKayGraph:
     data (vertex dimensions are the Dynkin marks of the irreducibles).
     """
     kind, _, num = label.partition("_")
-    if not num.isdigit():
+    if not (num.isascii() and num.isdigit()):   # int() takes other digits
         raise ValueError(f"unknown ADE label {label!r}")
     if kind == "A":
         return an_mckay(int(num))

@@ -29,12 +29,15 @@ tabulated.
 entries' conductors, and computes every delta value there first, so every
 value has conductor N.  Each correction sum_b w_b delta_b, its weights
 integers, is then one sum of Kronecker-packed integers
-(`exactnum.Kronecker`), read back at N and scaled by K's rational
-coefficient once per distinct sum; the cup part gains the scaled monomials
-by `BaseScalar` addition, and a correction that sums to zero leaves it as
-it is.  These are the values and conductors that summing each correction
-term by term as Cyclotomics at the lifted point and adding K scaled by it
-gives, the reference the tests hold it to.
+(`exactnum.Kronecker`, whose one kind of term is a single delta value),
+read back at N and scaled by K's rational coefficient once per distinct
+sum.  A sum of single values multiplies nothing, and costs one big-integer
+addition per term however wide its digits, so it always runs packed.  The
+cup part gains the scaled monomials by `BaseScalar` addition, and a
+correction that sums to zero leaves it as it is.  These are the values and
+conductors that summing each correction term by term as Cyclotomics at the
+lifted point and adding K scaled by it gives, the reference the tests hold
+it to.
 """
 
 from __future__ import annotations
@@ -301,7 +304,7 @@ def _packed_values(coeffs: list, deltas: dict, kappa: BaseScalar,
     for c in coeffs:
         total = sum(w * packed[idx] for idx, w in c.corr.terms.items())
         if total not in scaled:
-            value = kr.values(0, {0: total}).get(0)
+            value = kr.values({0: total}).get(0)
             scaled[total] = None if value is None else BaseScalar._make(
                 kappa.n, dict.fromkeys(kappa.terms, value * k))
         corr = scaled[total]

@@ -65,6 +65,34 @@ def test_q_literals_take_ascii_digits_only(runner, literal, parsed):
         assert f"bad q literal {literal!r}" in result.stderr
 
 
+@pytest.mark.parametrize("spec,code", [
+    ("bgp: 1", 2), ("bgp:1_0", 2), ("bgp:\u0661", 2), ("bgp:1 ", 2),
+    ("bgp:", 2), ("bgp:x", 2), ("bgp:+1", 0), ("bgp:-1", 1)])
+def test_bgp_roots_take_ascii_digits_only(runner, spec, code):
+    # int() reads the first four as bgp:1, bgp:10, bgp:1 and bgp:1
+    result = runner.invoke(main, ["verify", "--n", "2", "--map", spec,
+                                  "--q", "e:1/3,e:1/3"])
+    assert result.exit_code == code
+    if code != 2:   # a signed root is read: bgp:-1 is the root m = 2
+        assert result.stderr == "" and result.stdout
+    else:
+        assert result.stdout == ""
+        errors = [line for line in result.stderr.splitlines()
+                  if line.startswith("Error:")]
+        assert errors == [f"Error: bad map spec {spec!r}"]
+
+
+@pytest.mark.parametrize("label", [
+    "A_\u0661", "A_\u00b2", "D_\u0664", "E_\u0667"])
+def test_group_ranks_take_ascii_digits_only(runner, label):
+    # int() reads other scripts' digits, so A_ with an Arabic-Indic one ran
+    # as A_1, and a superscript two exited with int()'s own message
+    result = runner.invoke(main, ["mckay", "--group", label])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"Error: unknown ADE label {label!r}\n"
+
+
 def test_a_round_trip_mismatch_is_a_failed_check(runner, monkeypatch):
     import crepant.cli as cli
 

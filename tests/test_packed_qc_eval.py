@@ -15,11 +15,13 @@ from fractions import Fraction
 
 import pytest
 
+from crepant import isocheck
 from crepant.coeffring import BaseScalar
 from crepant.corrections import PoleError
 from crepant.exactnum import Cyclotomic, Kronecker, root_of_unity
+from crepant.mckay import LinearMap
 from crepant.ringtables import (KIND_QUANTUM_AT, ExcClass, ProductTable,
-                                qc_eval, qc_table, table_to_json)
+                                cr_table, qc_eval, qc_table, table_to_json)
 
 from oracles import qcoeff_eval
 
@@ -121,46 +123,65 @@ def test_a_point_of_one_conductor_is_stored_as_given():
 
 def test_a_single_group_shape_holds_signed_weights_at_its_bound():
     # weights 3 and -1 on x and -x sum to 4 x, whose constant digit
-    # 4 (2^62 + 1) passes 2^63: it fits only because the shape declares
-    # T = sum |w| = 4; a narrower shape would overflow into the next digit
+    # 4 (2^62 + 1) passes 2^63: it fits only because the kind declares
+    # T = sum |w| = 4; a narrower kind would overflow into the next digit
     x = Cyclotomic.from_rational(2 ** 62 + 1, 4) - root_of_unity(4)
     weights = {"a": 3, "b": -1}
     kr = Kronecker.pack(4, {"delta": {"a": x, "b": -x}},
                         [(sum(map(abs, weights.values())), ("delta",))])
     total = sum(w * kr.packed["delta"][k] for k, w in weights.items())
-    assert kr.values(0, {"t": total}) == {"t": 4 * x}
+    assert kr.values({"t": total}) == {"t": 4 * x}
+
+
+def _wide_among_narrow():
+    """One value of 2^200 among twenty of 1 or 2, in Q(zeta_5)."""
+    values = {k: root_of_unity(5, k % 4) + k % 2 for k in range(20)}
+    values["wide"] = Cyclotomic.from_rational(2 ** 200, 5) - root_of_unity(5)
+    return values
+
+
+def _pays(kr):
+    """Whether the transport check would run this packing (clause (d))."""
+    return not kr.bits > max(64, 2 * kr.typical)
 
 
 def test_a_single_group_far_wider_than_its_typical_value_packs():
-    # one value of 2^200 among twenty of 1 or 2: the digits need 202 bits,
-    # far above twice the typical sum's width, but a sum of single values
-    # multiplies nothing, so it packs and reads back exactly
-    values = {k: root_of_unity(5, k % 4) + k % 2 for k in range(20)}
-    values["wide"] = Cyclotomic.from_rational(2 ** 200, 5) - root_of_unity(5)
+    # the digits need 202 bits, far above twice the typical sum's width,
+    # but a sum of single values multiplies nothing, so qc_eval packs it
+    # all the same, and it reads back exactly
+    values = _wide_among_narrow()
     weights = {k: (-1) ** i * (i + 1) for i, k in enumerate(values)}
     kr = Kronecker.pack(5, {"delta": values},
                         [(sum(map(abs, weights.values())), ("delta",))])
-    assert kr is not None
+    assert not _pays(kr)
     total = sum(w * kr.packed["delta"][k] for k, w in weights.items())
     expected = sum((w * values[k] for k, w in weights.items()),
                    Cyclotomic.zero(5))
-    assert kr.values(0, {"t": total}) == {"t": expected}
+    assert kr.values({"t": total}) == {"t": expected}
 
 
 def test_a_product_of_wide_and_narrow_groups_is_still_refused():
     # the same values multiplied by a narrow group: packing does not pay
-    values = {k: root_of_unity(5, k % 4) + k % 2 for k in range(20)}
-    values["wide"] = Cyclotomic.from_rational(2 ** 200, 5) - root_of_unity(5)
     narrow = {0: root_of_unity(5, 2)}
-    assert Kronecker.pack(5, {"delta": values, "y": narrow},
-                          [(21, ("delta", "y"))]) is None
+    kr = Kronecker.pack(5, {"delta": _wide_among_narrow(), "y": narrow},
+                        [(21, ("delta", "y"))])
+    assert kr.bits > max(64, 2 * kr.typical)
+    # and a map with such entries, times the narrow source at a point of
+    # Q(zeta_5), runs slot by slot
+    rank = 3
+    entries = list(_wide_among_narrow().values())[-rank * rank:]
+    lmap = LinearMap(rank, tuple(tuple(entries[rank * k:rank * (k + 1)])
+                                 for k in range(rank)))
+    assert {c.conductor for row in lmap.matrix for c in row} == {5}
+    source = qc_eval(qc_table(rank), [root_of_unity(5, 1)] * rank)
+    assert isocheck._packing(lmap, source, cr_table(rank)) is None
 
 
 def test_repeated_values_share_one_int_and_count_in_the_mean_width(
         monkeypatch):
     # twenty equal copies of a 2^400-wide value and three narrow values,
     # times a narrow group: averaged over all 23 values the typical width is
-    # above half the 402-bit digits, so the shape packs; averaged over the
+    # above half the 404-bit digits, so the packing pays; averaged over the
     # four distinct values it would not
     wide = Cyclotomic.from_rational(2 ** 400, 5) - root_of_unity(5)
     values = {k: wide + 0 for k in range(20)}
@@ -177,11 +198,11 @@ def test_repeated_values_share_one_int_and_count_in_the_mean_width(
     kr = Kronecker.pack(10, {"x": values, "y": y}, [(1, ("x", "y"))])
     assert len(lifts) == 5              # once per distinct value
     monkeypatch.undo()
-    assert kr is not None and kr._bits == 408
+    assert _pays(kr) and kr.bits == 404 and kr._stride == 408
     assert len({kr.packed["x"][k] for k in range(20)}) == 1
     for k, v in values.items():
         product = kr.packed["x"][k] * kr.packed["y"][0]
-        assert kr.values(0, {k: product}) == {k: v * y[0]}
+        assert kr.values({k: product}) == {k: v * y[0]}
     distinct = {k: values[k] for k in (0, 20, 21, 22)}
-    assert Kronecker.pack(10, {"x": distinct, "y": y},
-                          [(1, ("x", "y"))]) is None
+    assert not _pays(Kronecker.pack(10, {"x": distinct, "y": y},
+                                    [(1, ("x", "y"))]))

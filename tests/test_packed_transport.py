@@ -1,9 +1,9 @@
 """The packed transport kernel against the slot-by-slot sums.
 
 `transport_check` runs Kronecker-packed sums when the map's nonzero entries
-share one conductor N, the source's basis coefficients lie in subfields of
-Q(zeta_N), the target's coefficients are rationals of such conductors and
-the packing is not far wider than the typical operand; otherwise it sums
+share one conductor N, the source's basis coefficients and the target's
+coefficients lie in subfields of Q(zeta_N) and the packing is not far wider
+than the typical operand (`isocheck._packing` decides); otherwise it sums
 slot by slot.  Both must give the same report, byte for
 byte, conductors included; the slot-by-slot path is the oracle here.
 """
@@ -47,15 +47,28 @@ def _bytes(report) -> str:
 
 def _slot_by_slot(lmap, source, target):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(isocheck, "_packed_conductor", lambda *args: None)
+        mp.setattr(isocheck, "_packing", lambda *args: None)
         return transport_check(lmap, source, target)
 
 
+def _route(lmap, source, target, packing=isocheck._packing):
+    """Whether clauses (a)-(c) hold, seen as the operands being packed, and
+    whether the check runs packed."""
+    packs = []
+    original = Kronecker.pack
+
+    def spy(*args):
+        packs.append(args)
+        return original(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Kronecker, "pack", spy)
+        kr = packing(lmap, source, target)
+    return bool(packs), kr is not None
+
+
 def _assert_kernel_matches(lmap, source, target):
-    conductor = isocheck._packed_conductor(lmap, source, target)
-    assert conductor is not None
-    assert isocheck._packed_differences(lmap, source, target,
-                                        conductor) is not None
+    assert isocheck._packing(lmap, source, target) is not None
     packed = transport_check(lmap, source, target)
     slow = _slot_by_slot(lmap, source, target)
     assert _bytes(packed) == _bytes(slow)
@@ -100,6 +113,35 @@ def test_the_stripped_source_of_the_rank_two_delta_system():
     # table), and still solves
     assert stripped == cup_table(2)
     assert _delta_system(bgp_map(2, 1), qct, crt)[0]
+
+
+def _cr_table_with(n, change):
+    """cr_table(n) with `change` applied to every coefficient."""
+    crt = cr_table(n)
+
+    def part(scalar):
+        return BaseScalar(n, {m: change(c) for m, c in scalar.terms.items()})
+    return ProductTable(n, KIND_CR, {
+        key: ExcClass(n, part(crt.entry(*key).s),
+                      tuple(map(part, crt.entry(*key).e)))
+        for key in crt.pairs()})
+
+
+@pytest.mark.parametrize("n,root", [(2, 3), (2, 4), (3, 4), (3, 8)])
+def test_an_irrational_target_inside_the_maps_field(n, root):
+    # the target's coefficients lie in Q(zeta_root), a subfield of the
+    # map's Q(zeta_4(n+1)): every term still has conductor exactly N, so
+    # the packed kernel prints the slot-by-slot bytes
+    zeta = root_of_unity(root, 1)
+    qct, target = qc_table(n), _cr_table_with(n, lambda c: c * zeta)
+    assert {c.conductor for key in target.pairs()
+            for part in isocheck._parts(target.entry(*key))
+            for c in part.terms.values()} == {root}
+    for m in range(1, n + 1):
+        if math.gcd(m, n + 1) != 1:
+            continue
+        source = qc_eval(qct, [root_of_unity(4 * (n + 1), 4 * m)] * n)
+        _assert_kernel_matches(bgp_map(n, m), source, target)
 
 
 def test_rank_one():
@@ -183,13 +225,12 @@ def test_generated_single_conductor_maps(case):
         except PoleError:
             assume(False)
     target = cr_table(n)
-    conductor = isocheck._packed_conductor(lmap, source, target)
-    assert conductor is not None
+    in_field, packed = _route(lmap, source, target)
+    assert in_field
     # coordinates of very mixed sizes can make the packing far wider than
     # the typical entry; such a case sums slot by slot, as the routing tests
     # below pin, and is no example of the kernel
-    assume(isocheck._packed_differences(lmap, source, target,
-                                        conductor) is not None)
+    assume(packed)
     _assert_kernel_matches(lmap, source, target)
 
 
@@ -204,7 +245,7 @@ def test_the_width_holds_a_sum_at_its_declared_bound():
     kr = Kronecker.pack(4, {"x": {0: x}, "y": {0: y}}, [(4, ("x", "y"))])
     product = kr.packed["x"][0] * kr.packed["y"][0]
     total = product + product + product + product
-    assert kr.values(0, {"s": total}) == {"s": 4 * x * y}
+    assert kr.values({"s": total}) == {"s": 4 * x * y}
 
 
 def _constant_table(n, kind, value):
@@ -224,8 +265,8 @@ C = 3037000499   # C^2 < 2^63 <= 2 C^2
     (1, 2 ** 62 + 1),
 ], ids=["right-side", "left-side"])
 def test_each_declared_shape_holds_sums_at_its_bound(entry, source_value):
-    # the digits pass 2^63 and fit only because each shape counts all its
-    # terms; a shape declared with fewer would overflow into the next digit
+    # the digits pass 2^63 and fit only because each kind counts all its
+    # terms; a kind declared with fewer would overflow into the next digit
     n = 2
     x = Cyclotomic.from_rational(entry, 4)
     lmap = LinearMap(n, ((x, x), (x, x)))
@@ -241,8 +282,8 @@ def _unpacked(monkeypatch):
     seen = []
     original = Kronecker._unpack
 
-    def spy(self, total, shape):
-        value = original(self, total, shape)
+    def spy(self, total):
+        value = original(self, total)
         seen.append(value.is_zero())
         return value
 
@@ -323,32 +364,32 @@ def test_an_s_part_whose_right_side_cancels_keeps_the_source_coefficient():
 
 
 def test_a_difference_holds_digits_at_its_declared_bound():
-    # over D = lcm(3, 2) = 6 the difference x - y is 2 x' - 3 y' for the
-    # numerators x' = (c, 0) and y' = (-c, 2): its constant digit 5 c
-    # passes 2^63, where 2 c and 3 c alone do not; a width sized for
-    # either side alone would overflow into the next digit
+    # over D = lcm(3, 2) = 6 the difference x - y, a sum of two kinds, is
+    # 2 x' - 3 y' for the numerators x' = (c, 0) and y' = (-c, 2): its
+    # constant digit 5 c passes 2^63, where 2 c and 3 c alone do not; a
+    # width sized for either kind alone would overflow into the next digit
     c = 2 ** 61 - 1
     x = Cyclotomic.from_rational(Fraction(c, 3), 4)
     y = Cyclotomic.from_rational(Fraction(-c, 2), 4) + root_of_unity(4)
     kr = Kronecker.pack(4, {"x": {0: x}, "y": {0: y}},
-                        [(1, ("x",)), (1, ("y",)), (0, 1)])
-    assert kr.scales[2] == (2, 3)
+                        [(1, ("x",)), (1, ("y",))])
+    assert kr.scales == [2, 3]
     assert max(2 * c, 3 * c) < 2 ** 63 <= 5 * c
     diff = 2 * kr.packed["x"][0] - 3 * kr.packed["y"][0]
-    assert kr.values(2, {"d": diff}) == {"d": x - y}
+    assert kr.values({"d": diff}) == {"d": x - y}
 
 
 def _packing_spy(monkeypatch):
-    """Record, per transport check, whether it ran packed."""
+    """Record, per transport check, whether clauses (a)-(c) held and
+    whether it ran packed."""
     routes = []
-    original = isocheck._packed_differences
+    original = isocheck._packing
 
     def spy(*args):
-        out = original(*args)
-        routes.append(out is not None)
-        return out
+        routes.append(_route(*args, packing=original))
+        return original(*args)
 
-    monkeypatch.setattr(isocheck, "_packed_differences", spy)
+    monkeypatch.setattr(isocheck, "_packing", spy)
     return routes
 
 
@@ -357,28 +398,20 @@ def test_every_scan_point_to_rank_twelve_packs(monkeypatch):
     points = 0
     for n in range(1, 13):
         points += sum(r.report is not None for r in conjecture_scan(n))
-    assert points > 12 and routes == [True] * points
+    assert points > 12 and routes == [(True, True)] * points
 
 
 def test_every_in_field_verify_of_the_bench_catalogue_packs(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     from workloads import CATALOGUE
-    checks, in_field = [], []
-    original = isocheck._packed_conductor
-
-    def conductor(*args):
-        out = original(*args)
-        in_field.append(out is not None)
-        return out
-
-    monkeypatch.setattr(isocheck, "_packed_conductor", conductor)
+    checks = []
     routes = _packing_spy(monkeypatch)
     for argv in CATALOGUE:
         if argv[0] == "verify":
             checks.append(CliRunner().invoke(main, argv).exit_code)
     assert set(checks) <= {0, 1, 2}
-    assert sum(in_field) >= 10
-    assert routes == [True] * sum(in_field)
+    assert sum(in_field for in_field, _ in routes) >= 10
+    assert all(packed == in_field for in_field, packed in routes)
 
 
 # -- routing: these inputs never reach the kernel -----------------------------
@@ -391,15 +424,7 @@ def _two_conductor_map():
 
 def _wide_rational_target(n, conductor):
     """cr_table(n) with every coefficient stored at `conductor`."""
-    crt = cr_table(n)
-
-    def widen(part):
-        return BaseScalar(n, {m: c.lift(conductor)
-                              for m, c in part.terms.items()})
-    return ProductTable(n, KIND_CR, {
-        key: ExcClass(n, widen(crt.entry(*key).s),
-                      tuple(map(widen, crt.entry(*key).e)))
-        for key in crt.pairs()})
+    return _cr_table_with(n, lambda c: c.lift(conductor))
 
 
 def _routing_cases():
@@ -430,7 +455,7 @@ def test_routing_sends_these_inputs_slot_by_slot(name, lmap, source, target,
     expected = _bytes(transport_check(lmap, source, target))
     monkeypatch.setattr(Kronecker, "pack", _refuse)
     assert _bytes(transport_check(lmap, source, target)) == expected
-    assert isocheck._packed_conductor(lmap, source, target) is None
+    assert _route(lmap, source, target) == (False, False)
 
 
 def test_a_refusing_kernel_does_fail_an_input_that_reaches_it(monkeypatch):
@@ -469,8 +494,7 @@ def test_a_packing_far_wider_than_its_typical_entry_runs_slot_by_slot(
         name, lmap, monkeypatch):
     source = qc_eval(qc_table(3), [root_of_unity(16, 4)] * 3)
     target = cr_table(3)
-    assert isocheck._packed_conductor(lmap, source, target) == 16
-    assert isocheck._packed_differences(lmap, source, target, 16) is None
+    assert _route(lmap, source, target) == (True, False)
     expected = _bytes(_slot_by_slot(lmap, source, target))
     monkeypatch.setattr(Kronecker, "values", _refuse)
     assert _bytes(transport_check(lmap, source, target)) == expected
