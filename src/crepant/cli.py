@@ -67,6 +67,21 @@ MAX_VERIFY_RANK = 12
 MAX_MCKAY_RANK = 300
 MAX_RESOLVE_RANK = 1000
 
+# Widest numerator or denominator, in decimal digits as written, of a
+# coordinate in a `verify` map file.  A product of map entries carries the
+# product of their denominators and the transport check sums such products,
+# so its cost and the width of the values it prints grow with the map's
+# width.  On the 2-vCPU x86 host, `verify --n 12` of `bgp:1` with each of its
+# 144 entries times a distinct rational of D-digit numerator and denominator
+# took, at `e:1/13` (the map's field) and at `e:1/260` (degree 96, outside
+# it): 3.4 and 14 s at D = 25, 16-17 s at `e:1/260` at D = 30, 11 and 42 s
+# at D = 100 (47 and 252 MB of text), while at D = 150 and 200 the check ran
+# and the output could not be printed (an integer past CPython's 4300-digit
+# limit for int-to-str).  The widest integer printed at D = 25 had 812
+# digits; `bgp:1` alone takes 8.7 s at `e:1/260`.
+MAX_MAP_DIGITS = 25
+_MAP_COORDINATE = re.compile(r"[-+]?([0-9]+)(?:/([0-9]+))?")
+
 
 class InputError(click.ClickException):
     """Input the library cannot take: one line on stderr, exit 2."""
@@ -201,19 +216,56 @@ def _load_map(source: str, rank: int) -> LinearMap:
         return bgp_map(rank, int(spec[1]))
     try:
         with open(source) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=_map_int)
     except OSError as exc:
         raise click.UsageError(f"cannot read map file {source!r}: {exc}")
     except RecursionError:
         raise InputError(f"map file {source!r} is nested too deeply")
+    _bound_map_digits(source, doc)
     return LinearMap.from_json(doc)
+
+
+def _map_int(literal: str):
+    """A JSON integer of a map file.  One past CPython's limit on int() of a
+    decimal string (4300 digits) stays its text, so that
+    `_bound_map_digits` names its entry when it is a coordinate; elsewhere
+    the reader refuses it as not an int."""
+    try:
+        return int(literal)
+    except ValueError:
+        return literal
+
+
+def _bound_map_digits(source: str, doc) -> None:
+    """Refuse a map coordinate whose numerator or denominator has more than
+    MAX_MAP_DIGITS digits, before any work.  Anything malformed is left to
+    `LinearMap.from_json`, which refuses it."""
+    rows = doc.get("matrix") if isinstance(doc, dict) else None
+    if not isinstance(rows, list):
+        return
+    for k, row in enumerate(rows):
+        for l, entry in enumerate(row if isinstance(row, list) else ()):
+            coeffs = entry.get("coeffs") if isinstance(entry, dict) else None
+            for c in coeffs if isinstance(coeffs, list) else ():
+                if isinstance(c, int):
+                    c = str(c)
+                parts = isinstance(c, str) and _MAP_COORDINATE.fullmatch(c)
+                width = parts and max(len(parts[1]), len(parts[2] or ""))
+                if width and width > MAX_MAP_DIGITS:
+                    raise InputError(
+                        f"map file {source!r}: entry matrix[{k}][{l}] has "
+                        f"a coordinate of {width} digits, above the limit "
+                        f"of {MAX_MAP_DIGITS} digits per numerator or "
+                        "denominator")
 
 
 @main.command("verify")
 @click.option("--n", "rank", type=int, required=True,
               help=f"rank 1 <= n <= {MAX_VERIFY_RANK}")
 @click.option("--map", "map_source", required=True,
-              help="bgp:M, chtd, or a JSON file with a LinearMap")
+              help="bgp:M, chtd, or a JSON file with a LinearMap, each "
+              "numerator and denominator of its coordinates at most "
+              f"{MAX_MAP_DIGITS} digits")
 @click.option("--q", "qspec", required=True,
               help="exact q-point e:j/k,...; the field Q(zeta_N) holding it "
               f"and every map entry must have degree phi(N) <= "

@@ -60,6 +60,15 @@ class CorrectionFunction:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _make(cls, n: int, terms: dict) -> "CorrectionFunction":
+        """From a dict the caller hands over: DeltaIndex keys in range for
+        n mapped to nonzero int weights."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", terms)
+        return self
+
     def __setattr__(self, *args):
         raise AttributeError("CorrectionFunction values are immutable")
 
@@ -85,10 +94,11 @@ class CorrectionFunction:
         return f"CorrectionFunction({self.n}, {self.terms!r})"
 
     def to_json(self):
-        """A zero "constant" and each weight as a conductor-1 Cyclotomic."""
-        return {"constant": Cyclotomic.zero(1).to_json(),
+        """A zero "constant" and each weight as a conductor-1 Cyclotomic,
+        written as `Cyclotomic.to_json` writes them."""
+        return {"constant": {"conductor": 1, "coeffs": ["0"]},
                 "terms": [{"mu": i.mu, "nu": i.nu,
-                           "coeff": Cyclotomic.from_rational(w).to_json()}
+                           "coeff": {"conductor": 1, "coeffs": [str(w)]}}
                           for i, w in sorted(self.terms.items())]}
 
     @classmethod

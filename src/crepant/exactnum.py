@@ -6,7 +6,11 @@ the layout of FLINT/Antic `nf_elem`: a tuple of integer numerators over one
 positive integer denominator, normalised so that the gcd of the numerators and
 the denominator is 1.  That normal form is unique, so equality is a tuple
 comparison (after lifting both operands into a common conductor);
-`Cyclotomic.coeffs` presents the coordinates as `fractions.Fraction`s.
+`Cyclotomic.coeffs` presents the coordinates as `fractions.Fraction`s (the
+solvers sort by them); the emitters do not go through it: `to_json`,
+`__str__` and the LaTeX emitter spell each coordinate from the integers
+(`coordinate_strings`, one gcd each) and `from_json` reads them back with
+`int`.
 
 Phi_N is monic with integer coefficients, so every reduction stays in the
 integers.  A product is reduced in one pass over the cached rows
@@ -211,11 +215,7 @@ class Cyclotomic:
 
     def __init__(self, conductor: int, coeffs):
         coeffs = tuple(coeffs)
-        # phi(N) >= sqrt(N/2): a conductor above 2 len^2 cannot fit, and is
-        # refused before factorising it, which could take forever
-        if (conductor > 2 * len(coeffs) ** 2
-                or len(coeffs) != euler_phi(conductor)):
-            raise ValueError("coefficient vector has wrong length")
+        _check_length(conductor, len(coeffs))
         for c in coeffs:
             if not isinstance(c, _RATIONAL):
                 raise TypeError(f"coordinates must be int or Fraction, "
@@ -471,19 +471,42 @@ class Cyclotomic:
         return f"Cyclotomic({self.conductor}, {list(self.coeffs)})"
 
     def __str__(self):
+        """The nonzero coordinates c_k as "c_0 + c_1*zN + c_2*zN^2 ...", each
+        spelled as `coordinate_strings` does, "zN^k" alone for c_k = 1 and
+        "- " for a negative sign; "0" for zero.
+
+        >>> print(root_of_unity(3) - Fraction(1, 2))
+        -1/2 + z3
+        """
         if self.is_zero():
             return "0"
         parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
+        for k, c in enumerate(self.coordinate_strings()):
+            if c == "0":
                 continue
             if k == 0:
-                parts.append(str(c))
+                parts.append(c)
             else:
                 sym = f"z{self.conductor}" + (f"^{k}" if k > 1 else "")
-                parts.append(sym if c == 1 else
-                             f"-{sym}" if c == -1 else f"{c}*{sym}")
+                parts.append(sym if c == "1" else
+                             f"-{sym}" if c == "-1" else f"{c}*{sym}")
         return " + ".join(parts).replace("+ -", "- ")
+
+    def coordinate_strings(self) -> list[str]:
+        """Each coordinate as `str(Fraction)` spells it: "p/q" in lowest
+        terms with q > 0, "p" for an integer; one gcd per coordinate.
+
+        >>> (root_of_unity(4) * Fraction(-2, 6) + 1).coordinate_strings()
+        ['1', '-1/3']
+        """
+        den = self._den
+        if den == 1:
+            return [str(x) for x in self._num]
+        out = []
+        for x in self._num:
+            g = math.gcd(x, den)
+            out.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+        return out
 
     def to_complex(self) -> complex:
         """Floating approximation, for display only; never authoritative."""
@@ -493,14 +516,20 @@ class Cyclotomic:
         return sum(float(c) * zeta ** k for k, c in enumerate(self.coeffs))
 
     def to_json(self):
+        """{"conductor": N, "coeffs": [...]}, each coordinate the string
+        `coordinate_strings` gives ("p/q" in lowest terms, "p" for an
+        integer), as `str(Fraction)` spells it."""
         return {"conductor": self.conductor,
-                "coeffs": [str(c) for c in self.coeffs]}
+                "coeffs": self.coordinate_strings()}
 
     @classmethod
     def from_json(cls, data) -> "Cyclotomic":
         """Read {"conductor": N, "coeffs": [...]}: N an int, each coordinate
-        an int or a string such as "-3/4" (no float, no bool, no exponent,
-        no zero denominator).
+        an int or a string "p" or "p/q" of ASCII digits, p optionally signed
+        and q > 0, such as "-3/4", "+3", "007" or "2/04" (no float, no bool,
+        no exponent, no zero denominator).  The parts are read by `int` and
+        put over the lcm of the q, so the value is in normal form whatever
+        the spelling.
 
         >>> print(Cyclotomic.from_json({"conductor": 4, "coeffs": [0, "1/2"]}))
         1/2*z4
@@ -515,7 +544,25 @@ class Cyclotomic:
                 for c in coeffs):
             raise ValueError("cyclotomic coeffs must be a list of ints or "
                              'strings such as "-3/4"')
-        return cls(conductor, [Fraction(c) for c in coeffs])
+        parts = [(c, 1) if isinstance(c, int) else _read_coordinate(c)
+                 for c in coeffs]
+        _check_length(conductor, len(parts))
+        den = math.lcm(*(q for _, q in parts))
+        return cls._make(conductor, [p * (den // q) for p, q in parts], den)
+
+
+def _read_coordinate(text: str) -> tuple[int, int]:
+    """(p, q) of a coordinate string "p" or "p/q" that matches
+    `_COORDINATE`."""
+    p, _, q = text.partition("/")
+    return int(p), int(q) if q else 1
+
+
+def _check_length(conductor: int, length: int) -> None:
+    # phi(N) >= sqrt(N/2): a conductor above 2 len^2 cannot fit, and is
+    # refused before factorising it, which could take forever
+    if conductor > 2 * length ** 2 or length != euler_phi(conductor):
+        raise ValueError("coefficient vector has wrong length")
 
 
 class Kronecker:

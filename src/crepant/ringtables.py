@@ -112,12 +112,38 @@ class QCoeff:
                 "mult": mult}
 
     @classmethod
-    def from_json(cls, data, kappa: BaseScalar) -> "QCoeff":
-        """Refuses a "mult" that is not K = `kappa`."""
+    def from_json(cls, data, kappa: BaseScalar, kappa_json) -> "QCoeff":
+        """Refuses a "mult" that is not K = `kappa`.  A "mult" that is
+        JSON-equal to `kappa_json`, K's JSON, which a table's reader
+        computes once, is K and is not parsed."""
         cup = BaseScalar.from_json(data["cup"])
-        if BaseScalar.from_json(data["mult"]) != kappa:
+        mult = data["mult"]
+        if (not _json_equal(mult, kappa_json)
+                and BaseScalar.from_json(mult) != kappa):
             raise ValueError("a quantum coefficient's \"mult\" must be K")
         return cls(cup, CorrectionFunction.from_json(data["corr"], cup.n))
+
+
+def _json_equal(a, b) -> bool:
+    """a == b as JSON values: of the same types all the way down, so 1.0 and
+    true do not equal 1."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        if a.keys() != b.keys():
+            return False
+        for k, v in a.items():
+            if not _json_equal(v, b[k]):
+                return False
+        return True
+    if type(a) is list:
+        if len(a) != len(b):
+            return False
+        for x, y in zip(a, b):
+            if not _json_equal(x, y):
+                return False
+        return True
+    return a == b
 
 
 class ProductTable:
@@ -240,7 +266,7 @@ def qc_table(n: int) -> ProductTable:
                        if b in pj}
             coeffs = tuple(
                 QCoeff(base.e[l - 1],
-                       CorrectionFunction(n, {
+                       CorrectionFunction._make(n, {
                            b: w for b, w in weights.items()
                            if b.mu <= l <= b.nu}))
                 for l in range(1, n + 1))
@@ -333,7 +359,9 @@ def table_from_json(doc) -> ProductTable:
     n, kind = doc["n"], doc["kind"]
     coeff = BaseScalar.from_json
     if kind == KIND_QUANTUM:
-        coeff = partial(QCoeff.from_json, kappa=BaseScalar.K(n))
+        kappa = BaseScalar.K(n)
+        coeff = partial(QCoeff.from_json, kappa=kappa,
+                        kappa_json=kappa.to_json())
     entries = {(e["i"], e["j"]): ExcClass.from_json(e, n, coeff)
                for e in doc["entries"]}
     q = ([Cyclotomic.from_json(x) for x in doc["q"]]
@@ -365,30 +393,30 @@ def table_to_text(table: ProductTable) -> str:
     return "\n".join(lines)
 
 
-def _ltx_fraction(fr: Fraction) -> str:
-    if fr.denominator == 1:
-        return str(fr.numerator)
-    sign = "-" if fr < 0 else ""
-    return f"{sign}\\frac{{{abs(fr.numerator)}}}{{{fr.denominator}}}"
+def _ltx_coordinate(text: str) -> str:
+    """A coordinate string "p" or "p/q" as LaTeX."""
+    num, _, den = text.partition("/")
+    if not den:
+        return num
+    sign = "-" if num.startswith("-") else ""
+    return f"{sign}\\frac{{{num.lstrip('-')}}}{{{den}}}"
 
 
 def _ltx_cyclotomic(c: Cyclotomic) -> str:
-    if c.is_rational():
-        return _ltx_fraction(c.as_fraction())
     parts = []
-    for k, coeff in enumerate(c.coeffs):
-        if not coeff:
+    for k, coeff in enumerate(c.coordinate_strings()):
+        if coeff == "0":
             continue
         sym = "" if k == 0 else f"\\zeta_{{{c.conductor}}}" + \
             (f"^{{{k}}}" if k > 1 else "")
         if not sym:
-            parts.append(_ltx_fraction(coeff))
-        elif coeff == 1:
+            parts.append(_ltx_coordinate(coeff))
+        elif coeff == "1":
             parts.append(sym)
-        elif coeff == -1:
+        elif coeff == "-1":
             parts.append(f"-{sym}")
         else:
-            parts.append(f"{_ltx_fraction(coeff)}{sym}")
+            parts.append(f"{_ltx_coordinate(coeff)}{sym}")
     return _join_signed(parts)
 
 

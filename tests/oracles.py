@@ -8,6 +8,7 @@ module.
 """
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,6 +44,89 @@ def conjugate(x: Cyclotomic) -> Cyclotomic:
     """Complex conjugation, the Galois map zeta -> zeta^-1."""
     return sum((c * root_of_unity(x.conductor, -k)
                 for k, c in enumerate(x.coeffs)), Cyclotomic.zero(x.conductor))
+
+
+# -- coordinates through Fractions --------------------------------------------
+#
+# The library spells and reads each coordinate from its integer numerator and
+# the common denominator.  These are the formulas it used before, one
+# `Fraction` per coordinate.
+
+_COORDINATE = re.compile(r"[-+]?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+def fraction_to_json(x: Cyclotomic):
+    """`Cyclotomic.to_json` as str(Fraction) of every coordinate."""
+    return {"conductor": x.conductor, "coeffs": [str(c) for c in x.coeffs]}
+
+
+def fraction_str(x: Cyclotomic) -> str:
+    """`Cyclotomic.__str__` from the Fraction coordinates."""
+    if x.is_zero():
+        return "0"
+    parts = []
+    for k, c in enumerate(x.coeffs):
+        if not c:
+            continue
+        if k == 0:
+            parts.append(str(c))
+        else:
+            sym = f"z{x.conductor}" + (f"^{k}" if k > 1 else "")
+            parts.append(sym if c == 1 else
+                         f"-{sym}" if c == -1 else f"{c}*{sym}")
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+def _fraction_latex_coordinate(fr: Fraction) -> str:
+    if fr.denominator == 1:
+        return str(fr.numerator)
+    sign = "-" if fr < 0 else ""
+    return f"{sign}\\frac{{{abs(fr.numerator)}}}{{{fr.denominator}}}"
+
+
+def fraction_latex(c: Cyclotomic) -> str:
+    """`ringtables._ltx_cyclotomic` from the Fraction coordinates."""
+    if c.is_rational():
+        return _fraction_latex_coordinate(c.as_fraction())
+    parts = []
+    for k, coeff in enumerate(c.coeffs):
+        if not coeff:
+            continue
+        sym = "" if k == 0 else f"\\zeta_{{{c.conductor}}}" + \
+            (f"^{{{k}}}" if k > 1 else "")
+        if not sym:
+            parts.append(_fraction_latex_coordinate(coeff))
+        elif coeff == 1:
+            parts.append(sym)
+        elif coeff == -1:
+            parts.append(f"-{sym}")
+        else:
+            parts.append(f"{_fraction_latex_coordinate(coeff)}{sym}")
+    text = ""
+    for p in parts:
+        if not text:
+            text = p
+        elif p.startswith("-"):
+            text += " - " + p[1:]
+        else:
+            text += " + " + p
+    return text or "0"
+
+
+def fraction_from_json(data) -> Cyclotomic:
+    """`Cyclotomic.from_json` through one Fraction per coordinate: the same
+    checks, in the same order, with the same exceptions."""
+    conductor, coeffs = data["conductor"], data["coeffs"]
+    if isinstance(conductor, bool) or not isinstance(conductor, int):
+        raise ValueError("cyclotomic conductor must be an int, not "
+                         f"{type(conductor).__name__}")
+    if not isinstance(coeffs, list) or not all(
+            (isinstance(c, int) and not isinstance(c, bool))
+            or (isinstance(c, str) and _COORDINATE.fullmatch(c))
+            for c in coeffs):
+        raise ValueError("cyclotomic coeffs must be a list of ints or "
+                         'strings such as "-3/4"')
+    return Cyclotomic(conductor, [Fraction(c) for c in coeffs])
 
 
 # -- roots of unity by powers and inverses of zeta ---------------------------

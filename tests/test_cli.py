@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from crepant.cli import main
+from crepant.cli import MAX_MAP_DIGITS, main
 
 
 @pytest.fixture()
@@ -437,3 +437,96 @@ def test_mixed_map_file_within_the_field_bound_verifies(runner, tmp_path):
                              cr_table(2))
     assert result.exit_code == (0 if report.passed else 1)
     assert json.loads(result.stdout) == report.to_json()
+
+
+def _one_entry_map_file(tmp_path, coordinate):
+    """A rank-1 map file whose one entry has the JSON text `coordinate` as
+    its coordinate."""
+    path = tmp_path / "map.json"
+    path.write_text('{"n": 1, "matrix": [[{"conductor": 1, "coeffs": ['
+                    + coordinate + "]}]]}")
+    return str(path)
+
+
+@pytest.mark.parametrize("coordinate, width", [
+    ('"' + "7" * 4000 + '"', 4000),
+    ('"' + "7" * 5000 + '"', 5000),
+    ("7" * 4000, 4000),
+    ("-" + "7" * 5000, 5000),
+    ('"-1/' + "3" * 4000 + '"', 4000),
+    ('"-' + "0" * 4000 + '1"', 4001),
+    ("1" + "0" * MAX_MAP_DIGITS, MAX_MAP_DIGITS + 1),
+], ids=["4000-digits", "5000-digits", "4000-digit-json-int",
+        "5000-digit-json-int", "4000-digit-denominator",
+        "4001-digits-with-leading-zeros", "26-digit-json-int"])
+def test_a_map_coordinate_above_the_digit_cap_is_refused_before_any_work(
+        runner, tmp_path, monkeypatch, coordinate, width):
+    import crepant.cli as cli
+
+    _forbid_work(monkeypatch, "verify did work for a map past the digit cap")
+    path = _one_entry_map_file(tmp_path, coordinate)
+    result = runner.invoke(main, ["verify", "--n", "1", "--map", path,
+                                  "--q", "e:1/2"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"Error: map file {path!r}: entry matrix[0][0] has a coordinate of "
+        f"{width} digits, above the limit of {cli.MAX_MAP_DIGITS} digits per "
+        "numerator or denominator\n")
+    help_text = " ".join(runner.invoke(main, ["verify", "--help"]).output
+                         .split())
+    assert f"at most {cli.MAX_MAP_DIGITS} digits" in help_text
+
+
+@pytest.mark.parametrize("quote", ['"', ""], ids=["string", "json-int"])
+def test_a_map_coordinate_at_the_digit_cap_verifies(runner, tmp_path,
+                                                    quote):
+    from crepant.exactnum import Cyclotomic
+    from crepant.mckay import LinearMap
+
+    wide = "9" * MAX_MAP_DIGITS
+    coordinate = (f'"-{wide}/{wide[:-1]}8"' if quote
+                  else f"-{wide}")
+    path = _one_entry_map_file(tmp_path, coordinate)
+    result = runner.invoke(main, ["verify", "--n", "1", "--map", path,
+                                  "--q", "e:1/2"])
+    value = Cyclotomic.from_json(json.loads(Path(path).read_text())
+                                 ["matrix"][0][0])
+    canonical = tmp_path / "canonical.json"
+    canonical.write_text(json.dumps(LinearMap(1, ((value,),)).to_json()))
+    expected = runner.invoke(main, ["verify", "--n", "1", "--map",
+                                    str(canonical), "--q", "e:1/2"])
+    assert result.exit_code == 1
+    assert (result.stdout, result.stderr) == (expected.stdout, "")
+
+
+def test_the_widest_rank_12_map_verifies_and_prints(runner, tmp_path):
+    import random
+    from fractions import Fraction
+
+    from crepant.mckay import LinearMap, bgp_map
+
+    # bgp:1 with each entry times a distinct rational whose numerator and
+    # denominator have MAX_MAP_DIGITS digits (bgp:1's coordinates are at
+    # most 2, so numerators stay within the cap)
+    rng = random.Random(12)
+    low = 10 ** (MAX_MAP_DIGITS - 1)
+    scales = set()
+    while len(scales) < 144:
+        scale = Fraction(rng.randrange(low, 10 * low // 4),
+                         rng.randrange(low, 10 * low))
+        if scale.denominator >= low and scale.numerator >= low:
+            scales.add(scale)
+    scales = iter(scales)
+    lmap = LinearMap(12, tuple(tuple(c * next(scales) for c in row)
+                               for row in bgp_map(12, 1).matrix))
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(lmap.to_json()))
+    assert max(len(part.lstrip("-")) for row in lmap.to_json()["matrix"]
+               for entry in row for c in entry["coeffs"]
+               for part in c.split("/")) == MAX_MAP_DIGITS
+    result = runner.invoke(main, ["verify", "--n", "12", "--map", str(path),
+                                  "--q", ",".join(["e:1/13"] * 12)])
+    assert result.exit_code == 1
+    assert result.stderr == ""
+    assert result.stdout.startswith("transport check (n=12): FAIL\n")

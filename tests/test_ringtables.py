@@ -391,6 +391,39 @@ def test_a_quantum_coefficient_whose_mult_is_not_k_is_refused():
         table_from_json(doc)
 
 
+def test_a_mult_is_parsed_only_when_it_is_not_ks_json(monkeypatch):
+    import crepant.ringtables as rt
+
+    doc = json.loads(json.dumps(table_to_json(qc_table(2))))
+    parsed = []
+    real = BaseScalar.from_json
+
+    def spy(data):
+        parsed.append(data)
+        return real(data)
+
+    monkeypatch.setattr(rt.BaseScalar, "from_json", spy)
+    assert table_from_json(doc) == qc_table(2)
+    # each entry's s part and each coefficient's cup part, no "mult"
+    assert len(parsed) == 3 + 3 * 2
+    kappa = doc["entries"][0]["e"][1]["mult"]
+    assert kappa == BaseScalar.K(2).to_json()
+    # K spelled another way is still K, read by the parser
+    kappa["terms"][0]["coeff"]["coeffs"] = ["2/6"]
+    parsed.clear()
+    assert table_from_json(doc) == qc_table(2)
+    assert len(parsed) == 3 + 3 * 2 + 1
+    # equal to K's JSON in Python but not as JSON: parsed, and refused as
+    # the parser refuses a conductor that is not an int
+    for conductor, name in ((1.0, "float"), (True, "bool")):
+        kappa["terms"][0]["coeff"] = {"conductor": conductor,
+                                      "coeffs": ["1/3"]}
+        assert kappa == BaseScalar.K(2).to_json()
+        with pytest.raises(ValueError, match=f"conductor must be an int, "
+                           f"not {name}"):
+            table_from_json(doc)
+
+
 @pytest.mark.parametrize("field, value", [
     ("constant", Cyclotomic.from_rational(1)),
     ("coeff", Cyclotomic.from_rational(Fraction(1, 2))),
