@@ -49,10 +49,11 @@ _BGP = re.compile(r"bgp:([+-]?[0-9]+)")
 MAX_QPOINT_PHI = 128
 
 # Largest rank `scan --n` accepts.  The scan's cost grows with n, with the
-# number of primitive (n+1)-th roots and with the degree of Q(zeta_{4(n+1)}):
-# on a 2-vCPU x86 host n = 10, 12, 14, 15 took 0.7-1.7, 1.4-3.4, 1.1-2.9 and
-# 1.7-4.1 s in four timings in two sittings, while n = 16 (16 roots in a field
-# of degree 32) took 4.7-12 s through the library.
+# number of primitive (n+1)-th roots, of which it checks one per conjugate
+# pair, ceil(phi(n+1)/2), and with the degree of Q(zeta_{4(n+1)}): on a
+# 2-vCPU x86 host `conjecture_scan(n)` for n = 10, 12, 14, 15 took 0.20-0.33,
+# 0.57-0.75, 0.43-0.75 and 0.56-0.88 s in three timings in one sitting, while
+# n = 16 (8 of its 16 roots checked, in a field of degree 32) took 1.9-3.0 s.
 MAX_SCAN_RANK = 15
 
 # Largest rank each other command accepts, timed on the same host at its
@@ -225,27 +226,47 @@ def _load_map(source: str, rank: int) -> LinearMap:
     return LinearMap.from_json(doc)
 
 
+class _LongInt(str):
+    """The text of a JSON integer past CPython's limit on int() of a decimal
+    string (4300 digits)."""
+
+    def digits(self) -> int:
+        return len(self.lstrip("-"))
+
+
 def _map_int(literal: str):
     """A JSON integer of a map file.  One past CPython's limit on int() of a
-    decimal string (4300 digits) stays its text, so that
-    `_bound_map_digits` names its entry when it is a coordinate; elsewhere
-    the reader refuses it as not an int."""
+    decimal string stays its text, a `_LongInt`, so that `_bound_map_digits`
+    names its field and its digit count."""
     try:
         return int(literal)
     except ValueError:
-        return literal
+        return _LongInt(literal)
 
 
 def _bound_map_digits(source: str, doc) -> None:
-    """Refuse a map coordinate whose numerator or denominator has more than
-    MAX_MAP_DIGITS digits, before any work.  Anything malformed is left to
-    `LinearMap.from_json`, which refuses it."""
-    rows = doc.get("matrix") if isinstance(doc, dict) else None
+    """Refuse, before any work, a map file whose "n" or an entry's
+    "conductor" is an integer too long to read, or a coordinate whose
+    numerator or denominator has more than MAX_MAP_DIGITS digits.  Anything
+    malformed is left to `LinearMap.from_json`, which refuses it."""
+    if not isinstance(doc, dict):
+        return
+    if isinstance(doc.get("n"), _LongInt):
+        raise InputError(f'map file {source!r}: "n" is an integer of '
+                         f'{doc["n"].digits()} digits, too long to read')
+    rows = doc.get("matrix")
     if not isinstance(rows, list):
         return
     for k, row in enumerate(rows):
         for l, entry in enumerate(row if isinstance(row, list) else ()):
-            coeffs = entry.get("coeffs") if isinstance(entry, dict) else None
+            if not isinstance(entry, dict):
+                continue
+            if isinstance(entry.get("conductor"), _LongInt):
+                raise InputError(
+                    f"map file {source!r}: entry matrix[{k}][{l}] has a "
+                    f"conductor of {entry['conductor'].digits()} digits, "
+                    "too long to read")
+            coeffs = entry.get("coeffs")
             for c in coeffs if isinstance(coeffs, list) else ():
                 if isinstance(c, int):
                     c = str(c)

@@ -14,13 +14,13 @@ solvers sort by them); the emitters do not go through it: `to_json`,
 
 Phi_N is monic with integer coefficients, so every reduction stays in the
 integers.  A product is reduced in one pass over the cached rows
-x^k mod Phi_N, phi(N) <= k <= 2 phi(N) - 2; lifts and powers of zeta are
-reduced by monic division, after folding zeta^(N/2) = -1 when N is even.  A
-rational adds into the constant coordinate of a value whose conductor its
-own divides, with no lift.  The inverse of 1 - zeta^a is a closed form,
-1/(1 - w) = -(1/o) sum_{j<o} j w^j for w = zeta^a of order o; any other
-inverse solves the integer system of the multiplication matrix by
-fraction-free (Bareiss) elimination.  There is no floating point anywhere;
+x^k mod Phi_N, phi(N) <= k <= 2 phi(N) - 2; lifts, complex conjugates and
+powers of zeta are reduced by monic division, after folding zeta^(N/2) = -1
+when N is even.  A rational adds into the constant coordinate of a value
+whose conductor its own divides, with no lift.  The inverse of 1 - zeta^a is
+a closed form, 1/(1 - w) = -(1/o) sum_{j<o} j w^j for w = zeta^a of order
+o; any other inverse solves the integer system of the multiplication matrix
+by fraction-free (Bareiss) elimination.  There is no floating point anywhere;
 `Cyclotomic.to_complex` exists only as a non-authoritative display aid.
 
 `Kronecker` runs one kind of sum of products in one field Q(zeta_N) as
@@ -292,6 +292,23 @@ class Cyclotomic:
         poly = [0] * ((len(num) - 1) * step + 1)
         poly[::step] = num
         return Cyclotomic._from_poly(conductor, poly, self._den)
+
+    def conjugate(self) -> "Cyclotomic":
+        """The complex conjugate, the field automorphism zeta_N -> zeta_N^-1,
+        at the same conductor: coordinate k moves to zeta^(N-k) and the sum
+        is reduced once; a rational is its own conjugate.
+
+        >>> root_of_unity(5).conjugate() == root_of_unity(5, 4)
+        True
+        """
+        num, n = self._num, self.conductor
+        if not any(num[1:]):
+            return self
+        poly = [0] * n
+        poly[0] = num[0]
+        for k, c in enumerate(num[1:], 1):
+            poly[n - k] = c
+        return Cyclotomic._from_poly(n, poly, self._den)
 
     @staticmethod
     def common(a: "Cyclotomic", b: "Cyclotomic"):

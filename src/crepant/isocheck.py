@@ -53,6 +53,30 @@ unique, so the bytes agree.  The s part, which Phi fixes, is the source's
 own minus the right side's by `BaseScalar` subtraction on both paths: the
 source's coefficient, which may be stored at any conductor, stays as it is
 where the right side has no s term.
+
+The scan checks one root of each complex-conjugate pair.  The primitive
+(n+1)-th roots zeta^m and zeta^(n+1-m) are conjugate, and the report at the
+second is the entrywise conjugate of the report at the first:
+
+  * `qc_table(n)` and `cr_table(n)` are rational, and conjugation sends the
+    point q = zeta^m to q' = zeta^(n+1-m).
+  * `bgp_map(n, n+1-m)` is the conjugate of `bgp_map(n, m)`, entry by
+    entry.  Write z = zeta_{4(n+1)}, so entry (k, l) at m is
+    z^(s+e) - z^(s-e) with s = 4mlk and e = `branch_exponent(n, m, k)`,
+    +-2j for j = km mod 2(n+1).  At m' = n+1-m, s' = -s mod 4(n+1).  For
+    even k, j' = 2(n+1) - j and the branch sign stays, so e' = -e.  For odd
+    k, j' = n+1-j mod 2(n+1) and the branch sign flips, so
+    e' = e -+ 2(n+1); with z^(2(n+1)) = -1 this again gives
+    z^(s'+e') - z^(s'-e') = conj(z^(s+e) - z^(s-e)).
+  * Conjugation is a field automorphism of each Q(zeta_c) that keeps c, and
+    commutes with lifts.  So every delta value, sum, product, conductor and
+    dropped zero of `qc_eval` and of either route above conjugates, and the
+    conjugate of each stored difference is, in normal form, the one the
+    check computes at q'.
+
+Only n = 1, m = 1 is its own conjugate, and it is computed directly.  So is
+a root whose conjugate ended in a pole, which a primitive root never does:
+q_mu...q_nu = zeta^(m(nu-mu+1)) with 1 <= nu-mu+1 <= n is never 1.
 """
 
 from __future__ import annotations
@@ -487,30 +511,53 @@ class RootScan:
         return doc
 
 
+def _conjugate(diff: ExcClass) -> ExcClass:
+    """diff with every coefficient complex-conjugated."""
+    def part(x: BaseScalar) -> BaseScalar:
+        return BaseScalar._make(x.n, {mono: c.conjugate()
+                                      for mono, c in x.terms.items()})
+    return ExcClass(diff.n, part(diff.s), tuple(map(part, diff.e)))
+
+
 def conjecture_scan(n: int) -> list[RootScan]:
     """Probe the conjectured map at q_1 = ... = q_n = zeta^{m_root} for
     every primitive (n+1)-th root.
 
     No truth value is asserted beyond what the check computes; a root where
     some q_mu...q_nu = 1 is reported as a pole, not as a failure.
+
+    `qc_eval` and `transport_check` run at the first root of each conjugate
+    pair {m, n+1-m} only, ceil(phi(n+1)/2) roots in all.  The report at
+    m > (n+1)/2 prints the map `bgp_map(n, m)` and the point zeta^m, and
+    conjugates every difference of the report at n+1-m: the tables are
+    rational and `bgp_map(n, n+1-m)` is the entrywise conjugate of
+    `bgp_map(n, m)`, so that is the report the check would compute there
+    (the module docstring gives the argument).
     """
     if n < 1:
         raise ValueError("rank must be >= 1")
     qct = qc_table(n)
     crt = cr_table(n)
     conductor = 4 * (n + 1)
+    reports = {}        # m_root -> its report, for the roots checked
     results = []
     for m_root in range(1, n + 1):
         if math.gcd(m_root, n + 1) != 1:
             continue
         zeta = root_of_unity(conductor, 4 * m_root)
         lmap = bgp_map(n, m_root)
-        try:
-            evaluated = qc_eval(qct, [zeta] * n)
-        except PoleError as exc:
-            results.append(RootScan(m_root, "pole", None, exc))
-            continue
-        report = transport_check(lmap, evaluated, crt)
+        mirror = reports.get(n + 1 - m_root)
+        if mirror is not None:
+            report = TransportReport(n, (zeta,) * n, lmap, tuple(
+                EntryCheck(e.i, e.j, _conjugate(e.diff))
+                for e in mirror.entries))
+        else:
+            try:
+                evaluated = qc_eval(qct, [zeta] * n)
+            except PoleError as exc:
+                results.append(RootScan(m_root, "pole", None, exc))
+                continue
+            report = reports[m_root] = transport_check(lmap, evaluated, crt)
         results.append(RootScan(
             m_root, "pass" if report.passed else "fail", report))
     return results

@@ -14,12 +14,14 @@ from fractions import Fraction
 
 from crepant import linalg
 from crepant.coeffring import BaseScalar, accumulate
-from crepant.corrections import CorrectionFunction, cache_deltas
+from crepant.corrections import (CorrectionFunction, PoleError,
+                                 cache_deltas)
 from crepant.exactnum import (Cyclotomic, InvalidRoot, euler_phi,
                               imaginary_unit, root_of_unity)
-from crepant.mckay import LinearMap
+from crepant.isocheck import RootScan, transport_check
+from crepant.mckay import LinearMap, bgp_map
 from crepant.ringtables import (KIND_CUP, ExcClass, ProductTable, QCoeff,
-                                cr_table)
+                                cr_table, qc_eval, qc_table)
 
 # -- Cyclotomic ---------------------------------------------------------------
 
@@ -449,3 +451,27 @@ def cr_associativity_report(n: int):
                         != times_generator(table.entry(b, c), a)):
                     ok = False
     return ok, checked, skipped
+
+
+# -- the scan -----------------------------------------------------------------
+
+
+def conjecture_scan_every_root(n: int) -> list[RootScan]:
+    """`isocheck.conjecture_scan` evaluating and checking every primitive
+    root, with no use of conjugation: the reference for the scan's
+    conjugate pairs."""
+    qct, crt = qc_table(n), cr_table(n)
+    results = []
+    for m_root in range(1, n + 1):
+        if math.gcd(m_root, n + 1) != 1:
+            continue
+        zeta = root_of_unity(4 * (n + 1), 4 * m_root)
+        try:
+            evaluated = qc_eval(qct, [zeta] * n)
+        except PoleError as exc:
+            results.append(RootScan(m_root, "pole", None, exc))
+            continue
+        report = transport_check(bgp_map(n, m_root), evaluated, crt)
+        results.append(RootScan(
+            m_root, "pass" if report.passed else "fail", report))
+    return results

@@ -478,6 +478,25 @@ def test_a_map_coordinate_above_the_digit_cap_is_refused_before_any_work(
     assert f"at most {cli.MAX_MAP_DIGITS} digits" in help_text
 
 
+@pytest.mark.parametrize("content, field", [
+    ('{"n": ' + "1" * 5000 + ', "matrix": [[{"conductor": 1, '
+     '"coeffs": ["1"]}]]}', '"n" is an integer'),
+    ('{"n": 1, "matrix": [[{"conductor": ' + "1" * 5000
+     + ', "coeffs": ["1"]}]]}', "entry matrix[0][0] has a conductor"),
+], ids=["5000-digit-rank", "5000-digit-conductor"])
+def test_a_map_integer_too_long_to_read_is_named_with_its_digits(
+        runner, tmp_path, monkeypatch, content, field):
+    _forbid_work(monkeypatch, "verify did work for an unreadable map")
+    path = tmp_path / "map.json"
+    path.write_text(content)
+    result = runner.invoke(main, ["verify", "--n", "1", "--map", str(path),
+                                  "--q", "e:1/2"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == (f"Error: map file {str(path)!r}: {field} of "
+                             "5000 digits, too long to read\n")
+
+
 @pytest.mark.parametrize("quote", ['"', ""], ids=["string", "json-int"])
 def test_a_map_coordinate_at_the_digit_cap_verifies(runner, tmp_path,
                                                     quote):

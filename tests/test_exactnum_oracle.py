@@ -165,3 +165,49 @@ def test_one_minus_a_root_times_its_inverse_is_one():
             inv = x.inverse()
             assert inv.conductor == n and x * inv == 1, (n, a)
             _assert_normal(inv)
+
+
+CONJUGATE_CONDUCTORS = [1, 2, 3, 4, 8, 12, 20, 28, 44, 60]
+
+
+@pytest.mark.parametrize("n", CONJUGATE_CONDUCTORS)
+def test_conjugate_matches_sympy(n):
+    # x(zeta^-1) = sum_k c_k x^(-k mod N) mod Phi_N, as Phi_N | x^N - 1
+    rng = random.Random(n)
+    for _ in range(20):
+        x = Cyclotomic(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                           for _ in range(euler_phi(n))])
+        terms = {(-k % n,): sympy.Rational(c.numerator, c.denominator)
+                 for k, c in enumerate(x.coeffs)}
+        expected = sympy.Poly.from_dict(terms, X, domain="QQ").rem(_phi(n))
+        conj = x.conjugate()
+        assert conj.conductor == n
+        assert conj.coeffs == _coords(expected, n), (n, x)
+        _assert_normal(conj)
+
+
+@pytest.mark.parametrize("n", CONJUGATE_CONDUCTORS)
+def test_conjugate_is_an_involutive_field_automorphism(n):
+    rng = random.Random(100 + n)
+
+    def draw():
+        return Cyclotomic(n, [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                              for _ in range(euler_phi(n))])
+
+    for _ in range(10):
+        a, b = draw(), draw()
+        assert a.conjugate().conjugate() == a
+        assert (a + b).conjugate() == a.conjugate() + b.conjugate()
+        assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+    for a in range(n):
+        assert root_of_unity(n, a).conjugate() == root_of_unity(n, -a)
+
+
+@pytest.mark.parametrize("n", CONJUGATE_CONDUCTORS)
+def test_conjugate_keeps_the_conductor_of_a_rational(n):
+    for value in (0, 1, Fraction(-7, 3)):
+        x = Cyclotomic.from_rational(value, n)
+        conj = x.conjugate()
+        assert conj.conductor == n
+        assert conj._num == x._num and conj._den == x._den
+    assert Cyclotomic.zero(n).conjugate().is_zero()

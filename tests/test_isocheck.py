@@ -2,7 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
+from crepant import cli
+from crepant.cli import main
 from crepant.exactnum import (Cyclotomic, imaginary_unit, root_of_unity,
                               sqrt_rational)
 from crepant.isocheck import (RankMismatch, conjecture_scan, solve_a1,
@@ -10,7 +13,7 @@ from crepant.isocheck import (RankMismatch, conjecture_scan, solve_a1,
 from crepant.mckay import LinearMap, bgp_map, chtd_map
 from crepant.ringtables import cr_table, qc_eval, qc_table
 
-from oracles import identity_map
+from oracles import conjecture_scan_every_root, identity_map
 
 MINUS_ONE = Cyclotomic.from_rational(-1)
 
@@ -238,11 +241,44 @@ def test_roots_of_unity_are_neither_powered_nor_inverted(inverses):
         chtd_map(n)  # one inverse per row's 2 - zeta^l - zeta^-l
         assert len(inverses) == n, n
         inverses.clear()
-    # the scan inverts only its deltas' 1 - q^d, d = 1..n, at each of the
-    # phi(n+1) = n roots when n+1 is prime
+    # the scan inverts only its deltas' 1 - q^d, d = 1..n, at the first
+    # root of each conjugate pair: n/2 of the phi(n+1) = n roots when n+1 is
+    # an odd prime
     for n in (6, 10):
         conjecture_scan(n)
-        assert len(inverses) == n * n, n
+        assert len(inverses) == n * n // 2, n
         inverses.clear()
     solve_a1()
     solve_a2()
+
+
+# -- the scan's conjugate pairs -----------------------------------------------
+
+
+def test_the_map_at_the_conjugate_root_is_the_conjugate_map():
+    for n in range(1, 16):
+        for m in range(1, n + 1):
+            if math.gcd(m, n + 1) != 1 or 2 * m == n + 1:
+                continue
+            mirror = bgp_map(n, n + 1 - m).matrix
+            for row, mirror_row in zip(bgp_map(n, m).matrix, mirror):
+                for c, d in zip(row, mirror_row):
+                    conj = c.conjugate()
+                    assert conj.conductor == d.conductor, (n, m)
+                    assert conj.coeffs == d.coeffs, (n, m)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_the_scan_prints_what_the_scan_of_every_root_prints(monkeypatch, n):
+    runner = CliRunner()
+
+    def printed():
+        return [runner.invoke(main, ["scan", "--n", str(n), "--format", fmt])
+                for fmt in ("json", "text")]
+
+    scanned = printed()
+    monkeypatch.setattr(cli, "conjecture_scan", conjecture_scan_every_root)
+    expected = printed()
+    for result, reference in zip(scanned, expected):
+        assert result.exit_code == reference.exit_code == 0
+        assert result.stdout == reference.stdout

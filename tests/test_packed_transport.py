@@ -394,10 +394,12 @@ def _packing_spy(monkeypatch):
 
 
 def test_every_scan_point_to_rank_twelve_packs(monkeypatch):
+    # the scan checks the first root of each conjugate pair, 2m <= n + 1
     routes = _packing_spy(monkeypatch)
     points = 0
     for n in range(1, 13):
-        points += sum(r.report is not None for r in conjecture_scan(n))
+        points += sum(r.report is not None and 2 * r.m_root <= n + 1
+                      for r in conjecture_scan(n))
     assert points > 12 and routes == [(True, True)] * points
 
 
