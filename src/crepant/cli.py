@@ -61,8 +61,8 @@ MAX_SCAN_RANK = 15
 # json --check-roundtrip` and 1.1-1.8 s with `--format json` evaluated at a
 # point of Q(zeta_420) (phi = 96); `verify` at a point of degree 96-128 took
 # 12 s at n = 11, 16 s at n = 12 and 37 s at n = 14; `mckay --n 300
-# --compare-resolution` took 10 s and `--n 400` 24 s; `resolve --n 1000`
-# took 4 s and `--n 2000` 16 s.
+# --compare-resolution` took 10-11 s and `--n 400` 24-27 s; `resolve
+# --n 1000` took 0.06 s and `--n 2000` 0.11 s.
 MAX_TABLE_RANK = 20
 MAX_VERIFY_RANK = 12
 MAX_MCKAY_RANK = 300
@@ -298,13 +298,13 @@ def cmd_verify(rank, map_source, qspec, fmt):
     orbifold product; exit 0 iff it does."""
     _bound_rank("verify", rank, MAX_VERIFY_RANK)
     lmap = _load_map(map_source, rank)
-    RankMismatch.check(lmap.n, rank, rank)
+    RankMismatch.check(lmap.n, rank)
     q = _parse_qpoint(qspec, rank, lmap)
     try:
         source = qc_eval(qc_table(rank), q)
     except PoleError as exc:
         _emit_pole(exc)
-    report = transport_check(lmap, source, cr_table(rank))
+    report = transport_check(lmap, source)
     if fmt == "json":
         click.echo(_dump_json(report.to_json()))
     else:
@@ -375,6 +375,8 @@ def cmd_mckay(rank, label, full, compare_resolution, fmt):
     """McKay graph from characters (A_n) or classification data (D/E)."""
     if (rank is None) == (label is None):
         raise click.UsageError("give exactly one of --n or --group")
+    if compare_resolution and (rank is None or full):
+        raise click.UsageError("--compare-resolution needs --n without --full")
     if rank is not None:
         _bound_rank("mckay", rank, MAX_MCKAY_RANK)
         graph = an_mckay(rank, reduced=not full)
@@ -398,9 +400,6 @@ def cmd_mckay(rank, label, full, compare_resolution, fmt):
             click.echo(f"  {graph.vertices[i][0]} -- {graph.vertices[j][0]}"
                        + (f" (x{mult})" if mult > 1 else ""))
     if compare_resolution:
-        if rank is None or full:
-            raise click.UsageError(
-                "--compare-resolution needs --n without --full")
         match = resolve_an(rank).adjacency() == graph.adjacency
         click.echo("resolution graph match: " + ("yes" if match else "NO"))
         sys.exit(0 if match else 1)

@@ -9,44 +9,45 @@ degree-2 products: for every pair (i, j) the difference
     Phi(E_i * E_j)  -  Phi(E_i) . Phi(E_j)
 
 must vanish as an ExcClass, where the right side expands bilinearly through
-the orbifold table.  `transport_check` reports the exact difference per
-entry; `solve_a1` and `solve_a2` run the reduction in the opposite
-direction, extracting the polynomial system a candidate must satisfy and
-solving it exactly over Q(zeta_{4(n+1)}).
+the Chen-Ruan table `cr_table(n)`, the one ring the conjecture compares
+with.  `transport_check` reports the exact difference per entry; `solve_a1`
+and `solve_a2` run the reduction in the opposite direction, extracting the
+polynomial system a candidate must satisfy and solving it exactly over
+Q(zeta_{4(n+1)}).
 
 The check sums its products in one of two ways, with equal results.  It
 runs as a packed kernel when
 
   (a) every nonzero map entry has one conductor N,
-  (b) the conductor of every basis coefficient of the source divides N,
-  (c) the conductor of every target coefficient divides N, and
-  (d) packing pays: the packed digits need at most 64 bits, or at most
+  (b) the conductor of every basis coefficient of the source divides N, and
+  (c) packing pays: the packed digits need at most 64 bits, or at most
       twice the width that operands of the typical size would need
       (`Kronecker.bits` and `Kronecker.typical`).
 
-Each map entry and source and target coefficient is then packed once into
+Each map entry and source and Chen-Ruan coefficient is then packed once into
 one Python int (`exactnum.Kronecker`), every product is one big-integer
 multiplication and every sum one addition, both sides of each basis
 coefficient sum into one int, their difference over a common denominator,
 and only a nonzero one is unpacked and built as a Cyclotomic.  Otherwise
 the check sums slot by slot, one field product and one `accumulate` per
 term (`_apply_map`, `_pair_through_table`), and subtracts the two sides.
-`_packing` decides the route.  Clause (d) keeps the slot path for a few
+`_packing` decides the route.  Clause (c) keeps the slot path for a few
 operands, or a common denominator of many, far wider than the typical one:
 every packed product multiplies phi digits of the full width, however
 narrow its own factors, where field products of one pair at a time cost
 less.
 
-Why the two print the same bytes.  Under (a)-(c) every term the slot-by-slot
-sum hands to `accumulate` is a product with a conductor-N factor and
-factors whose conductors divide N, so it has conductor exactly N.  A sum of
-such terms, whatever their order or grouping, is its exact value at
+Why the two print the same bytes.  Under (a) and (b) every term the
+slot-by-slot sum hands to `accumulate` is a product with a conductor-N
+factor and factors whose conductors divide N, the source's by (b) and
+those of `cr_table(n)` at conductor 1, so it has conductor exactly N.  A
+sum of such terms, whatever their order or grouping, is its exact value at
 conductor N, or dropped when it cancels to zero; the packed kernel stores
 exactly that.  With mixed conductors the conductor a sum ends in depends on
 which terms cancel first, so reordering them could change the printed
-conductors, and (a)-(c) send those inputs down the slot-by-slot path.
+conductors, and (a) and (b) send those inputs down the slot-by-slot path.
 The slot-by-slot path takes the difference by `BaseScalar` subtraction,
-which under (a)-(c), with both sides exact values at N, stores each
+which under (a) and (b), with both sides exact values at N, stores each
 monomial's difference at N, or drops it when it cancels; the kernel reads
 its packed difference back at N and drops a zero, and normal forms are
 unique, so the bytes agree.  The s part, which Phi fixes, is the source's
@@ -92,18 +93,19 @@ from .corrections import DeltaIndex, PoleError
 from .exactnum import (Cyclotomic, Kronecker, imaginary_unit, root_of_unity,
                        sqrt_rational)
 from .mckay import LinearMap, bgp_map
-from .ringtables import (KIND_CR, KIND_QUANTUM, ExcClass, ProductTable,
-                         cr_table, cup_table, qc_eval, qc_table)
+from .ringtables import (KIND_QUANTUM, ExcClass, ProductTable, cr_table,
+                         cup_table, qc_eval, qc_table)
 
 
 class RankMismatch(ValueError):
     """Map and tables do not have the same rank."""
 
     @classmethod
-    def check(cls, map_rank: int, source_rank: int, target_rank: int):
-        if not map_rank == source_rank == target_rank:
-            raise cls(f"ranks differ: map {map_rank}, source {source_rank}, "
-                      f"target {target_rank}")
+    def check(cls, map_rank: int, rank: int):
+        """rank is the source's, and so the Chen-Ruan target's."""
+        if map_rank != rank:
+            raise cls(f"ranks differ: map {map_rank}, source {rank}, "
+                      f"target {rank}")
 
 
 @dataclass(frozen=True)
@@ -170,14 +172,14 @@ def _apply_map(lmap: LinearMap, cls: ExcClass) -> list:
 
 
 def _pair_through_table(lmap: LinearMap, i: int, j: int,
-                        target: ProductTable):
-    """Phi(E_i) . Phi(E_j) expanded bilinearly through the target table:
-    its s part and its basis coefficients.
+                        crt: ProductTable):
+    """Phi(E_i) . Phi(E_j) expanded bilinearly through the Chen-Ruan table
+    crt: its s part and its basis coefficients.
 
-    Terms are summed slot by slot in (k, kk) order; an orbifold entry has a
+    Terms are summed slot by slot in (k, kk) order; a Chen-Ruan entry has a
     single nonzero slot, so this costs O(n^2) per product.
     """
-    n = target.n
+    n = crt.n
     s_acc, e_acc = {}, [{} for _ in range(n)]
     for k in range(n):
         ci = lmap.matrix[k][i - 1]
@@ -188,7 +190,7 @@ def _pair_through_table(lmap: LinearMap, i: int, j: int,
             if cj.is_zero():
                 continue
             weight = ci * cj
-            entry = target.entry(k + 1, kk + 1)
+            entry = crt.entry(k + 1, kk + 1)
             for acc, part in zip((s_acc, *e_acc), (entry.s, *entry.e)):
                 for mono, c in part.terms.items():
                     accumulate(acc, mono, c * weight)
@@ -201,9 +203,9 @@ def _parts(entry: ExcClass):
 
 
 def _packing(lmap: LinearMap, source: ProductTable,
-             target: ProductTable) -> Kronecker | None:
-    """The operands packed for the kernel when clauses (a)-(d) of the
-    module docstring hold, else None."""
+             crt: ProductTable) -> Kronecker | None:
+    """The operands packed for the kernel, with the Chen-Ruan table crt,
+    when clauses (a)-(c) of the module docstring hold, else None."""
     conductors = {c.conductor for row in lmap.matrix for c in row
                   if not c.is_zero()}
     if len(conductors) != 1:
@@ -213,25 +215,22 @@ def _packing(lmap: LinearMap, source: ProductTable,
            for key in source.pairs() for coeff in source.entry(*key).e
            for c in coeff.terms.values()):
         return None
-    if any(conductor % c.conductor
-           for key in target.pairs() for part in _parts(target.entry(*key))
-           for c in part.terms.values()):
-        return None
     n = source.n
     # the kinds of term summed below, as (most terms, factor groups of a
     # term): a coefficient of Phi(E_i * E_j) sums over l the products (map
     # entry (k, l)) x (source coefficient l), one of Phi(E_i) . Phi(E_j)
-    # over (k, k') the products t x (map entry (k, i)) x (map entry (k', j))
+    # over (k, k') the products t x (map entry (k, i)) x (map entry (k', j)),
+    # at most n, as e_k e_k' has one term t, at a place k + k' fixes
     kr = Kronecker.pack(conductor, {
         "map": {(k, l): c for k, row in enumerate(lmap.matrix)
                 for l, c in enumerate(row) if not c.is_zero()},
         "source": {(key, l, mono): c for key in source.pairs()
                    for l, coeff in enumerate(source.entry(*key).e)
                    for mono, c in coeff.terms.items()},
-        "target": {(key, p, mono): c for key in target.pairs()
-                   for p, part in enumerate(_parts(target.entry(*key)))
-                   for mono, c in part.terms.items()},
-    }, [(n, ("map", "source")), (n * n, ("target", "map", "map"))])
+        "cr": {(key, p, mono): c for key in crt.pairs()
+               for p, part in enumerate(_parts(crt.entry(*key)))
+               for mono, c in part.terms.items()},
+    }, [(n, ("map", "source")), (n, ("cr", "map", "map"))])
     if kr.bits > max(64, 2 * kr.typical):
         return None
     return kr
@@ -248,9 +247,9 @@ def _packed_differences(source: ProductTable, kr: Kronecker):
     # the nonzero entries (k, packed) of each map column l
     columns = [[(k, x) for (k, l), x in kr.packed["map"].items() if l == col]
                for col in range(n)]
-    # the (part, monomial, -b numerator) terms of each target entry
+    # the (part, monomial, -b numerator) terms of each Chen-Ruan entry
     products = {}
-    for (key, p, mono), t in kr.packed["target"].items():
+    for (key, p, mono), t in kr.packed["cr"].items():
         products.setdefault(key, []).append((p, mono, -b * t))
     diffs = []
     for key in source.pairs():
@@ -278,23 +277,21 @@ def _packed_differences(source: ProductTable, kr: Kronecker):
     return diffs
 
 
-def transport_check(lmap: LinearMap, source: ProductTable,
-                    target: ProductTable) -> TransportReport:
-    """Compare Phi(source product) with the target product of the images.
+def transport_check(lmap: LinearMap, source: ProductTable) -> TransportReport:
+    """Compare Phi(source product) with the Chen-Ruan product of the images,
+    read from `cr_table(n)`.
 
-    The source must be fully evaluated (no symbolic delta terms); the target
-    is an orbifold table.  The sums run packed when the map, the source and
-    the target share one conductor and packing pays, as the module
-    docstring states.
+    The source must be fully evaluated (no symbolic delta terms).  The sums
+    run packed when the map and the source share one conductor and packing
+    pays, as the module docstring states.
     """
-    RankMismatch.check(lmap.n, source.n, target.n)
+    RankMismatch.check(lmap.n, source.n)
     if source.kind == KIND_QUANTUM:
         raise ValueError("source table still has symbolic delta terms; "
                          "evaluate it with qc_eval first")
-    if target.kind != KIND_CR:
-        raise ValueError("target must be a Chen-Ruan table")
     n = source.n
-    kr = _packing(lmap, source, target)
+    crt = cr_table(n)
+    kr = _packing(lmap, source, crt)
     if kr is not None:
         diffs = _packed_differences(source, kr)
     else:
@@ -302,7 +299,7 @@ def transport_check(lmap: LinearMap, source: ProductTable,
         for i, j in source.pairs():
             entry = source.entry(i, j)
             lhs = _apply_map(lmap, entry)
-            rhs_s, rhs_e = _pair_through_table(lmap, i, j, target)
+            rhs_s, rhs_e = _pair_through_table(lmap, i, j, crt)
             diffs.append(ExcClass(n, entry.s - rhs_s,
                                   tuple(a - b for a, b in zip(lhs, rhs_e))))
     checks = tuple(EntryCheck(i, j, diff)
@@ -330,9 +327,8 @@ def solve_a1() -> list[A1Solution]:
     """
     n = 1
     qct = qc_table(n)
-    crt = cr_table(n)
     tau = qct.entry(1, 1).s.constant_coefficient().as_fraction()
-    sigma = crt.entry(1, 1).s.constant_coefficient().as_fraction()
+    sigma = cr_table(n).entry(1, 1).s.constant_coefficient().as_fraction()
     ratio = tau / sigma  # t^2
     conductor = 4 * (n + 1)
     if ratio >= 0:
@@ -350,7 +346,7 @@ def solve_a1() -> list[A1Solution]:
     solutions = []
     for tt in sorted((t, -t), key=lambda x: x.coeffs):
         lmap = LinearMap(1, ((tt,),))
-        report = transport_check(lmap, qc_eval(qct, [q_star]), crt)
+        report = transport_check(lmap, qc_eval(qct, [q_star]))
         assert report.passed
         solutions.append(A1Solution(tt, q_star))
     return solutions
@@ -394,7 +390,7 @@ def _sqrt_in_field(value: Cyclotomic, conductor: int) -> list[Cyclotomic]:
     return roots
 
 
-def _delta_system(lmap: LinearMap, qct: ProductTable, crt: ProductTable):
+def _delta_system(lmap: LinearMap, qct: ProductTable):
     """Linear equations in (delta_11, delta_22, delta_12) forcing
     Phi(E_i * E_j) = Phi(E_i) . Phi(E_j) for the concrete map entries.
 
@@ -409,7 +405,7 @@ def _delta_system(lmap: LinearMap, qct: ProductTable, crt: ProductTable):
     monos = [(1, 0), (0, 1)]
     rows, rhs = [], []
     kappa = BaseScalar.K(n)
-    residual = transport_check(lmap, cup_table(n), crt)
+    residual = transport_check(lmap, cup_table(n))
     for check in residual.entries:
         entry = qct.entry(check.i, check.j)
         for k in range(n):
@@ -466,7 +462,7 @@ def solve_a2() -> list[A2Solution]:
                 continue
             seen.append((a, b))
             lmap = LinearMap(n, ((a, b), (b, a)))
-            rows, rhs = _delta_system(lmap, qct, crt)
+            rows, rhs = _delta_system(lmap, qct)
             try:
                 delta = linalg.solve_exact(rows, rhs,
                                            zero=Cyclotomic.zero(1))
@@ -483,7 +479,7 @@ def solve_a2() -> list[A2Solution]:
                 continue
             if d12 != (q1 * q2) / (1 - q1 * q2):
                 continue
-            report = transport_check(lmap, qc_eval(qct, [q1, q2]), crt)
+            report = transport_check(lmap, qc_eval(qct, [q1, q2]))
             if report.passed:
                 solutions.append(A2Solution(a, b, q1, q2, lmap))
     solutions.sort(key=lambda sol: sol.q1.lift(conductor).coeffs)
@@ -537,7 +533,6 @@ def conjecture_scan(n: int) -> list[RootScan]:
     if n < 1:
         raise ValueError("rank must be >= 1")
     qct = qc_table(n)
-    crt = cr_table(n)
     conductor = 4 * (n + 1)
     reports = {}        # m_root -> its report, for the roots checked
     results = []
@@ -557,7 +552,7 @@ def conjecture_scan(n: int) -> list[RootScan]:
             except PoleError as exc:
                 results.append(RootScan(m_root, "pole", None, exc))
                 continue
-            report = reports[m_root] = transport_check(lmap, evaluated, crt)
+            report = reports[m_root] = transport_check(lmap, evaluated)
         results.append(RootScan(
             m_root, "pass" if report.passed else "fail", report))
     return results

@@ -135,9 +135,10 @@ def classify(equation: Poly3):
         return "smooth"  # origin not on the surface
     if any(equation.gradient_at_origin()):
         return "smooth"
-    for k in range(1, max(sum(m) for m in equation.terms) + 1):
-        if equation == an_equation(k):
-            return ("A", k)
+    # only x y - z^(k+1) is A_k, k + 1 being its highest power of z
+    k = max(ez for _, _, ez in equation.terms) - 1
+    if k >= 1 and equation == an_equation(k):
+        return ("A", k)
     raise UnclassifiedSurface(f"cannot classify {equation}")
 
 

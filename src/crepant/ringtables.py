@@ -185,18 +185,20 @@ def cr_table(n: int) -> ProductTable:
     if n < 1:
         raise ValueError("rank must be >= 1")
     frac = Fraction(1, n + 1)
+    zero, s = BaseScalar.zero(n), BaseScalar.const(n, frac)
+    if n == 1:
+        return ProductTable(1, KIND_CR, {(1, 1): ExcClass(1, s, (zero,))})
+    low, high = BaseScalar.L(n).scale(frac), BaseScalar.M(n).scale(frac)
     entries = {}
     for a in range(1, n + 1):
         for b in range(a, n + 1):
-            s = BaseScalar.zero(n)
-            e = [BaseScalar.zero(n) for _ in range(n)]
-            if (a + b) % (n + 1) == 0:
-                s = BaseScalar.const(n, frac)
-            elif a + b < n + 1:
-                e[a + b - 1] = BaseScalar.L(n).scale(frac)
-            else:
-                e[a + b - n - 2] = BaseScalar.M(n).scale(frac)
-            entries[(a, b)] = ExcClass(n, s, tuple(e))
+            e = [zero] * n
+            if a + b < n + 1:
+                e[a + b - 1] = low
+            elif a + b > n + 1:
+                e[a + b - n - 2] = high
+            entries[(a, b)] = ExcClass(n, s if a + b == n + 1 else zero,
+                                       tuple(e))
     return ProductTable(n, KIND_CR, entries)
 
 

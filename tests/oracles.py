@@ -460,7 +460,7 @@ def conjecture_scan_every_root(n: int) -> list[RootScan]:
     """`isocheck.conjecture_scan` evaluating and checking every primitive
     root, with no use of conjugation: the reference for the scan's
     conjugate pairs."""
-    qct, crt = qc_table(n), cr_table(n)
+    qct = qc_table(n)
     results = []
     for m_root in range(1, n + 1):
         if math.gcd(m_root, n + 1) != 1:
@@ -471,7 +471,7 @@ def conjecture_scan_every_root(n: int) -> list[RootScan]:
         except PoleError as exc:
             results.append(RootScan(m_root, "pole", None, exc))
             continue
-        report = transport_check(bgp_map(n, m_root), evaluated, crt)
+        report = transport_check(bgp_map(n, m_root), evaluated)
         results.append(RootScan(
             m_root, "pass" if report.passed else "fail", report))
     return results

@@ -41,7 +41,7 @@ def test_criterion_01_a1_verification():
     assert result.exit_code == 0
     lmap = LinearMap(1, ((-2 * imaginary_unit(8),),))
     source = qc_eval(qc_table(1), [Cyclotomic.from_rational(-1)])
-    assert transport_check(lmap, source, cr_table(1)).passed
+    assert transport_check(lmap, source).passed
     _report(1, "rank-1 verification at q = -1, CLI and E -> -2i e")
 
 
@@ -54,10 +54,9 @@ def test_criterion_02_a2_reproduction():
         (sqrt3 * z12 ** 7, sqrt3 * z12 ** 11, z3, z3),
         (sqrt3 * z12 ** 5, sqrt3 * z12, z3 ** 2, z3 ** 2),
     ]
-    crt, qct = cr_table(2), qc_table(2)
+    qct = qc_table(2)
     for s in solutions:
-        assert transport_check(s.lmap, qc_eval(qct, [s.q1, s.q2]),
-                               crt).passed
+        assert transport_check(s.lmap, qc_eval(qct, [s.q1, s.q2])).passed
     _report(2, "both rank-2 solution tuples recovered and verified")
 
 
@@ -166,9 +165,9 @@ def test_criterion_09_mckay_correspondence():
 
 def test_criterion_10_chtd_map_is_not_an_isomorphism():
     z3 = root_of_unity(3, 1)
-    crt, qct = cr_table(2), qc_table(2)
+    qct = qc_table(2)
     for q in ([z3, z3], [z3 ** 2, z3 ** 2]):
-        report = transport_check(chtd_map(2), qc_eval(qct, q), crt)
+        report = transport_check(chtd_map(2), qc_eval(qct, q))
         assert not report.passed
         assert report.failures()
     _report(10, "Chern/Todd map fails transport at both solution q-points")

@@ -177,6 +177,17 @@ def test_mckay_compare_resolution(runner):
     assert "match: yes" in result.output
 
 
+@pytest.mark.parametrize("argv", [["--group", "A_3"], ["--group", "D_4"],
+                                  ["--n", "3", "--full"]])
+def test_mckay_compare_resolution_misuse_prints_no_graph(runner, argv):
+    result = runner.invoke(main, ["mckay", *argv, "--compare-resolution"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert [line for line in result.stderr.splitlines()
+            if line.startswith("Error:")] == [
+        "Error: --compare-resolution needs --n without --full"]
+
+
 def test_mckay_static_group(runner):
     result = runner.invoke(main, ["mckay", "--group", "E_7",
                                   "--format", "json"])
@@ -425,7 +436,7 @@ def test_mixed_map_file_within_the_field_bound_verifies(runner, tmp_path):
     from crepant.exactnum import root_of_unity
     from crepant.isocheck import transport_check
     from crepant.mckay import LinearMap
-    from crepant.ringtables import cr_table, qc_eval, qc_table
+    from crepant.ringtables import qc_eval, qc_table
 
     # lcm(12, 3, 5, 7) = 420, phi = 96
     path = _diagonal_map_file(tmp_path, [5, 7])
@@ -433,8 +444,7 @@ def test_mixed_map_file_within_the_field_bound_verifies(runner, tmp_path):
                                   "--q", "e:1/3,e:1/3", "--format", "json"])
     lmap = LinearMap.from_json(json.loads(Path(path).read_text()))
     z3 = root_of_unity(3, 1).lift(12)
-    report = transport_check(lmap, qc_eval(qc_table(2), [z3, z3]),
-                             cr_table(2))
+    report = transport_check(lmap, qc_eval(qc_table(2), [z3, z3]))
     assert result.exit_code == (0 if report.passed else 1)
     assert json.loads(result.stdout) == report.to_json()
 

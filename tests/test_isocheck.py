@@ -21,62 +21,57 @@ MINUS_ONE = Cyclotomic.from_rational(-1)
 def test_identity_transport_on_cr_tables():
     for n in range(1, 5):
         t = cr_table(n)
-        assert transport_check(identity_map(n), t, t).passed
+        assert transport_check(identity_map(n), t).passed
 
 
 def test_rank_one_isomorphism_with_minus_two_i():
     lmap = LinearMap(1, ((-2 * imaginary_unit(8),),))
     source = qc_eval(qc_table(1), [MINUS_ONE])
-    report = transport_check(lmap, source, cr_table(1))
+    report = transport_check(lmap, source)
     assert report.passed
 
 
 def test_rank_one_isomorphism_with_the_conjectured_map():
     source = qc_eval(qc_table(1), [MINUS_ONE])
-    assert transport_check(bgp_map(1, 1), source, cr_table(1)).passed
+    assert transport_check(bgp_map(1, 1), source).passed
 
 
 def test_rank_two_conjectured_map_passes_at_matching_roots():
     z3 = root_of_unity(3, 1)
     qct = qc_table(2)
-    crt = cr_table(2)
-    assert transport_check(bgp_map(2, 1),
-                           qc_eval(qct, [z3, z3]), crt).passed
+    assert transport_check(bgp_map(2, 1), qc_eval(qct, [z3, z3])).passed
     assert transport_check(bgp_map(2, 2),
-                           qc_eval(qct, [z3 ** 2, z3 ** 2]), crt).passed
+                           qc_eval(qct, [z3 ** 2, z3 ** 2])).passed
 
 
 def test_rank_two_conjectured_map_fails_at_the_swapped_root():
     z3 = root_of_unity(3, 1)
-    report = transport_check(bgp_map(2, 2),
-                             qc_eval(qc_table(2), [z3, z3]), cr_table(2))
+    report = transport_check(bgp_map(2, 2), qc_eval(qc_table(2), [z3, z3]))
     assert not report.passed
 
 
 def test_chtd_map_is_not_a_ring_isomorphism():
     z3 = root_of_unity(3, 1)
-    crt = cr_table(2)
     qct = qc_table(2)
     for q in ([z3, z3], [z3 ** 2, z3 ** 2]):
-        report = transport_check(chtd_map(2), qc_eval(qct, q), crt)
+        report = transport_check(chtd_map(2), qc_eval(qct, q))
         assert not report.passed
         assert report.failures()  # at least one named nonzero difference
 
 
 def test_rank_mismatch_detection():
     with pytest.raises(RankMismatch):
-        transport_check(identity_map(2),
-                        qc_eval(qc_table(1), [MINUS_ONE]), cr_table(1))
+        transport_check(identity_map(2), qc_eval(qc_table(1), [MINUS_ONE]))
 
 
 def test_symbolic_source_is_rejected():
     with pytest.raises(ValueError):
-        transport_check(identity_map(2), qc_table(2), cr_table(2))
+        transport_check(identity_map(2), qc_table(2))
 
 
 def test_report_json_schema():
     source = qc_eval(qc_table(1), [MINUS_ONE])
-    report = transport_check(bgp_map(1, 1), source, cr_table(1))
+    report = transport_check(bgp_map(1, 1), source)
     doc = report.to_json()
     assert doc["pass"] is True
     assert doc["entries"][0]["pass"] is True
@@ -97,24 +92,22 @@ def test_solve_a1_returns_both_signs_at_minus_one():
 
 
 def test_solve_a1_solutions_verify():
-    crt = cr_table(1)
     qct = qc_table(1)
     for s in solve_a1():
         lmap = LinearMap(1, ((s.t,),))
-        assert transport_check(lmap, qc_eval(qct, [s.q]), crt).passed
+        assert transport_check(lmap, qc_eval(qct, [s.q])).passed
 
 
 def test_no_rank_one_solution_away_from_minus_one():
     # at any q with 2 + 4 delta(q) != 0 the E-coefficient of E*E cannot be
     # matched: e e has no e-term, so no scalar map transports the product
-    crt = cr_table(1)
     qct = qc_table(1)
     i8 = imaginary_unit(8)
     for q in (Fraction(1, 2), Fraction(-1, 3), Fraction(3)):
         source = qc_eval(qct, [Cyclotomic.from_rational(q)])
         for t in (2 * i8, -2 * i8, Cyclotomic.one(8)):
             assert not transport_check(LinearMap(1, ((t,),)),
-                                       source, crt).passed
+                                       source).passed
 
 
 # -- the rank-2 solver ---------------------------------------------------------
@@ -137,10 +130,9 @@ def test_solve_a2_returns_exactly_the_two_known_tuples(a2_solutions):
 
 
 def test_solve_a2_solutions_verify(a2_solutions):
-    crt = cr_table(2)
     qct = qc_table(2)
     for s in a2_solutions:
-        report = transport_check(s.lmap, qc_eval(qct, [s.q1, s.q2]), crt)
+        report = transport_check(s.lmap, qc_eval(qct, [s.q1, s.q2]))
         assert report.passed
 
 
@@ -165,14 +157,13 @@ def test_relabeling_conjugation_fixes_the_a2_solutions(a2_solutions):
     # in coefficients (it is semilinear); on the symmetric-ansatz solutions
     # the conjugated matrix J M J equals M, so composing a passing map with
     # the involution passes again.
-    crt = cr_table(2)
     qct = qc_table(2)
     for s in a2_solutions:
         m = s.lmap.matrix
         conjugated = tuple(tuple(row[::-1]) for row in m[::-1])
         assert conjugated == m
         report = transport_check(LinearMap(2, conjugated),
-                                 qc_eval(qct, [s.q2, s.q1]), crt)
+                                 qc_eval(qct, [s.q2, s.q1]))
         assert report.passed
 
 

@@ -141,7 +141,7 @@ def _wide_among_narrow():
 
 
 def _pays(kr):
-    """Whether the transport check would run this packing (clause (d))."""
+    """Whether the transport check would run this packing (clause (c))."""
     return not kr.bits > max(64, 2 * kr.typical)
 
 

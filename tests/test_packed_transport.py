@@ -1,11 +1,11 @@
 """The packed transport kernel against the slot-by-slot sums.
 
 `transport_check` runs Kronecker-packed sums when the map's nonzero entries
-share one conductor N, the source's basis coefficients and the target's
-coefficients lie in subfields of Q(zeta_N) and the packing is not far wider
-than the typical operand (`isocheck._packing` decides); otherwise it sums
-slot by slot.  Both must give the same report, byte for
-byte, conductors included; the slot-by-slot path is the oracle here.
+share one conductor N, the source's basis coefficients lie in subfields of
+Q(zeta_N) and the packing is not far wider than the typical operand
+(`isocheck._packing` decides); otherwise it sums slot by slot.  Both must
+give the same report, byte for byte, conductors included; the slot-by-slot
+path is the oracle here.
 """
 
 import json
@@ -31,9 +31,9 @@ from crepant.exactnum import (Cyclotomic, Kronecker,  # noqa: E402
 from crepant.isocheck import (_delta_system, conjecture_scan,  # noqa: E402
                                transport_check)
 from crepant.mckay import LinearMap, bgp_map, chtd_map  # noqa: E402
-from crepant.ringtables import (KIND_CR, KIND_QUANTUM_AT,  # noqa: E402
-                                ExcClass, ProductTable, cr_table,
-                                cup_table, qc_eval, qc_table)
+from crepant.ringtables import (KIND_QUANTUM_AT, ExcClass,  # noqa: E402
+                                ProductTable, cr_table, cup_table, qc_eval,
+                                qc_table)
 
 from oracles import strip_corrections  # noqa: E402
 
@@ -45,15 +45,15 @@ def _bytes(report) -> str:
     return json.dumps(report.to_json(), sort_keys=True)
 
 
-def _slot_by_slot(lmap, source, target):
+def _slot_by_slot(lmap, source):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(isocheck, "_packing", lambda *args: None)
-        return transport_check(lmap, source, target)
+        return transport_check(lmap, source)
 
 
-def _route(lmap, source, target, packing=isocheck._packing):
-    """Whether clauses (a)-(c) hold, seen as the operands being packed, and
-    whether the check runs packed."""
+def _route(lmap, source, packing=isocheck._packing):
+    """Whether clauses (a) and (b) hold, seen as the operands being packed,
+    and whether the check runs packed."""
     packs = []
     original = Kronecker.pack
 
@@ -63,14 +63,14 @@ def _route(lmap, source, target, packing=isocheck._packing):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Kronecker, "pack", spy)
-        kr = packing(lmap, source, target)
+        kr = packing(lmap, source, cr_table(source.n))
     return bool(packs), kr is not None
 
 
-def _assert_kernel_matches(lmap, source, target):
-    assert isocheck._packing(lmap, source, target) is not None
-    packed = transport_check(lmap, source, target)
-    slow = _slot_by_slot(lmap, source, target)
+def _assert_kernel_matches(lmap, source):
+    assert isocheck._packing(lmap, source, cr_table(source.n)) is not None
+    packed = transport_check(lmap, source)
+    slow = _slot_by_slot(lmap, source)
     assert _bytes(packed) == _bytes(slow)
     assert packed.passed == slow.passed
     return packed
@@ -81,14 +81,13 @@ def _assert_kernel_matches(lmap, source, target):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_bgp_maps_at_every_primitive_root(n):
-    qct, crt = qc_table(n), cr_table(n)
+    qct = qc_table(n)
     verdicts = []
     for m in range(1, n + 1):
         if math.gcd(m, n + 1) != 1:
             continue
         source = qc_eval(qct, [root_of_unity(4 * (n + 1), 4 * m)] * n)
-        verdicts.append(_assert_kernel_matches(bgp_map(n, m), source,
-                                               crt).passed)
+        verdicts.append(_assert_kernel_matches(bgp_map(n, m), source).passed)
     assert verdicts[0] and verdicts[-1]   # m_root = 1 and n pass
 
 
@@ -98,58 +97,29 @@ def test_a_non_constant_point_of_the_maps_field():
     source = qc_eval(qc_table(n), q)
     assert len({x.conductor for x in q}) == 3
     for m in (1, 3):
-        _assert_kernel_matches(bgp_map(n, m), source, cr_table(n))
+        _assert_kernel_matches(bgp_map(n, m), source)
     rational = qc_eval(qc_table(n), [Cyclotomic.from_rational(x)
                                      for x in (-1, Fraction(1, 2), 3)])
-    _assert_kernel_matches(bgp_map(n, 1), rational, cr_table(n))
+    _assert_kernel_matches(bgp_map(n, 1), rational)
 
 
 def test_the_stripped_source_of_the_rank_two_delta_system():
-    qct, crt = qc_table(2), cr_table(2)
+    qct = qc_table(2)
     stripped = strip_corrections(qct)
     for m in (1, 2):
-        _assert_kernel_matches(bgp_map(2, m), stripped, crt)
+        _assert_kernel_matches(bgp_map(2, m), stripped)
     # the system is built from that residual (the cup table's, the same
     # table), and still solves
     assert stripped == cup_table(2)
-    assert _delta_system(bgp_map(2, 1), qct, crt)[0]
-
-
-def _cr_table_with(n, change):
-    """cr_table(n) with `change` applied to every coefficient."""
-    crt = cr_table(n)
-
-    def part(scalar):
-        return BaseScalar(n, {m: change(c) for m, c in scalar.terms.items()})
-    return ProductTable(n, KIND_CR, {
-        key: ExcClass(n, part(crt.entry(*key).s),
-                      tuple(map(part, crt.entry(*key).e)))
-        for key in crt.pairs()})
-
-
-@pytest.mark.parametrize("n,root", [(2, 3), (2, 4), (3, 4), (3, 8)])
-def test_an_irrational_target_inside_the_maps_field(n, root):
-    # the target's coefficients lie in Q(zeta_root), a subfield of the
-    # map's Q(zeta_4(n+1)): every term still has conductor exactly N, so
-    # the packed kernel prints the slot-by-slot bytes
-    zeta = root_of_unity(root, 1)
-    qct, target = qc_table(n), _cr_table_with(n, lambda c: c * zeta)
-    assert {c.conductor for key in target.pairs()
-            for part in isocheck._parts(target.entry(*key))
-            for c in part.terms.values()} == {root}
-    for m in range(1, n + 1):
-        if math.gcd(m, n + 1) != 1:
-            continue
-        source = qc_eval(qct, [root_of_unity(4 * (n + 1), 4 * m)] * n)
-        _assert_kernel_matches(bgp_map(n, m), source, target)
+    assert _delta_system(bgp_map(2, 1), qct)[0]
 
 
 def test_rank_one():
     source = qc_eval(qc_table(1), [Cyclotomic.from_rational(-1)])
     for t in (2 * imaginary_unit(8), -2 * imaginary_unit(8),
               Cyclotomic.one(8), Cyclotomic.from_rational(3)):
-        _assert_kernel_matches(LinearMap(1, ((t,),)), source, cr_table(1))
-    assert _assert_kernel_matches(bgp_map(1, 1), source, cr_table(1)).passed
+        _assert_kernel_matches(LinearMap(1, ((t,),)), source)
+    assert _assert_kernel_matches(bgp_map(1, 1), source).passed
 
 
 CONDUCTORS = [1, 3, 4, 5, 8, 12]
@@ -224,14 +194,13 @@ def test_generated_single_conductor_maps(case):
             source = qc_eval(qc_table(n), source)
         except PoleError:
             assume(False)
-    target = cr_table(n)
-    in_field, packed = _route(lmap, source, target)
+    in_field, packed = _route(lmap, source)
     assert in_field
     # coordinates of very mixed sizes can make the packing far wider than
     # the typical entry; such a case sums slot by slot, as the routing tests
     # below pin, and is no example of the kernel
     assume(packed)
-    _assert_kernel_matches(lmap, source, target)
+    _assert_kernel_matches(lmap, source)
 
 
 def test_the_width_holds_a_sum_at_its_declared_bound():
@@ -248,21 +217,25 @@ def test_the_width_holds_a_sum_at_its_declared_bound():
     assert kr.values({"s": total}) == {"s": 4 * x * y}
 
 
-def _constant_table(n, kind, value):
-    """A rank-n table with every s part and basis coefficient `value`."""
+def _constant_table(n, value):
+    """A rank-n evaluated table with every s part and basis coefficient
+    `value`."""
     part = BaseScalar(n, {(0, 0): value})
-    return ProductTable(n, kind, {key: ExcClass(n, part, (part,) * n)
-                                  for key in cr_table(n).pairs()})
+    return ProductTable(n, KIND_QUANTUM_AT, {
+        key: ExcClass(n, part, (part,) * n) for key in cr_table(n).pairs()})
 
 
 C = 3037000499   # C^2 < 2^63 <= 2 C^2
 
 
 @pytest.mark.parametrize("entry,source_value", [
-    # every right-side digit is sum_(k, k') 1 * C * C = n^2 C^2
-    (C, 1),
-    # every left-side digit is sum_l 1 * (2^62 + 1) = n (2^62 + 1)
-    (1, 2 ** 62 + 1),
+    # the right side's s digit sums 1 * C * C over the n pairs (k, k') with
+    # k + k' = n + 1, whose Chen-Ruan entry s/(n+1) has numerator 1: n C^2;
+    # a zero source adds nothing to the bound
+    (C, 0),
+    # every left-side digit is 3 sum_l 1 * (2^61 + 1) = 3 n (2^61 + 1), the
+    # Chen-Ruan denominator 3 scaling the left side
+    (1, 2 ** 61 + 1),
 ], ids=["right-side", "left-side"])
 def test_each_declared_shape_holds_sums_at_its_bound(entry, source_value):
     # the digits pass 2^63 and fit only because each kind counts all its
@@ -270,8 +243,7 @@ def test_each_declared_shape_holds_sums_at_its_bound(entry, source_value):
     n = 2
     x = Cyclotomic.from_rational(entry, 4)
     lmap = LinearMap(n, ((x, x), (x, x)))
-    source = _constant_table(n, KIND_QUANTUM_AT, source_value)
-    _assert_kernel_matches(lmap, source, _constant_table(n, KIND_CR, 1))
+    _assert_kernel_matches(lmap, _constant_table(n, source_value))
 
 
 # -- the differences: both sides summed into one packed int ------------------
@@ -298,7 +270,7 @@ def test_a_passing_root_whose_sides_differ_as_packed_ints(monkeypatch):
     n = 4
     source = qc_eval(qc_table(n), [root_of_unity(20, 4)] * n)
     seen = _unpacked(monkeypatch)
-    report = _assert_kernel_matches(bgp_map(n, 1), source, cr_table(n))
+    report = _assert_kernel_matches(bgp_map(n, 1), source)
     assert report.passed
     assert any(seen)
 
@@ -323,7 +295,7 @@ def test_a_monomial_only_on_the_left_keeps_its_value_at_n():
     n = 3
     lmap = bgp_map(n, 1)                          # conductor 16
     source = _basis_table(n, root_of_unity(8, 1))
-    report = _assert_kernel_matches(lmap, source, cr_table(n))
+    report = _assert_kernel_matches(lmap, source)
     left = {key: c for key, c in _basis_conductors(report).items()
             if key[3] == (0, 0)}
     assert left and set(left.values()) == {16}
@@ -337,7 +309,7 @@ def test_a_monomial_only_on_the_right_is_its_negated_value_at_n():
     n = 3
     lmap = bgp_map(n, 1)
     source = _basis_table(n, 0)
-    report = _assert_kernel_matches(lmap, source, cr_table(n))
+    report = _assert_kernel_matches(lmap, source)
     right = _basis_conductors(report)
     assert right and set(right.values()) == {16}
     assert {mono for *_, mono in right} <= {(1, 0), (0, 1)}
@@ -352,7 +324,7 @@ def test_an_s_part_whose_right_side_cancels_keeps_the_source_coefficient():
     one, two = Cyclotomic.one(4), Cyclotomic.from_rational(2, 4)
     lmap = LinearMap(n, ((one, z4, one), (two, one, one), (-two, one, z4)))
     source = qc_eval(qc_table(n), [z4] * n)
-    report = _assert_kernel_matches(lmap, source, cr_table(n))
+    report = _assert_kernel_matches(lmap, source)
     s11 = report.entries[0].diff.s
     assert (report.entries[0].i, report.entries[0].j) == (1, 1)
     assert s11 == source.entry(1, 1).s
@@ -380,14 +352,14 @@ def test_a_difference_holds_digits_at_its_declared_bound():
 
 
 def _packing_spy(monkeypatch):
-    """Record, per transport check, whether clauses (a)-(c) held and
+    """Record, per transport check, whether clauses (a) and (b) held and
     whether it ran packed."""
     routes = []
     original = isocheck._packing
 
-    def spy(*args):
-        routes.append(_route(*args, packing=original))
-        return original(*args)
+    def spy(lmap, source, crt):
+        routes.append(_route(lmap, source, packing=original))
+        return original(lmap, source, crt)
 
     monkeypatch.setattr(isocheck, "_packing", spy)
     return routes
@@ -424,25 +396,16 @@ def _two_conductor_map():
     return LinearMap(2, ((z3, Cyclotomic.one(1)), (z4, z3)))
 
 
-def _wide_rational_target(n, conductor):
-    """cr_table(n) with every coefficient stored at `conductor`."""
-    return _cr_table_with(n, lambda c: c.lift(conductor))
-
-
 def _routing_cases():
     z12 = [root_of_unity(12, 4)] * 2
     e3_e5 = [root_of_unity(60, 20), root_of_unity(60, 12)]
     zero = Cyclotomic.zero(1)
     return [
-        ("chtd", chtd_map(2), qc_eval(qc_table(2), z12), cr_table(2)),
-        ("bgp-e:1/3,e:1/5", bgp_map(2, 1), qc_eval(qc_table(2), e3_e5),
-         cr_table(2)),
-        ("two-conductors", _two_conductor_map(), qc_eval(qc_table(2), z12),
-         cr_table(2)),
+        ("chtd", chtd_map(2), qc_eval(qc_table(2), z12)),
+        ("bgp-e:1/3,e:1/5", bgp_map(2, 1), qc_eval(qc_table(2), e3_e5)),
+        ("two-conductors", _two_conductor_map(), qc_eval(qc_table(2), z12)),
         ("zero-map", LinearMap(2, ((zero, zero), (zero, zero))),
-         qc_eval(qc_table(2), z12), cr_table(2)),
-        ("target-at-conductor-8", bgp_map(2, 1), qc_eval(qc_table(2), z12),
-         _wide_rational_target(2, 8)),
+         qc_eval(qc_table(2), z12)),
     ]
 
 
@@ -450,14 +413,14 @@ def _refuse(*args):
     raise AssertionError("the packed kernel ran")
 
 
-@pytest.mark.parametrize("name,lmap,source,target", _routing_cases(),
+@pytest.mark.parametrize("name,lmap,source", _routing_cases(),
                          ids=[c[0] for c in _routing_cases()])
-def test_routing_sends_these_inputs_slot_by_slot(name, lmap, source, target,
+def test_routing_sends_these_inputs_slot_by_slot(name, lmap, source,
                                                  monkeypatch):
-    expected = _bytes(transport_check(lmap, source, target))
+    expected = _bytes(transport_check(lmap, source))
     monkeypatch.setattr(Kronecker, "pack", _refuse)
-    assert _bytes(transport_check(lmap, source, target)) == expected
-    assert _route(lmap, source, target) == (False, False)
+    assert _bytes(transport_check(lmap, source)) == expected
+    assert _route(lmap, source) == (False, False)
 
 
 def test_a_refusing_kernel_does_fail_an_input_that_reaches_it(monkeypatch):
@@ -465,7 +428,7 @@ def test_a_refusing_kernel_does_fail_an_input_that_reaches_it(monkeypatch):
     source = qc_eval(qc_table(2), [root_of_unity(12, 4)] * 2)
     monkeypatch.setattr(Kronecker, "pack", _refuse)
     with pytest.raises(AssertionError, match="packed kernel ran"):
-        transport_check(bgp_map(2, 1), source, cr_table(2))
+        transport_check(bgp_map(2, 1), source)
 
 
 # nine distinct primes near 10^6, one denominator per map entry: their
@@ -495,11 +458,10 @@ def _dense(seed, den=1, bits=8):
 def test_a_packing_far_wider_than_its_typical_entry_runs_slot_by_slot(
         name, lmap, monkeypatch):
     source = qc_eval(qc_table(3), [root_of_unity(16, 4)] * 3)
-    target = cr_table(3)
-    assert _route(lmap, source, target) == (True, False)
-    expected = _bytes(_slot_by_slot(lmap, source, target))
+    assert _route(lmap, source) == (True, False)
+    expected = _bytes(_slot_by_slot(lmap, source))
     monkeypatch.setattr(Kronecker, "values", _refuse)
-    assert _bytes(transport_check(lmap, source, target)) == expected
+    assert _bytes(transport_check(lmap, source)) == expected
 
 
 def test_wide_entries_alone_still_pack():
@@ -507,18 +469,4 @@ def test_wide_entries_alone_still_pack():
     # denominator: the packing is as wide as the typical entry needs
     source = qc_eval(qc_table(3), [root_of_unity(16, 4)] * 3)
     lmap = _rank_three_map(lambda e: _dense(e, PRIMES[0], bits=4000))
-    _assert_kernel_matches(lmap, source, cr_table(3))
-
-
-def test_a_wide_rational_target_would_change_the_printed_conductors():
-    # why the rule asks the target's conductors to divide N: the slot-by-
-    # slot sums of a conductor-8 target and a conductor-12 map print
-    # conductor 24, which the packed kernel, working at N, could not
-    source = qc_eval(qc_table(2), [root_of_unity(12, 4)] * 2)
-    report = transport_check(bgp_map(2, 2), source,
-                             _wide_rational_target(2, 8))
-    assert not report.passed
-    conductors = {c.conductor for e in report.entries
-                  for part in (e.diff.s, *e.diff.e)
-                  for c in part.terms.values()}
-    assert 24 in conductors
+    _assert_kernel_matches(lmap, source)

@@ -1,8 +1,9 @@
 import pytest
 
 from crepant.mckay import an_mckay
-from crepant.resolve import (ChartSurface, NotSingular, Poly3, an_equation,
-                             blowup_step, classify, resolve_an)
+from crepant.resolve import (ChartSurface, NotSingular, Poly3,
+                             UnclassifiedSurface, an_equation, blowup_step,
+                             classify, resolve_an)
 
 
 def test_blowup_of_a1_gives_one_curve_and_smooth_charts():
@@ -93,3 +94,19 @@ def test_graph_emitters():
     assert all(node["self_intersection"] == -2 for node in doc["nodes"])
     dot = g.to_graphviz()
     assert dot.startswith("graph resolution {")
+
+
+@pytest.mark.parametrize("equation", [
+    Poly3.monomial(1, 1, 0) - Poly3.monomial(0, 0, 3, 2),      # x y - 2z^3
+    Poly3.monomial(1, 1, 0) + Poly3.monomial(0, 0, 3),         # x y + z^3
+    an_equation(2) - Poly3.monomial(0, 0, 4),                  # - z^4 too
+    Poly3.monomial(2, 1, 0) - Poly3.monomial(0, 0, 3),         # x^2 y - z^3
+], ids=["2z3", "plus-z3", "z3-z4", "x2y"])
+def test_near_misses_of_the_normal_form_are_unclassified(equation):
+    with pytest.raises(UnclassifiedSurface):
+        classify(equation)
+
+
+def test_classify_reads_k_from_the_normal_form():
+    assert [classify(an_equation(k)) for k in range(1, 51)] == [
+        ("A", k) for k in range(1, 51)]
