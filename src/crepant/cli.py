@@ -48,12 +48,13 @@ _BGP = re.compile(r"bgp:([+-]?[0-9]+)")
 # Q(zeta_8009) would make `verify` run 8 s.
 MAX_QPOINT_PHI = 128
 
-# Largest rank `scan --n` accepts.  The scan's cost grows with n, with the
-# number of primitive (n+1)-th roots, of which it checks one per conjugate
-# pair, ceil(phi(n+1)/2), and with the degree of Q(zeta_{4(n+1)}): on a
-# 2-vCPU x86 host `conjecture_scan(n)` for n = 10, 12, 14, 15 took 0.20-0.33,
-# 0.57-0.75, 0.43-0.75 and 0.56-0.88 s in three timings in one sitting, while
-# n = 16 (8 of its 16 roots checked, in a field of degree 32) took 1.9-3.0 s.
+# Largest rank `scan --n` accepts.  The scan runs one transport check, at
+# m_root = 1, in the field Q(zeta_{4(n+1)}), and transports its report to
+# the other primitive (n+1)-th roots by Galois automorphisms: on a 2-vCPU x86
+# host `conjecture_scan(n)` for n = 10, 12, 14, 15 took 77-90 ms,
+# 0.16-0.17 s, 0.20-0.22 s and 0.27-0.28 s in three timings in one sitting,
+# and n = 16 (a field of degree 32) 0.55-0.68 s; `scan --n 15 --format json`
+# writes 20 MB in 1.4-2.1 s, most of it spent writing the JSON.
 MAX_SCAN_RANK = 15
 
 # Largest rank each other command accepts, timed on the same host at its
@@ -61,7 +62,7 @@ MAX_SCAN_RANK = 15
 # json --check-roundtrip` and 1.1-1.8 s with `--format json` evaluated at a
 # point of Q(zeta_420) (phi = 96); `verify` at a point of degree 96-128 took
 # 12 s at n = 11, 16 s at n = 12 and 37 s at n = 14; `mckay --n 300
-# --compare-resolution` took 10-11 s and `--n 400` 24-27 s; `resolve
+# --compare-resolution` took 0.2 s and `an_mckay(400)` 0.1 s; `resolve
 # --n 1000` took 0.06 s and `--n 2000` 0.11 s.
 MAX_TABLE_RANK = 20
 MAX_VERIFY_RANK = 12

@@ -14,7 +14,7 @@ solvers sort by them); the emitters do not go through it: `to_json`,
 
 Phi_N is monic with integer coefficients, so every reduction stays in the
 integers.  A product is reduced in one pass over the cached rows
-x^k mod Phi_N, phi(N) <= k <= 2 phi(N) - 2; lifts, complex conjugates and
+x^k mod Phi_N, phi(N) <= k <= 2 phi(N) - 2; lifts, Galois images and
 powers of zeta are reduced by monic division, after folding zeta^(N/2) = -1
 when N is even.  A rational adds into the constant coordinate of a value
 whose conductor its own divides, with no lift.  The inverse of 1 - zeta^a is
@@ -293,22 +293,32 @@ class Cyclotomic:
         poly[::step] = num
         return Cyclotomic._from_poly(conductor, poly, self._den)
 
+    def galois(self, a: int) -> "Cyclotomic":
+        """The image under the field automorphism sigma_a: zeta_N -> zeta_N^a,
+        a coprime to N, at the same conductor: coordinate k moves to
+        zeta^(ak) and the sum is reduced once; a rational is fixed.
+
+        >>> root_of_unity(5).galois(2) == root_of_unity(5, 2)
+        True
+        """
+        num, n = self._num, self.conductor
+        if math.gcd(a, n) != 1:
+            raise ValueError(f"zeta_{n} -> zeta_{n}^{a} is not a field "
+                             "automorphism")
+        if not any(num[1:]):
+            return self
+        poly = [0] * n
+        for k, c in enumerate(num):
+            poly[a * k % n] = c
+        return Cyclotomic._from_poly(n, poly, self._den)
+
     def conjugate(self) -> "Cyclotomic":
-        """The complex conjugate, the field automorphism zeta_N -> zeta_N^-1,
-        at the same conductor: coordinate k moves to zeta^(N-k) and the sum
-        is reduced once; a rational is its own conjugate.
+        """The complex conjugate, `galois(-1)`.
 
         >>> root_of_unity(5).conjugate() == root_of_unity(5, 4)
         True
         """
-        num, n = self._num, self.conductor
-        if not any(num[1:]):
-            return self
-        poly = [0] * n
-        poly[0] = num[0]
-        for k, c in enumerate(num[1:], 1):
-            poly[n - k] = c
-        return Cyclotomic._from_poly(n, poly, self._den)
+        return self.galois(-1)
 
     @staticmethod
     def common(a: "Cyclotomic", b: "Cyclotomic"):

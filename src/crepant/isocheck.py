@@ -55,28 +55,45 @@ own minus the right side's by `BaseScalar` subtraction on both paths: the
 source's coefficient, which may be stored at any conductor, stays as it is
 where the right side has no s term.
 
-The scan checks one root of each complex-conjugate pair.  The primitive
-(n+1)-th roots zeta^m and zeta^(n+1-m) are conjugate, and the report at the
-second is the entrywise conjugate of the report at the first:
+The scan checks one root, m_root = 1, and transports its report to every
+other primitive root zeta^m by a Galois automorphism.  Write z = zeta_N,
+N = 4(n+1), and sigma_a for z -> z^a, a unit a of Z/N with a = m mod n+1.
 
-  * `qc_table(n)` and `cr_table(n)` are rational, and conjugation sends the
-    point q = zeta^m to q' = zeta^(n+1-m).
-  * `bgp_map(n, n+1-m)` is the conjugate of `bgp_map(n, m)`, entry by
-    entry.  Write z = zeta_{4(n+1)}, so entry (k, l) at m is
-    z^(s+e) - z^(s-e) with s = 4mlk and e = `branch_exponent(n, m, k)`,
-    +-2j for j = km mod 2(n+1).  At m' = n+1-m, s' = -s mod 4(n+1).  For
-    even k, j' = 2(n+1) - j and the branch sign stays, so e' = -e.  For odd
-    k, j' = n+1-j mod 2(n+1) and the branch sign flips, so
-    e' = e -+ 2(n+1); with z^(2(n+1)) = -1 this again gives
-    z^(s'+e') - z^(s'-e') = conj(z^(s+e) - z^(s-e)).
-  * Conjugation is a field automorphism of each Q(zeta_c) that keeps c, and
-    commutes with lifts.  So every delta value, sum, product, conductor and
-    dropped zero of `qc_eval` and of either route above conjugates, and the
-    conjugate of each stored difference is, in normal form, the one the
-    check computes at q'.
+  * `qc_table(n)` and `cr_table(n)` are rational, and sigma_a sends the
+    point q = z^4 to z^(4a) = z^(4m).  sigma_a is a field automorphism of
+    each Q(zeta_c), c | N, that keeps c and commutes with lifts, so every
+    delta value, sum, product, conductor and dropped zero of `qc_eval`
+    transports: the source at zeta^m is sigma_a of the source at zeta.
+  * Entry (k, l) of `bgp_map(n, m)` is z^(4mlk) r_k with
+    r_k = z^e - z^-e, e = `branch_exponent(n, m, k)`.  sigma_a of the entry
+    at m = 1 is z^(4alk) (z^x - z^-x) with x = a e_k(1) = +-e mod 2(n+1),
+    and z^(2(n+1)) = -1, so bgp_map(n, m) = D_m sigma_a(bgp_map(n, 1)),
+    D_m = diag(eps_1..eps_n) a matrix of signs read off the branch
+    exponents alone (`_galois_signs`).
+  * Write Phi for `bgp_map(n, m)`, and eps_0 = 1 for the s part.  Each
+    Chen-Ruan term t e_p of e_k e_k' is rational, so the difference of pair
+    (i, j) in part p at m is
+        eps_p sigma_a(the difference at 1)
+          + sum (eps_p eps_k eps_k' - 1) Phi[k][i] Phi[k'][j] t,
+    the sum over the terms t e_p of the products e_k e_k'.  For the s part,
+    which Phi fixes, this is the source's own s part plus the right side
+    negated, sigma_a of the right side negated at 1 plus the sum.
+  * Phi[k][i] Phi[k'][j] = zeta^(j(k+k')) zeta^((i-j)k) r_k r_k' with
+    zeta = z^(4m), so the sum of each pair is one integer polynomial in z,
+    built once per (i - j, part, monomial, k + k') and rotated by
+    zeta^(j(k+k')): O(n^3) index arithmetic per root and one reduction per
+    printed coefficient.  A coefficient eps_p eps_k eps_k' - 1 that is zero
+    adds nothing.  At m = n every sign is +1: a = -1 mod 2(n+1) acts on
+    Q(z^2), where every entry and value lies, as complex conjugation.
 
-Only n = 1, m = 1 is its own conjugate, and it is computed directly.  So is
-a root whose conjugate ended in a pole, which a primitive root never does:
+Why the bytes and conductors are those the check computes at m.  The check
+stores each nonzero difference of an e_p, and each nonzero right side of
+the s part, at conductor N (both routes above, as bgp_map(n, m) has the one
+conductor N and the source lies in Q(zeta_N)); the transport computes the
+same values exactly, lifts each to N and drops a zero, and adds the s part
+to the source's own as the check does.  Normal forms are unique, so the two
+print the same bytes.  A pole is Galois-invariant, q_mu...q_nu = 1 at one
+primitive root exactly when at all, and never at a primitive root:
 q_mu...q_nu = zeta^(m(nu-mu+1)) with 1 <= nu-mu+1 <= n is never 1.
 """
 
@@ -90,8 +107,8 @@ from typing import NamedTuple
 from . import linalg
 from .coeffring import BaseScalar, accumulate
 from .corrections import DeltaIndex, PoleError
-from .exactnum import (Cyclotomic, Kronecker, imaginary_unit, root_of_unity,
-                       sqrt_rational)
+from .exactnum import (Cyclotomic, Kronecker, branch_exponent, imaginary_unit,
+                       root_of_unity, sqrt_rational)
 from .mckay import LinearMap, bgp_map
 from .ringtables import (KIND_QUANTUM, ExcClass, ProductTable, cr_table,
                          cup_table, qc_eval, qc_table)
@@ -507,12 +524,100 @@ class RootScan:
         return doc
 
 
-def _conjugate(diff: ExcClass) -> ExcClass:
-    """diff with every coefficient complex-conjugated."""
-    def part(x: BaseScalar) -> BaseScalar:
-        return BaseScalar._make(x.n, {mono: c.conjugate()
-                                      for mono, c in x.terms.items()})
-    return ExcClass(diff.n, part(diff.s), tuple(map(part, diff.e)))
+def _galois_signs(n: int, m_root: int) -> tuple[int, list, list]:
+    """(a, eps, e) for the primitive root zeta^{m_root}: a unit a of
+    Z/4(n+1) with a = m_root mod n+1, the signs eps_0 = 1, eps_1..eps_n with
+    bgp_map(n, m_root)[k][l] = eps_k sigma_a(bgp_map(n, 1)[k][l]), and the
+    branch exponents e_k of `bgp_map(n, m_root)`, e_0 unused.
+
+    a is m_root + n + 1 when that is odd, else m_root; at m_root = n > 1 it
+    is -1 mod 2(n+1), and every sign is +1.  Both sides of entry (k, l) are
+    z^s (z^x - z^-x), with z^(2(n+1)) = -1 and x = a e_k(1) = +-e_k
+    mod 2(n+1), so eps_k is read off x and e_k.
+    """
+    conductor = 4 * (n + 1)
+    a = m_root + n + 1 if (m_root + n + 1) % 2 else m_root
+    eps, exps = [1], [0]
+    for k in range(1, n + 1):
+        x = a * branch_exponent(n, 1, k)
+        e = branch_exponent(n, m_root, k)
+        eps.append(1 if (x - e) % conductor == 0
+                   or (x + e) % conductor == conductor // 2 else -1)
+        exps.append(e)
+    return a, eps, exps
+
+
+def _chen_ruan_terms(n: int) -> list:
+    """(k, k', p, monomial, t) for each term t e_p of each product e_k e_k'
+    of `cr_table(n)`, k and k' in 1..n; p = 0 is the s part."""
+    crt = cr_table(n)
+    terms = []
+    for k, kk in crt.pairs():
+        for p, part in enumerate(_parts(crt.entry(k, kk))):
+            for mono, c in part.terms.items():
+                t = c.as_fraction()
+                terms.append((k, kk, p, mono, t))
+                if k != kk:
+                    terms.append((kk, k, p, mono, t))
+    return terms
+
+
+def _transported(n: int, m_root: int, signs: tuple, checked: TransportReport,
+                 source: ProductTable, terms: list) -> tuple:
+    """The entries `transport_check(bgp_map(n, m_root), sigma_a(source))`
+    reports, from the report `checked` of bgp_map(n, 1) on source, by the
+    Galois transport of the module docstring.  signs are
+    `_galois_signs(n, m_root)`, and terms `_chen_ruan_terms(n)` or, when
+    every sign is +1, any list."""
+    conductor = 4 * (n + 1)
+    step = 4 * m_root                       # zeta = z^step
+    a, eps, exps = signs
+    weighted = [(k, kk, p, mono, t, c) for k, kk, p, mono, t in terms
+                if (c := eps[p] * eps[k] * eps[kk] - 1)]
+    den = math.lcm(*(t.denominator for *_, t, _ in weighted))
+    # G[d][p, monomial, k + k']: the sum over the weighted terms of
+    # c t zeta^(-dk) r_k r_k', r_k = z^e_k - z^-e_k, as an integer
+    # polynomial in z over den
+    sums = [{} for _ in range(n)]
+    for k, kk, p, mono, t, c in weighted:
+        w = c * t.numerator * (den // t.denominator)
+        e, ee = exps[k], exps[kk]
+        for d, acc in enumerate(sums):
+            poly = acc.setdefault((p, mono, k + kk), [0] * conductor)
+            base = -step * d * k
+            poly[(base + e + ee) % conductor] += w
+            poly[(base + e - ee) % conductor] -= w
+            poly[(base - e + ee) % conductor] -= w
+            poly[(base - e - ee) % conductor] += w
+    entries = []
+    for check in checked.entries:
+        i, j, diff = check.i, check.j, check.diff
+        if check.ok and not sums[j - i]:
+            entries.append(check)       # zero at 1, and no sum: zero here
+            continue
+        # the sums the check runs at m_root, at conductor 4(n+1): the right
+        # side negated for the s part, the difference for each e_p
+        parts = [{} for _ in range(n + 1)]
+        # Phi[k][i] Phi[k'][j] = zeta^(j(k + k')) zeta^((i - j)k) r_k r_k'
+        for (p, mono, total), poly in sums[j - i].items():
+            shift = step * j * total % conductor
+            accumulate(parts[p], mono, Cyclotomic._from_poly(
+                conductor, poly[-shift:] + poly[:-shift], den))
+        for p, part in enumerate(diff.e, 1):
+            for mono, c in part.terms.items():
+                accumulate(parts[p], mono,
+                           (c.galois(a) * eps[p]).lift(conductor))
+        # the s part is the source's own plus the right side negated, which
+        # is diff.s - own at m_root = 1
+        own = source.entry(i, j).s
+        for mono, c in (diff.s - own).terms.items():
+            accumulate(parts[0], mono, c.galois(a).lift(conductor))
+        own_here = BaseScalar._make(n, {mono: c.galois(a)
+                                        for mono, c in own.terms.items()})
+        entries.append(EntryCheck(i, j, ExcClass(
+            n, own_here + BaseScalar._make(n, parts[0]),
+            tuple(BaseScalar._make(n, acc) for acc in parts[1:]))))
+    return tuple(entries)
 
 
 def conjecture_scan(n: int) -> list[RootScan]:
@@ -522,37 +627,36 @@ def conjecture_scan(n: int) -> list[RootScan]:
     No truth value is asserted beyond what the check computes; a root where
     some q_mu...q_nu = 1 is reported as a pole, not as a failure.
 
-    `qc_eval` and `transport_check` run at the first root of each conjugate
-    pair {m, n+1-m} only, ceil(phi(n+1)/2) roots in all.  The report at
-    m > (n+1)/2 prints the map `bgp_map(n, m)` and the point zeta^m, and
-    conjugates every difference of the report at n+1-m: the tables are
-    rational and `bgp_map(n, n+1-m)` is the entrywise conjugate of
-    `bgp_map(n, m)`, so that is the report the check would compute there
-    (the module docstring gives the argument).
+    `qc_eval` and `transport_check` run once, at m_root = 1.  The report at
+    every other root prints the map `bgp_map(n, m_root)` and the point
+    zeta^m_root, and its differences are the Galois transport of the
+    checked ones (`_transported`): sigma_a with a = m_root mod n+1 sends the
+    point and the source to those at m_root, and `bgp_map(n, 1)` to
+    `bgp_map(n, m_root)` up to the signs eps_k of its rows, so each
+    difference is eps_p sigma_a of the checked one plus a sum over the
+    Chen-Ruan terms weighted by eps_p eps_k eps_k' - 1 (the module
+    docstring gives the argument).  A pole is Galois-invariant, so a pole at
+    m_root = 1 is reported, with its index, at every root.
     """
     if n < 1:
         raise ValueError("rank must be >= 1")
-    qct = qc_table(n)
     conductor = 4 * (n + 1)
-    reports = {}        # m_root -> its report, for the roots checked
+    roots = [m for m in range(1, n + 1) if math.gcd(m, n + 1) == 1]
+    try:
+        source = qc_eval(qc_table(n), [root_of_unity(conductor, 4)] * n)
+    except PoleError as exc:
+        return [RootScan(m, "pole", None, exc) for m in roots]
+    checked = transport_check(bgp_map(n, 1), source)
+    signs = {m: _galois_signs(n, m) for m in roots[1:]}
+    # signs all +1, as at m_root = n, weight no Chen-Ruan term
+    terms = (_chen_ruan_terms(n)
+             if any(-1 in eps for _, eps, _ in signs.values()) else [])
     results = []
-    for m_root in range(1, n + 1):
-        if math.gcd(m_root, n + 1) != 1:
-            continue
-        zeta = root_of_unity(conductor, 4 * m_root)
-        lmap = bgp_map(n, m_root)
-        mirror = reports.get(n + 1 - m_root)
-        if mirror is not None:
-            report = TransportReport(n, (zeta,) * n, lmap, tuple(
-                EntryCheck(e.i, e.j, _conjugate(e.diff))
-                for e in mirror.entries))
-        else:
-            try:
-                evaluated = qc_eval(qct, [zeta] * n)
-            except PoleError as exc:
-                results.append(RootScan(m_root, "pole", None, exc))
-                continue
-            report = reports[m_root] = transport_check(lmap, evaluated)
+    for m_root in roots:
+        report = checked if m_root == 1 else TransportReport(
+            n, (root_of_unity(conductor, 4 * m_root),) * n,
+            bgp_map(n, m_root),
+            _transported(n, m_root, signs[m_root], checked, source, terms))
         results.append(RootScan(
             m_root, "pass" if report.passed else "fail", report))
     return results

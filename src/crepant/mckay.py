@@ -71,8 +71,10 @@ def an_mckay(n: int, reduced: bool = True) -> McKayGraph:
 
     With o = n+1, the multiplicity of lambda_i in Q (x) lambda_j is the
     character inner product (1/o) sum_g (zeta^g + zeta^-g) zeta^{jg}
-    zeta^{-ig} = (S(1+j-i) + S(-1+j-i))/o, where S(e) = sum_g zeta^{eg} is
-    summed exactly once per residue e mod o.
+    zeta^{-ig} = (S(1+j-i) + S(-1+j-i))/o, where S(e) = sum_g zeta^{eg}.
+    It depends only on d = (j-i) mod o, so each of the o values
+    (S(1+d) + S(d-1))/o is computed once, its two character sums as one
+    integer polynomial in zeta reduced mod Phi_o.
 
     >>> an_mckay(2).adjacency
     ((0, 1), (1, 0))
@@ -80,21 +82,20 @@ def an_mckay(n: int, reduced: bool = True) -> McKayGraph:
     if n < 1:
         raise ValueError("rank must be >= 1")
     order = n + 1
-    powers = [root_of_unity(order, e) for e in range(order)]
-    sums = [sum(powers[e * g % order] for g in range(order))
-            for e in range(order)]
+    values = []
+    for d in range(order):
+        poly = [0] * order
+        for g in range(order):
+            poly[(1 + d) * g % order] += 1
+            poly[(d - 1) * g % order] += 1
+        value = (Cyclotomic._from_poly(order, poly) / order).as_fraction()
+        assert value.denominator == 1 and value >= 0
+        values.append(int(value))
     labels = list(range(order)) if not reduced else list(range(1, order))
-    adjacency = []
-    for i in labels:
-        row = []
-        for j in labels:
-            value = ((sums[(1 + j - i) % order] + sums[(j - i - 1) % order])
-                     / order).as_fraction()
-            assert value.denominator == 1 and value >= 0
-            row.append(int(value))
-        adjacency.append(tuple(row))
+    adjacency = tuple(tuple(values[(j - i) % order] for j in labels)
+                      for i in labels)
     vertices = tuple((f"lambda_{i}", 1) for i in labels)
-    return McKayGraph(f"A_{n}", vertices, tuple(adjacency), reduced)
+    return McKayGraph(f"A_{n}", vertices, adjacency, reduced)
 
 
 def _graph_from_edges(k, edges):

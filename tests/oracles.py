@@ -19,7 +19,7 @@ from crepant.corrections import (CorrectionFunction, PoleError,
 from crepant.exactnum import (Cyclotomic, InvalidRoot, euler_phi,
                               imaginary_unit, root_of_unity)
 from crepant.isocheck import RootScan, transport_check
-from crepant.mckay import LinearMap, bgp_map
+from crepant.mckay import LinearMap, McKayGraph, bgp_map
 from crepant.ringtables import (KIND_CUP, ExcClass, ProductTable, QCoeff,
                                 cr_table, qc_eval, qc_table)
 
@@ -451,6 +451,31 @@ def cr_associativity_report(n: int):
                         != times_generator(table.entry(b, c), a)):
                     ok = False
     return ok, checked, skipped
+
+
+# -- McKay graphs -------------------------------------------------------------
+
+
+def an_mckay_by_entries(n: int, reduced: bool = True) -> McKayGraph:
+    """`mckay.an_mckay` with each adjacency entry its own character inner
+    product (S(1+j-i) + S(j-i-1))/o, each sum S(e) = sum_g zeta^(eg) summed
+    as field additions: the reference for the graph by residues."""
+    order = n + 1
+    powers = [root_of_unity(order, e) for e in range(order)]
+    sums = [sum(powers[e * g % order] for g in range(order))
+            for e in range(order)]
+    labels = list(range(order)) if not reduced else list(range(1, order))
+    adjacency = []
+    for i in labels:
+        row = []
+        for j in labels:
+            value = ((sums[(1 + j - i) % order] + sums[(j - i - 1) % order])
+                     / order).as_fraction()
+            assert value.denominator == 1 and value >= 0
+            row.append(int(value))
+        adjacency.append(tuple(row))
+    vertices = tuple((f"lambda_{i}", 1) for i in labels)
+    return McKayGraph(f"A_{n}", vertices, tuple(adjacency), reduced)
 
 
 # -- the scan -----------------------------------------------------------------

@@ -211,3 +211,60 @@ def test_conjugate_keeps_the_conductor_of_a_rational(n):
         assert conj.conductor == n
         assert conj._num == x._num and conj._den == x._den
     assert Cyclotomic.zero(n).conjugate().is_zero()
+
+
+def _units(n):
+    return [a for a in range(-n, 2 * n) if math.gcd(a, n) == 1]
+
+
+@pytest.mark.parametrize("n", CONJUGATE_CONDUCTORS)
+def test_galois_matches_sympy(n):
+    # x(zeta^a) = sum_k c_k x^(ak mod N) mod Phi_N, as Phi_N | x^N - 1
+    rng = random.Random(200 + n)
+    for a in rng.sample(_units(n), min(6, len(_units(n)))):
+        x = Cyclotomic(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                           for _ in range(euler_phi(n))])
+        terms = {(a * k % n,): sympy.Rational(c.numerator, c.denominator)
+                 for k, c in enumerate(x.coeffs)}
+        expected = sympy.Poly.from_dict(terms, X, domain="QQ").rem(_phi(n))
+        image = x.galois(a)
+        assert image.conductor == n
+        assert image.coeffs == _coords(expected, n), (n, a, x)
+        _assert_normal(image)
+
+
+@pytest.mark.parametrize("n", CONJUGATE_CONDUCTORS)
+def test_galois_is_a_field_automorphism_and_composes(n):
+    rng = random.Random(300 + n)
+
+    def draw():
+        return Cyclotomic(n, [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                              for _ in range(euler_phi(n))])
+
+    units = _units(n)
+    for _ in range(8):
+        x, y = draw(), draw()
+        a, b = rng.choice(units), rng.choice(units)
+        assert (x + y).galois(a) == x.galois(a) + y.galois(a)
+        assert (x * y).galois(a) == x.galois(a) * y.galois(a)
+        assert x.galois(a).galois(b) == x.galois(a * b)
+        assert x.galois(1) == x and x.galois(-1) == x.conjugate()
+    for a in units:
+        for e in range(n):
+            assert root_of_unity(n, e).galois(a) == root_of_unity(n, a * e)
+
+
+@pytest.mark.parametrize("n", CONJUGATE_CONDUCTORS)
+def test_galois_keeps_the_conductor_of_a_rational(n):
+    for a in _units(n):
+        for value in (0, 1, Fraction(-7, 3)):
+            x = Cyclotomic.from_rational(value, n)
+            image = x.galois(a)
+            assert image.conductor == n
+            assert image._num == x._num and image._den == x._den
+
+
+@pytest.mark.parametrize("n", [4, 6, 12, 60])
+def test_galois_refuses_an_exponent_that_is_not_a_unit(n):
+    with pytest.raises(ValueError):
+        root_of_unity(n).galois(n // 2)

@@ -1,18 +1,23 @@
+import itertools
+import json
 import math
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
-from crepant import cli
+from crepant import cli, isocheck
 from crepant.cli import main
+from crepant.coeffring import BaseScalar
 from crepant.exactnum import (Cyclotomic, imaginary_unit, root_of_unity,
                               sqrt_rational)
-from crepant.isocheck import (RankMismatch, conjecture_scan, solve_a1,
-                              solve_a2, transport_check)
+from crepant.isocheck import (RankMismatch, _galois_signs, conjecture_scan,
+                              solve_a1, solve_a2, transport_check)
 from crepant.mckay import LinearMap, bgp_map, chtd_map
-from crepant.ringtables import cr_table, qc_eval, qc_table
+from crepant.ringtables import (ExcClass, ProductTable, cr_table, qc_eval,
+                                qc_table)
 
+import oracles
 from oracles import conjecture_scan_every_root, identity_map
 
 MINUS_ONE = Cyclotomic.from_rational(-1)
@@ -232,34 +237,120 @@ def test_roots_of_unity_are_neither_powered_nor_inverted(inverses):
         chtd_map(n)  # one inverse per row's 2 - zeta^l - zeta^-l
         assert len(inverses) == n, n
         inverses.clear()
-    # the scan inverts only its deltas' 1 - q^d, d = 1..n, at the first
-    # root of each conjugate pair: n/2 of the phi(n+1) = n roots when n+1 is
-    # an odd prime
+    # the scan inverts only its deltas' 1 - q^d, d = 1..n, at m_root = 1:
+    # every other root's report is a Galois image of that one
     for n in (6, 10):
         conjecture_scan(n)
-        assert len(inverses) == n * n // 2, n
+        assert len(inverses) == n, n
         inverses.clear()
     solve_a1()
     solve_a2()
 
 
-# -- the scan's conjugate pairs -----------------------------------------------
+# -- the scan's Galois transport ----------------------------------------------
 
 
-def test_the_map_at_the_conjugate_root_is_the_conjugate_map():
+def _sign(row, image):
+    """+1 or -1 when the row is that sign times its image, entry by entry
+    and conductor by conductor, else None."""
+    for sign in (1, -1):
+        if all(c.conductor == d.conductor and c.coeffs == (d * sign).coeffs
+               for c, d in zip(row, image)):
+            return sign
+    return None
+
+
+def test_the_map_at_each_root_is_a_signed_galois_image_of_the_map_at_one():
+    # bgp_map(n, m) = D_m sigma_a(bgp_map(n, 1)) for every unit a of
+    # Z/4(n+1) with a = m mod n+1, D_m a diagonal of signs
     for n in range(1, 16):
+        conductor = 4 * (n + 1)
+        base = bgp_map(n, 1).matrix
         for m in range(1, n + 1):
-            if math.gcd(m, n + 1) != 1 or 2 * m == n + 1:
+            if math.gcd(m, n + 1) != 1:
                 continue
-            mirror = bgp_map(n, n + 1 - m).matrix
-            for row, mirror_row in zip(bgp_map(n, m).matrix, mirror):
-                for c, d in zip(row, mirror_row):
-                    conj = c.conjugate()
-                    assert conj.conductor == d.conductor, (n, m)
-                    assert conj.coeffs == d.coeffs, (n, m)
+            matrix = bgp_map(n, m).matrix
+            signs = {}
+            for a in range(m, conductor, n + 1):
+                if math.gcd(a, conductor) == 1:
+                    signs[a] = [_sign(row, [c.galois(a) for c in base_row])
+                                for row, base_row in zip(matrix, base)]
+                    assert None not in signs[a], (n, m, a)
+            a, eps, _ = _galois_signs(n, m)     # a is one of those units
+            assert eps == [1, *signs[a]], (n, m)
+            if m == n > 1:      # a = -1 mod 2(n+1), complex conjugation
+                assert set(eps) == {1}, n
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+def _row_signs(n, m, a):
+    return "".join("+" if _sign(row, [c.galois(a) for c in base_row]) > 0
+                   else "-" for row, base_row in zip(bgp_map(n, m).matrix,
+                                                      bgp_map(n, 1).matrix))
+
+
+@pytest.mark.parametrize("n, m, a, signs", [
+    (4, 2, 7, "-++-"), (6, 3, 3, "++--++"), (3, 3, 3, "-+-"),
+    (3, 3, 7, "+++"), (7, 3, 3, "++---++"), (7, 3, 11, "-++-++-")])
+def test_the_row_signs_at_a_root(n, m, a, signs):
+    # a and a + n + 1 differ by (-1)^k when n + 1 is even
+    assert _row_signs(n, m, a) == signs
+    scan_a, eps, _ = _galois_signs(n, m)
+    if scan_a == a:
+        assert "".join("+" if e > 0 else "-" for e in eps[1:]) == signs
+
+
+def _scan_json(scan, n):
+    return json.dumps([r.to_json() for r in scan(n)], sort_keys=True,
+                      indent=1)
+
+
+def _first_difference(text, reference):
+    """None for equal texts, else the first line of each that differs, so
+    that a failure prints two lines, not a diff of megabytes."""
+    if text == reference:
+        return None
+    for number, pair in enumerate(itertools.zip_longest(
+            text.splitlines(), reference.splitlines()), 1):
+        if pair[0] != pair[1]:
+            return number, *pair
+
+
+def _perturbed(evaluate):
+    """qc_eval plus fixed rationals in a few entries, s parts included, so
+    that bgp_map(n, 1) fails at every root."""
+    def perturbed(table, q):
+        source = evaluate(table, q)
+        n = source.n
+        entries = {key: source.entry(*key) for key in source.pairs()}
+        one = BaseScalar.one(n)
+        shifts = {(1, 1): (Fraction(1, 7), [(0, one.scale(Fraction(2, 3)))]),
+                  (1, 2): (0, [(1, BaseScalar.L(n).scale(Fraction(-3, 5)))]),
+                  (1, n): (Fraction(-2, 3), [(n - 1, one)]),
+                  (2, n): (Fraction(5, 4), [])}
+        for key, (s, es) in shifts.items():
+            entry = entries[key]
+            e = list(entry.e)
+            for l, shift in es:
+                e[l] = e[l] + shift
+            entries[key] = ExcClass(n, entry.s + s, tuple(e))
+        return ProductTable(n, source.kind, entries, source.q)
+    return perturbed
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_the_transport_of_a_failing_check_is_the_check_at_every_root(
+        monkeypatch, n):
+    perturbed = _perturbed(qc_eval)
+    monkeypatch.setattr(isocheck, "qc_eval", perturbed)
+    monkeypatch.setattr(oracles, "qc_eval", perturbed)
+    scan = conjecture_scan(n)
+    assert scan[0].status == "fail"
+    assert scan[0].report.entries[0].diff.s.terms   # the s part is off too
+    assert _first_difference(_scan_json(conjecture_scan, n),
+                             _scan_json(conjecture_scan_every_root, n)) is None
+
+
+@pytest.mark.parametrize("n", range(1, 13))
 def test_the_scan_prints_what_the_scan_of_every_root_prints(monkeypatch, n):
     runner = CliRunner()
 
@@ -272,4 +363,4 @@ def test_the_scan_prints_what_the_scan_of_every_root_prints(monkeypatch, n):
     expected = printed()
     for result, reference in zip(scanned, expected):
         assert result.exit_code == reference.exit_code == 0
-        assert result.stdout == reference.stdout
+        assert _first_difference(result.stdout, reference.stdout) is None

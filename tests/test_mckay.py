@@ -1,17 +1,21 @@
+import functools
 import json
 import math
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
+from crepant import cli
+from crepant.cli import main
 from crepant.exactnum import (Cyclotomic, InvalidRoot, branch_sqrt,
                               imaginary_unit, root_of_unity, sqrt_rational)
 from crepant.mckay import (LinearMap, ade_resolution_graph, an_mckay,
                            aut_gamma, bgp_map, chtd_map)
 from crepant.resolve import resolve_an
 
-from oracles import (identity_map, is_invertible, power_bgp_map,
-                     power_branch_sqrt, power_chtd_map)
+from oracles import (an_mckay_by_entries, identity_map, is_invertible,
+                     power_bgp_map, power_branch_sqrt, power_chtd_map)
 
 
 def test_a2_reduced_is_a_chain():
@@ -44,6 +48,27 @@ def test_rank_forty_graphs_are_the_path_and_the_cycle():
     assert cycle.adjacency == tuple(
         tuple(int((i - j) % 41 in (1, 40)) for j in range(41))
         for i in range(41))
+
+
+def test_the_graph_by_residues_prints_what_the_graph_by_entries_prints(
+        monkeypatch):
+    runner = CliRunner()
+    args = [["--n", str(n), "--format", fmt, *full]
+            for n in range(1, 41) for fmt in ("json", "text", "dot")
+            for full in ([], ["--full"])]
+    args += [["--group", "A_7", "--format", "json"],
+             ["--n", "40", "--compare-resolution"]]
+
+    def printed():
+        return [runner.invoke(main, ["mckay", *a]) for a in args]
+
+    by_residues = printed()
+    by_entries = functools.lru_cache(an_mckay_by_entries)  # once per graph
+    monkeypatch.setattr(cli, "an_mckay", by_entries)
+    monkeypatch.setattr("crepant.mckay.an_mckay", by_entries)
+    for a, result, reference in zip(args, by_residues, printed()):
+        assert result.exit_code == reference.exit_code == 0, a
+        assert result.stdout == reference.stdout, a
 
 
 def test_mckay_equals_resolution_graph():

@@ -366,13 +366,23 @@ def _packing_spy(monkeypatch):
 
 
 def test_every_scan_point_to_rank_twelve_packs(monkeypatch):
-    # the scan checks the first root of each conjugate pair, 2m <= n + 1
+    # the scan checks m_root = 1 of each rank; the kernel runs packed there
+    # and at every other primitive root a direct check of the map reaches
     routes = _packing_spy(monkeypatch)
+    for n in range(1, 13):
+        conjecture_scan(n)
+    assert routes == [(True, True)] * 12
+    routes.clear()
     points = 0
     for n in range(1, 13):
-        points += sum(r.report is not None and 2 * r.m_root <= n + 1
-                      for r in conjecture_scan(n))
-    assert points > 12 and routes == [(True, True)] * points
+        qct = qc_table(n)
+        for m in range(1, n + 1):
+            if math.gcd(m, n + 1) == 1:
+                zeta = root_of_unity(4 * (n + 1), 4 * m)
+                transport_check(bgp_map(n, m), qc_eval(qct, [zeta] * n))
+                points += 1
+    # phi(2) + ... + phi(13) roots
+    assert points == 57 and routes == [(True, True)] * points
 
 
 def test_every_in_field_verify_of_the_bench_catalogue_packs(monkeypatch):
