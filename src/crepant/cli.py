@@ -58,9 +58,10 @@ MAX_QPOINT_PHI = 128
 MAX_SCAN_RANK = 15
 
 # Largest rank each other command accepts, timed on the same host at its
-# most expensive input.  `table qc --n 20` took 0.4 s, 3 s with `--format
-# json --check-roundtrip` and 1.1-1.8 s with `--format json` evaluated at a
-# point of Q(zeta_420) (phi = 96); `verify` at a point of degree 96-128 took
+# most expensive input.  `table qc --n 20` took 0.2-0.3 s, 1.7-2.5 s with
+# `--format json --check-roundtrip` (most of it writing the indented JSON
+# twice) and 0.9-1.2 s with `--format json` evaluated at a point of
+# Q(zeta_420) (phi = 96), five runs each; `verify` at a point of degree 96-128 took
 # 12 s at n = 11, 16 s at n = 12 and 37 s at n = 14; `mckay --n 300
 # --compare-resolution` took 0.2 s and `an_mckay(400)` 0.1 s; `resolve
 # --n 1000` took 0.06 s and `--n 2000` 0.11 s.

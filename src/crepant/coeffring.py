@@ -32,6 +32,17 @@ def coerce(value) -> Cyclotomic:
     return Cyclotomic.from_rational(value)
 
 
+def json_int(data: dict, key: str) -> int:
+    """data[key], refused with ValueError naming the key unless it is an
+    int: a float or bool would compare equal and be written back as
+    another JSON value."""
+    value = data[key]
+    if type(value) is not int:
+        raise ValueError(f'"{key}" must be an int, not '
+                         f"{type(value).__name__}")
+    return value
+
+
 def accumulate(terms: dict, key, value: Cyclotomic) -> None:
     """terms[key] += value, keeping no zero coefficient.
 
@@ -229,11 +240,13 @@ class BaseScalar:
         return {"rank": self.n, "terms": terms}
 
     @classmethod
-    def from_json(cls, data) -> "BaseScalar":
-        n = data["rank"]
+    def from_json(cls, data, read=Cyclotomic.from_json) -> "BaseScalar":
+        """Refuses a "rank" or exponent that is not an int; `read` parses
+        one coefficient."""
+        n = json_int(data, "rank")
+        keys = ("exp_k",) if n == 1 else ("exp_l", "exp_m")
         terms = {}
         for entry in data["terms"]:
-            mono = ((entry["exp_k"],) if n == 1
-                    else (entry["exp_l"], entry["exp_m"]))
-            terms[mono] = Cyclotomic.from_json(entry["coeff"])
+            mono = tuple(json_int(entry, key) for key in keys)
+            terms[mono] = read(entry["coeff"])
         return cls(n, terms)

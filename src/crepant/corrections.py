@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .coeffring import coerce
+from .coeffring import coerce, json_int
 from .exactnum import Cyclotomic
 
 
@@ -102,17 +102,20 @@ class CorrectionFunction:
                           for i, w in sorted(self.terms.items())]}
 
     @classmethod
-    def from_json(cls, data, n: int) -> "CorrectionFunction":
-        """Refuses a nonzero "constant" and a weight that is not an
-        integer."""
-        if Cyclotomic.from_json(data["constant"]):
+    def from_json(cls, data, n: int,
+                  read=Cyclotomic.from_json) -> "CorrectionFunction":
+        """Refuses a nonzero "constant", a weight that is not an integer
+        and a "mu" or "nu" that is not an int; `read` parses one
+        Cyclotomic."""
+        if read(data["constant"]):
             raise ValueError("a correction's \"constant\" must be zero")
         terms = {}
         for t in data["terms"]:
-            w = Cyclotomic.from_json(t["coeff"])
+            w = read(t["coeff"])
             if not w.is_rational() or w._den != 1:
                 raise ValueError(f"delta weight {w} is not an integer")
-            terms[DeltaIndex(t["mu"], t["nu"])] = w._num[0]
+            terms[DeltaIndex(json_int(t, "mu"), json_int(t, "nu"))] = \
+                w._num[0]
         return cls(n, terms)
 
 

@@ -17,13 +17,33 @@ tabulated.
   M: h_l = (l/N) L for l <= i and ((N-l)/N) M for l > i.  Then
   E_i E_{i+1} = s - sum_l h_l E_l,
   E_i E_i = -2s + sum_l 2 h_l E_l + (M - (i-1)K) E_i, and E_i E_j = 0 for
-  |i-j| > 1; at rank one E E = -2s + 2K E.
+  |i-j| > 1; at rank one E E = -2s + 2K E.  Every h_l is rational over the
+  one denominator N, so 2 h_l and -h_l are each written from an integer
+  numerator over N (2l or -l on L, 2(N-l) or -(N-l) on M), once per table,
+  and row i takes the first i of the L forms and the rest of the M forms.
+  The diagonal correction (M - (i-1)K) E_i stays the `BaseScalar` sum it
+  reads as: it is the one term that mixes L and M, it runs once per row,
+  and it keeps scalar addition, negation and scaling on the table path,
+  which the `tables` workload of `bench/` traces and expects to see.
 * `qc_table(n)` -- quantum-corrected product: the cup table plus
   sum_l [sum_{mu <= l <= nu} (E_i.b)(E_j.b) delta_{mu nu}(q)] K E_l with
   b = beta_{mu nu}, kept symbolic in the delta basis; `qc_eval` specializes
   it at an exact q-point.  The pairing E_i.b (`beta_pairing`) is the row sum
   of c_n over mu..nu, in closed form
-  [mu <= i-1 <= nu] + [mu <= i+1 <= nu] - 2[mu <= i <= nu].
+  [mu <= i-1 <= nu] + [mu <= i+1 <= nu] - 2[mu <= i <= nu].  Each weighted
+  class b is written into the corrections of E_mu..E_nu by walking its
+  interval once, not looked up again for every l.
+
+`table_from_json` parses each distinct coordinate document (a Cyclotomic's
+{"conductor", "coeffs"}) once per call: a document whose conductor is an
+int and whose coordinates are all strings is parsed by `Cyclotomic.from_json`
+when first met, and every later document with the same conductor and
+strings shares that immutable value.  The parse depends on those values
+alone, so every value, and every byte written back, is the one a fresh parse
+gives.  The sharing is keyed by the int conductor itself: a conductor of
+`true` or `1.0`, equal to 1 in Python, never matches a shared parse and
+reaches the parser, which refuses it, as does any other document that is not
+of that form.  Nothing is kept from one call to the next.
 
 `qc_eval` lifts the point into one field Q(zeta_N), N the lcm of its
 entries' conductors, and computes every delta value there first, so every
@@ -47,7 +67,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .coeffring import BaseScalar, coerce
+from .coeffring import BaseScalar, coerce, json_int
 from .corrections import (CorrectionFunction, DeltaIndex, PoleError,
                           cache_deltas)
 from .exactnum import Cyclotomic, Kronecker
@@ -56,6 +76,7 @@ KIND_CR = "chen_ruan"
 KIND_CUP = "cup"
 KIND_QUANTUM = "quantum"
 KIND_QUANTUM_AT = "quantum_at"
+KINDS = (KIND_CR, KIND_CUP, KIND_QUANTUM, KIND_QUANTUM_AT)
 
 
 @dataclass(frozen=True)
@@ -78,11 +99,13 @@ class ExcClass:
         return {"s": self.s.to_json(), "e": [coeff(c) for c in self.e]}
 
     @classmethod
-    def from_json(cls, data, n: int,
-                  coeff=BaseScalar.from_json) -> "ExcClass":
-        """`coeff` parses one basis coefficient."""
-        return cls(n, BaseScalar.from_json(data["s"]),
-                   tuple(coeff(c) for c in data["e"]))
+    def from_json(cls, data, n: int, scalar, coeff) -> "ExcClass":
+        """`scalar` parses the s part and `coeff` one basis coefficient;
+        refuses an "e" that is not a list of n coefficients."""
+        e = data["e"]
+        if type(e) is not list or len(e) != n:
+            raise ValueError(f'an entry\'s "e" must list {n} coefficients')
+        return cls(n, scalar(data["s"]), tuple(coeff(c) for c in e))
 
 
 @dataclass(frozen=True)
@@ -112,16 +135,18 @@ class QCoeff:
                 "mult": mult}
 
     @classmethod
-    def from_json(cls, data, kappa: BaseScalar, kappa_json) -> "QCoeff":
+    def from_json(cls, data, kappa: BaseScalar, kappa_json, scalar,
+                  read) -> "QCoeff":
         """Refuses a "mult" that is not K = `kappa`.  A "mult" that is
         JSON-equal to `kappa_json`, K's JSON, which a table's reader
-        computes once, is K and is not parsed."""
-        cup = BaseScalar.from_json(data["cup"])
+        computes once, is K and is not parsed.  `scalar` parses a
+        BaseScalar and `read` a Cyclotomic."""
+        cup = scalar(data["cup"])
         mult = data["mult"]
-        if (not _json_equal(mult, kappa_json)
-                and BaseScalar.from_json(mult) != kappa):
+        if not _json_equal(mult, kappa_json) and scalar(mult) != kappa:
             raise ValueError("a quantum coefficient's \"mult\" must be K")
-        return cls(cup, CorrectionFunction.from_json(data["corr"], cup.n))
+        return cls(cup, CorrectionFunction.from_json(data["corr"], cup.n,
+                                                     read))
 
 
 def _json_equal(a, b) -> bool:
@@ -210,24 +235,34 @@ def cup_table(n: int) -> ProductTable:
     """
     if n < 1:
         raise ValueError("rank must be >= 1")
+    minus_two = BaseScalar.const(n, -2)
     if n == 1:
         return ProductTable(1, KIND_CUP, {(1, 1): ExcClass(
-            1, BaseScalar.const(1, -2), (BaseScalar.K(1).scale(2),))})
-    L, M, K = BaseScalar.L(n), BaseScalar.M(n), BaseScalar.K(n)
-    zero = BaseScalar.zero(n)
+            1, minus_two, (BaseScalar.K(1).scale(2),))})
+    M, K = BaseScalar.M(n), BaseScalar.K(n)
+
+    def multiples(factor):
+        # factor * h_l for l = 1..n, as the l <= i and the l > i forms;
+        # row i's classes are low[:i] + high[i:]
+        low = [BaseScalar._make(n, {(1, 0): Cyclotomic._make(
+            1, (factor * l,), n + 1)}) for l in range(1, n + 1)]
+        high = [BaseScalar._make(n, {(0, 1): Cyclotomic._make(
+            1, (factor * (n + 1 - l),), n + 1)}) for l in range(1, n + 1)]
+        return low, high
+
+    (low2, high2), (low_neg, high_neg) = multiples(2), multiples(-1)
+    one, zero = BaseScalar.one(n), BaseScalar.zero(n)
+    nothing = ExcClass(n, zero, (zero,) * n)
     entries = {}
     for i in range(1, n + 1):
-        h = [L.scale(Fraction(l, n + 1)) if l <= i
-             else M.scale(Fraction(n + 1 - l, n + 1))
-             for l in range(1, n + 1)]
-        diag = [c.scale(2) for c in h]
+        diag = low2[:i] + high2[i:]
         diag[i - 1] = diag[i - 1] + M - K.scale(i - 1)
-        entries[(i, i)] = ExcClass(n, BaseScalar.const(n, -2), tuple(diag))
+        entries[(i, i)] = ExcClass(n, minus_two, tuple(diag))
         if i < n:
-            entries[(i, i + 1)] = ExcClass(n, BaseScalar.one(n),
-                                           tuple(-c for c in h))
+            entries[(i, i + 1)] = ExcClass(
+                n, one, tuple(low_neg[:i] + high_neg[i:]))
         for j in range(i + 2, n + 1):
-            entries[(i, j)] = ExcClass(n, zero, (zero,) * n)
+            entries[(i, j)] = nothing
     return ProductTable(n, KIND_CUP, entries)
 
 
@@ -262,17 +297,18 @@ def qc_table(n: int) -> ProductTable:
         for j in range(i, n + 1):
             base = cup.entry(i, j)
             # E_i * E_j gains (E_i.b)(E_j.b) delta_b K on E_l for every
-            # class b = beta_{mu nu} with mu <= l <= nu and nonzero weight
+            # class b = beta_{mu nu} with mu <= l <= nu and nonzero weight:
+            # each b is written into the n correction dicts of its interval
             pj = pairings[j - 1]
-            weights = {b: w * pj[b] for b, w in pairings[i - 1].items()
-                       if b in pj}
-            coeffs = tuple(
-                QCoeff(base.e[l - 1],
-                       CorrectionFunction._make(n, {
-                           b: w for b, w in weights.items()
-                           if b.mu <= l <= b.nu}))
-                for l in range(1, n + 1))
-            entries[(i, j)] = ExcClass(n, base.s, coeffs)
+            corrs = [{} for _ in range(n)]
+            for b, w in pairings[i - 1].items():
+                if b in pj:
+                    w *= pj[b]
+                    for l in range(b.mu - 1, b.nu):
+                        corrs[l][b] = w
+            entries[(i, j)] = ExcClass(n, base.s, tuple(
+                QCoeff(c, CorrectionFunction._make(n, corr))
+                for c, corr in zip(base.e, corrs)))
     return ProductTable(n, KIND_QUANTUM, entries)
 
 
@@ -358,17 +394,68 @@ def table_to_json(table: ProductTable):
 
 
 def table_from_json(doc) -> ProductTable:
-    n, kind = doc["n"], doc["kind"]
-    coeff = BaseScalar.from_json
+    """The table `table_to_json` wrote as `doc`.
+
+    Refuses, with a ValueError that names the field, a value that would be
+    read as an equal one but written back as other JSON (an "n", "rank",
+    "i", "j", exponent, "mu" or "nu" that is not an int, a conductor that
+    is not an int), an unknown "kind", a coefficient whose "rank" is not
+    the table's "n", an entry without n basis coefficients, and entries
+    that are not each pair i <= j exactly once.  Each distinct coordinate
+    document is parsed once per call (see the module docstring).
+    """
+    n = json_int(doc, "n")
+    if n < 1:
+        raise ValueError('"n" must be >= 1')
+    kind = doc["kind"]
+    if kind not in KINDS:
+        raise ValueError(f'"kind" must be one of {", ".join(KINDS)}, not '
+                         f"{kind!r}")
+    read = _coordinate_reader()
+
+    def scalar(data):
+        if json_int(data, "rank") != n:
+            raise ValueError(f'a coefficient\'s "rank" must be the table\'s '
+                             f'"n", {n}')
+        return BaseScalar.from_json(data, read=read)
+
+    coeff = scalar
     if kind == KIND_QUANTUM:
         kappa = BaseScalar.K(n)
         coeff = partial(QCoeff.from_json, kappa=kappa,
-                        kappa_json=kappa.to_json())
-    entries = {(e["i"], e["j"]): ExcClass.from_json(e, n, coeff)
-               for e in doc["entries"]}
-    q = ([Cyclotomic.from_json(x) for x in doc["q"]]
-         if "q" in doc else None)
+                        kappa_json=kappa.to_json(), scalar=scalar, read=read)
+    entries = {}
+    for e in doc["entries"]:
+        key = json_int(e, "i"), json_int(e, "j")
+        if not 1 <= key[0] <= key[1] <= n or key in entries:
+            raise ValueError(f'entry "i", "j" = {key} is out of range or '
+                             "repeated")
+        entries[key] = ExcClass.from_json(e, n, scalar, coeff)
+    if len(entries) != n * (n + 1) // 2:
+        raise ValueError(f'"entries" must hold every pair i <= j <= {n}')
+    q = [read(x) for x in doc["q"]] if "q" in doc else None
     return ProductTable(n, kind, entries, q=q)
+
+
+def _coordinate_reader():
+    """`Cyclotomic.from_json` that parses each distinct coordinate document
+    once: a dict with an int conductor and a list of strings is looked up by
+    those values, and anything else is parsed every time."""
+    parsed = {}
+
+    def read(data):
+        if type(data) is dict:
+            conductor, coeffs = data.get("conductor"), data.get("coeffs")
+            if (type(conductor) is int and type(coeffs) is list
+                    and all(type(c) is str for c in coeffs)):
+                key = (conductor, *coeffs)
+                value = parsed.get(key)
+                if value is None:
+                    value = parsed[key] = Cyclotomic.from_json(data)
+                return value
+        return Cyclotomic.from_json(data)
+
+    return read
 
 
 def _format_class(entry, gen: str) -> str:

@@ -14,14 +14,15 @@ from fractions import Fraction
 
 from crepant import linalg
 from crepant.coeffring import BaseScalar, accumulate
-from crepant.corrections import (CorrectionFunction, PoleError,
+from crepant.corrections import (CorrectionFunction, DeltaIndex, PoleError,
                                  cache_deltas)
 from crepant.exactnum import (Cyclotomic, InvalidRoot, euler_phi,
                               imaginary_unit, root_of_unity)
 from crepant.isocheck import RootScan, transport_check
 from crepant.mckay import LinearMap, McKayGraph, bgp_map
-from crepant.ringtables import (KIND_CUP, ExcClass, ProductTable, QCoeff,
-                                cr_table, qc_eval, qc_table)
+from crepant.ringtables import (KIND_CUP, KIND_QUANTUM, ExcClass,
+                                ProductTable, QCoeff, beta_pairing, cr_table,
+                                qc_eval, qc_table)
 
 # -- Cyclotomic ---------------------------------------------------------------
 
@@ -310,6 +311,65 @@ def strip_corrections(table: ProductTable) -> ProductTable:
         entries[key] = ExcClass(table.n, entry.s,
                                 tuple(c.cup for c in entry.e))
     return ProductTable(table.n, KIND_CUP, entries)
+
+
+# -- table builders -------------------------------------------------------------
+#
+# `ringtables.cup_table` writes each h_l from its integer numerator over n+1
+# and `qc_table` walks each weighted class's interval once.  These build the
+# same tables through BaseScalar arithmetic and by filtering every weight for
+# every l.
+
+
+def cup_table_by_scalars(n: int) -> ProductTable:
+    """The cup table, each h_l = (l/(n+1)) L or ((n+1-l)/(n+1)) M scaled by
+    a Fraction, doubled and negated as BaseScalars."""
+    if n < 1:
+        raise ValueError("rank must be >= 1")
+    if n == 1:
+        return ProductTable(1, KIND_CUP, {(1, 1): ExcClass(
+            1, BaseScalar.const(1, -2), (BaseScalar.K(1).scale(2),))})
+    L, M, K = BaseScalar.L(n), BaseScalar.M(n), BaseScalar.K(n)
+    zero = BaseScalar.zero(n)
+    entries = {}
+    for i in range(1, n + 1):
+        h = [L.scale(Fraction(l, n + 1)) if l <= i
+             else M.scale(Fraction(n + 1 - l, n + 1))
+             for l in range(1, n + 1)]
+        diag = [c.scale(2) for c in h]
+        diag[i - 1] = diag[i - 1] + M - K.scale(i - 1)
+        entries[(i, i)] = ExcClass(n, BaseScalar.const(n, -2), tuple(diag))
+        if i < n:
+            entries[(i, i + 1)] = ExcClass(n, BaseScalar.one(n),
+                                           tuple(-c for c in h))
+        for j in range(i + 2, n + 1):
+            entries[(i, j)] = ExcClass(n, zero, (zero,) * n)
+    return ProductTable(n, KIND_CUP, entries)
+
+
+def qc_table_by_filter(n: int) -> ProductTable:
+    """The symbolic quantum table over `cup_table_by_scalars`, each
+    coefficient's correction the weights filtered by mu <= l <= nu."""
+    cup = cup_table_by_scalars(n)
+    betas = [DeltaIndex(mu, nu) for mu in range(1, n + 1)
+             for nu in range(mu, n + 1)]
+    pairings = [{b: w for b in betas if (w := beta_pairing(n, i, *b))}
+                for i in range(1, n + 1)]
+    entries = {}
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            base = cup.entry(i, j)
+            pj = pairings[j - 1]
+            weights = {b: w * pj[b] for b, w in pairings[i - 1].items()
+                       if b in pj}
+            coeffs = tuple(
+                QCoeff(base.e[l - 1],
+                       CorrectionFunction(n, {
+                           b: w for b, w in weights.items()
+                           if b.mu <= l <= b.nu}))
+                for l in range(1, n + 1))
+            entries[(i, j)] = ExcClass(n, base.s, coeffs)
+    return ProductTable(n, KIND_QUANTUM, entries)
 
 
 # -- corrections at a point ---------------------------------------------------

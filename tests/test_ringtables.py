@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from crepant.cli import MAX_TABLE_RANK
 from crepant.coeffring import BaseScalar
 from crepant.corrections import CorrectionFunction, DeltaIndex, PoleError
 from crepant.exactnum import Cyclotomic, root_of_unity
@@ -12,7 +13,8 @@ from crepant.ringtables import (KIND_CUP, ExcClass, ProductTable, cr_table,
                                 table_to_latex, table_to_text)
 
 from oracles import (cartan_build, correction_eval, cr_associativity_report,
-                     degrees, is_homogeneous, strip_corrections, substitute,
+                     cup_table_by_scalars, degrees, is_homogeneous,
+                     qc_table_by_filter, strip_corrections, substitute,
                      swap_lm)
 
 D11, D22, D12 = DeltaIndex(1, 1), DeltaIndex(2, 2), DeltaIndex(1, 2)
@@ -124,8 +126,25 @@ def cup_oracle(n):
 
 
 def test_cup_closed_form_matches_the_cartan_solve():
-    for n in range(1, 13):
+    for n in range(1, MAX_TABLE_RANK + 1):
         assert cup_table(n) == cup_oracle(n)
+
+
+@pytest.mark.parametrize("build, oracle", [
+    (cup_table, cup_table_by_scalars),
+    (qc_table, qc_table_by_filter),
+], ids=["cup", "qc"])
+def test_the_builders_match_their_arithmetic_oracles(build, oracle):
+    """cup_table writes each h_l from its numerator over n+1 and qc_table
+    walks each weighted interval once: the same tables, and the same bytes
+    in every format, as BaseScalar arithmetic and per-l filtering give."""
+    for n in range(1, MAX_TABLE_RANK + 1):
+        got, want = build(n), oracle(n)
+        assert got == want
+        assert json.dumps(table_to_json(got)) == \
+            json.dumps(table_to_json(want))
+        assert table_to_text(got) == table_to_text(want)
+        assert table_to_latex(got) == table_to_latex(want)
 
 
 def test_cup_distant_components_vanish():
@@ -398,9 +417,9 @@ def test_a_mult_is_parsed_only_when_it_is_not_ks_json(monkeypatch):
     parsed = []
     real = BaseScalar.from_json
 
-    def spy(data):
+    def spy(data, **kwargs):
         parsed.append(data)
-        return real(data)
+        return real(data, **kwargs)
 
     monkeypatch.setattr(rt.BaseScalar, "from_json", spy)
     assert table_from_json(doc) == qc_table(2)
@@ -422,6 +441,120 @@ def test_a_mult_is_parsed_only_when_it_is_not_ks_json(monkeypatch):
         with pytest.raises(ValueError, match=f"conductor must be an int, "
                            f"not {name}"):
             table_from_json(doc)
+
+
+def _quantum_doc(n=2):
+    return json.loads(json.dumps(table_to_json(qc_table(n))))
+
+
+def _set(path, value):
+    def edit(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+# A cup coefficient with a term on L: terms[0] has "exp_l" and "exp_m".
+_CUP = ("entries", 0, "e", 0, "cup")
+_CORR_TERM = ("entries", 0, "e", 0, "corr", "terms", 0)
+
+
+@pytest.mark.parametrize("edit, field", [
+    (_set(_CUP + ("terms", 0, "exp_l"), 1.0), '"exp_l"'),
+    (_set(_CUP + ("terms", 0, "exp_m"), False), '"exp_m"'),
+    (_set(_CORR_TERM + ("mu",), 1.0), '"mu"'),
+    (_set(_CORR_TERM + ("nu",), True), '"nu"'),
+    (_set(("entries", 0, "i"), True), '"i"'),
+    (_set(("entries", 0, "j"), 1.0), '"j"'),
+    (_set(_CUP + ("rank",), 3), '"rank"'),
+    (_set(("entries", 0, "s", "rank"), 1), '"rank"'),
+    (_set(_CUP + ("rank",), True), '"rank"'),
+    (lambda doc: doc["entries"][0]["e"].pop(), '"e"'),
+    (lambda doc: doc["entries"].pop(), '"entries"'),
+    (lambda doc: doc["entries"].append(doc["entries"][0]), "repeated"),
+    (_set(("entries", 0, "j"), 3), "out of range"),
+    (_set(("kind",), "bogus"), '"kind"'),
+    (_set(("n",), 2.0), '"n"'),
+    (_set(("n",), True), '"n"'),
+    (_set(("n",), 0), '"n"'),
+], ids=["exp_l-float", "exp_m-bool", "mu-float", "nu-bool", "i-bool",
+        "j-float", "coeff-rank-3", "s-rank-1", "rank-bool", "short-e",
+        "missing-pair", "repeated-pair", "j-past-n", "bogus-kind",
+        "n-float", "n-bool", "n-zero"])
+def test_a_malformed_table_is_refused_naming_the_field(edit, field):
+    doc = _quantum_doc()
+    assert table_from_json(doc) == qc_table(2)
+    edit(doc)
+    with pytest.raises(ValueError, match=field):
+        table_from_json(doc)
+
+
+@pytest.mark.parametrize("kind", ["cr", "cup"])
+def test_a_malformed_scalar_table_is_refused(kind):
+    table = {"cr": cr_table, "cup": cup_table}[kind](3)
+    doc = json.loads(json.dumps(table_to_json(table)))
+    assert table_from_json(doc) == table
+    s = next(e["s"] for e in doc["entries"] if e["s"]["terms"])
+    s["terms"][0]["coeff"]["conductor"] = 1.0
+    with pytest.raises(ValueError, match="conductor must be an int"):
+        table_from_json(doc)
+    doc = json.loads(json.dumps(table_to_json(table)))
+    doc["entries"][-1]["e"].append(doc["entries"][-1]["e"][0])
+    with pytest.raises(ValueError, match='"e"'):
+        table_from_json(doc)
+
+
+@pytest.mark.parametrize("conductor, name", [(True, "bool"), (1.0, "float")])
+def test_a_shared_parse_never_admits_a_conductor_that_is_not_an_int(
+        conductor, name):
+    # the cup part on M reads {"conductor": 1, "coeffs": ["1"]} before the
+    # weight of d12, which is then made equal to it in Python only
+    doc = _quantum_doc()
+    term = doc["entries"][0]["e"][0]["corr"]["terms"][-1]
+    assert term["coeff"] == {"conductor": 1, "coeffs": ["1"]}
+    term["coeff"] = {"conductor": conductor, "coeffs": ["1"]}
+    assert term["coeff"] == {"conductor": 1, "coeffs": ["1"]}
+    with pytest.raises(ValueError, match=f"conductor must be an int, "
+                       f"not {name}"):
+        table_from_json(doc)
+
+
+def test_each_distinct_coordinate_document_is_parsed_once_per_read(
+        monkeypatch):
+    doc = _quantum_doc(4)
+    documents = set()
+
+    def walk(x):
+        if isinstance(x, dict):
+            if "conductor" in x:
+                documents.add(json.dumps(x, sort_keys=True))
+            else:
+                for v in x.values():
+                    walk(v)
+        elif isinstance(x, list):
+            for v in x:
+                walk(v)
+
+    walk(doc)
+    parsed = []
+    real = Cyclotomic.from_json
+
+    def spy(data):
+        parsed.append(json.dumps(data, sort_keys=True))
+        return real(data)
+
+    monkeypatch.setattr(Cyclotomic, "from_json", spy)
+    for _ in range(2):
+        parsed.clear()
+        assert table_from_json(doc) == qc_table(4)
+        # every document but K's "mult", which is compared as JSON, once
+        # per call: the second call parses them all again
+        assert sorted(parsed) == sorted(set(parsed))
+        assert set(parsed) | {json.dumps(t["coeff"], sort_keys=True)
+                              for t in doc["entries"][0]["e"][0]["mult"]
+                              ["terms"]} == documents
 
 
 @pytest.mark.parametrize("field, value", [
