@@ -84,8 +84,8 @@ class BaseScalar:
             coeff = coerce(coeff)
             if not coeff.is_zero():
                 clean[mono] = coeff
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
+        _set_n(self, n)
+        _set_terms(self, clean)
 
     def __setattr__(self, *args):
         raise AttributeError("BaseScalar values are immutable")
@@ -97,8 +97,8 @@ class BaseScalar:
         """From a dict the caller hands over: monomial tuples of the right
         width mapped to nonzero Cyclotomic coefficients."""
         self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", terms)
+        _set_n(self, n)
+        _set_terms(self, terms)
         return self
 
     @classmethod
@@ -241,12 +241,23 @@ class BaseScalar:
 
     @classmethod
     def from_json(cls, data, read=Cyclotomic.from_json) -> "BaseScalar":
-        """Refuses a "rank" or exponent that is not an int; `read` parses
-        one coefficient."""
+        """Refuses a "rank" or exponent that is not an int, a zero "coeff"
+        and a repeated monomial, which would be read as a scalar that is
+        written back as other JSON; `read` parses one coefficient."""
         n = json_int(data, "rank")
         keys = ("exp_k",) if n == 1 else ("exp_l", "exp_m")
         terms = {}
         for entry in data["terms"]:
             mono = tuple(json_int(entry, key) for key in keys)
-            terms[mono] = read(entry["coeff"])
+            if mono in terms:
+                raise ValueError(", ".join(f'"{key}"' for key in keys)
+                                 + f" = {mono} is repeated in one scalar")
+            coeff = terms[mono] = read(entry["coeff"])
+            if not coeff:
+                raise ValueError('a scalar term\'s "coeff" must be nonzero')
         return cls(n, terms)
+
+
+# the slots' own setters, which `BaseScalar.__setattr__` does not reach
+_set_n = BaseScalar.n.__set__
+_set_terms = BaseScalar.terms.__set__

@@ -104,9 +104,9 @@ class CorrectionFunction:
     @classmethod
     def from_json(cls, data, n: int,
                   read=Cyclotomic.from_json) -> "CorrectionFunction":
-        """Refuses a nonzero "constant", a weight that is not an integer
-        and a "mu" or "nu" that is not an int; `read` parses one
-        Cyclotomic."""
+        """Refuses a nonzero "constant", a weight that is not a nonzero
+        integer, a "mu" or "nu" that is not an int and a repeated
+        ("mu", "nu"); `read` parses one Cyclotomic."""
         if read(data["constant"]):
             raise ValueError("a correction's \"constant\" must be zero")
         terms = {}
@@ -114,8 +114,14 @@ class CorrectionFunction:
             w = read(t["coeff"])
             if not w.is_rational() or w._den != 1:
                 raise ValueError(f"delta weight {w} is not an integer")
-            terms[DeltaIndex(json_int(t, "mu"), json_int(t, "nu"))] = \
-                w._num[0]
+            if not w:
+                raise ValueError('a correction term\'s "coeff" must be '
+                                 "nonzero")
+            idx = DeltaIndex(json_int(t, "mu"), json_int(t, "nu"))
+            if idx in terms:
+                raise ValueError(f'"mu", "nu" = {tuple(idx)} is repeated in '
+                                 "one correction")
+            terms[idx] = w._num[0]
         return cls(n, terms)
 
 
@@ -157,10 +163,14 @@ def cache_deltas(f: CorrectionFunction, q, deltas: dict) -> None:
     factors' conductors, as `_interval_product`'s has.  The deltas are
     visited in index order, so the first pole met is the one a term-by-term
     evaluation of f would raise; a zero q entry makes a zero product, which
-    `delta_eval` refuses at the same index.
+    `delta_eval` refuses at the same index.  When every index of f is
+    cached already, which at one point is most corrections after the first
+    few, it returns at once: the walk would find nothing to do.
     """
     if len(q) != f.n:
         raise ValueError(f"expected {f.n} q-values, got {len(q)}")
+    if f.terms.keys() <= deltas.keys():
+        return
     for idx in sorted(f.terms):
         if idx not in deltas:
             shorter = deltas.get(("product", DeltaIndex(idx.mu, idx.nu - 1)))

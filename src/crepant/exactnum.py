@@ -27,10 +27,16 @@ by fraction-free (Bareiss) elimination.  There is no floating point anywhere;
 big-integer arithmetic: each distinct operand of a group is packed once as
 one Python int, its coordinates over its group's common denominator
 evaluated at x = 2^b, so each product is one big-integer multiplication and
-each sum one addition, and each result is unpacked with balanced digits and
-reduced mod Phi_N once.  Its caller declares the kinds of term a sum may
-hold; the pack gives each kind's scale to the sum's common denominator, the
-digit width the sum needs and the width a typical operand would need.
+each sum one addition.  A result is zero in the field exactly when the
+packed Phi_N(2^b) divides it: with every conjugate of its value bounded by
+the digit bound B < 2^b - 1, a nonzero value in the ideal of norm Phi_N(2^b)
+that the division puts it in would need a norm of at least
+Phi_N(2^b) >= (2^b - 1)^phi > B^phi.  So one big-integer remainder drops
+every zero result, and only the others are unpacked with balanced digits
+and reduced mod Phi_N, once each.  Its caller declares the kinds of term a
+sum may hold; the pack gives each kind's scale to the sum's common
+denominator, the digit width the sum needs and the width a typical operand
+would need.
 
 Besides field arithmetic the module provides the two square-root gadgets the
 rest of the library needs:
@@ -213,7 +219,7 @@ class Cyclotomic:
 
     __slots__ = ("conductor", "_num", "_den")
 
-    def __init__(self, conductor: int, coeffs):
+    def __new__(cls, conductor: int, coeffs):
         coeffs = tuple(coeffs)
         _check_length(conductor, len(coeffs))
         for c in coeffs:
@@ -221,19 +227,9 @@ class Cyclotomic:
                 raise TypeError(f"coordinates must be int or Fraction, "
                                 f"not {type(c).__name__}")
         den = math.lcm(*(c.denominator for c in coeffs))
-        self._init(conductor,
-                   tuple(c.numerator * (den // c.denominator)
-                         for c in coeffs), den)
-
-    def _init(self, conductor, num, den):
-        if den != 1:
-            g = math.gcd(den, *num)
-            if g != 1:
-                num = tuple(x // g for x in num)
-                den //= g
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "_num", tuple(num))
-        object.__setattr__(self, "_den", den)
+        return cls._make(conductor,
+                         tuple(c.numerator * (den // c.denominator)
+                               for c in coeffs), den)
 
     def __setattr__(self, *args):
         raise AttributeError("Cyclotomic values are immutable")
@@ -248,9 +244,18 @@ class Cyclotomic:
 
     @classmethod
     def _make(cls, conductor, num, den=1) -> "Cyclotomic":
-        """From integer coordinates over a positive denominator."""
+        """From integer coordinates over a positive denominator, brought to
+        the normal form (the gcd of the numerators and the denominator is
+        1); every value is built here."""
+        if den != 1:
+            g = math.gcd(den, *num)
+            if g != 1:
+                num = [x // g for x in num]
+                den //= g
         self = object.__new__(cls)
-        self._init(conductor, num, den)
+        _set_conductor(self, conductor)
+        _set_num(self, tuple(num))
+        _set_den(self, den)
         return self
 
     @classmethod
@@ -578,6 +583,12 @@ class Cyclotomic:
         return cls._make(conductor, [p * (den // q) for p, q in parts], den)
 
 
+# the slots' own setters, which `Cyclotomic.__setattr__` does not reach
+_set_conductor = Cyclotomic.conductor.__set__
+_set_num = Cyclotomic._num.__set__
+_set_den = Cyclotomic._den.__set__
+
+
 def _read_coordinate(text: str) -> tuple[int, int]:
     """(p, q) of a coordinate string "p" or "p/q" that matches
     `_COORDINATE`."""
@@ -605,8 +616,9 @@ class Kronecker:
     values is then the packed product polynomial, unreduced, and a sum of
     products their packed sum: one big-integer operation each, as long as
     every digit of a result stays in the balanced range |d| < 2^(b-1).
-    `values` reads sums back digit by digit, reduces each mod Phi_N once
-    and divides it by the sum's denominator.
+    `values` drops the sums that are zero in the field by one exact test
+    (below), and reads each other sum back digit by digit, reduces it mod
+    Phi_N once and divides it by the sum's denominator.
 
     A packing serves one kind of sum, whose terms the caller declares as
     kinds (T, groups): at most T terms, each the product of one value from
@@ -622,8 +634,19 @@ class Kronecker:
     width a digit needs.  It is stored in b bits, the least of 8, 16, 32, 64
     (above 64, the least multiple of 8) that holds it: whole bytes, so one
     `int.to_bytes`, and for digits of up to 8 bytes one `struct` call,
-    split a result.  A sum whose terms cancel as polynomials is the int 0,
-    and `values` skips it unread.
+    split a result.
+
+    The zero test.  A packed sum T = P(X), X = 2^b, is zero in Q(zeta_N)
+    exactly when the packed Phi_N(X) divides T, so `values` unpacks only the
+    sums it does not divide.  If Phi_N divides P as a polynomial, Phi_N(X)
+    divides P(X).  Conversely, Z[zeta_N]/(zeta_N - X, Phi_N(X)) is
+    Z/Phi_N(X), so when Phi_N(X) divides T, alpha = P(zeta_N) lies in an
+    ideal of norm Phi_N(X), and a nonzero alpha there has Phi_N(X) dividing
+    its norm N(alpha).  But every conjugate of alpha is at most
+    ||P||_1 <= bound in absolute value, so |N(alpha)| <= bound^phi, while
+    bound < 2^(bits-1) < X - 1 and Phi_N(X) >= (X - 1)^phi: a nonzero alpha
+    is impossible.  The test holds at the width `bits` already gives, and
+    every sum it keeps has a nonzero value.
 
     `typical` is the width the same bound gives to values of each group's
     mean width (the bits of a value's coordinate norm and of its own
@@ -691,6 +714,7 @@ class Kronecker:
                        if width in _SIGNED else None)
         self._bias = sum(1 << (self._stride * (i + 1) - 1)
                          for i in range(digits))
+        self._modulus = self._pack(cyclotomic_polynomial(conductor))
         self._values = {}
         self.packed = {}
         for name, (rows, index) in coords.items():
@@ -720,15 +744,15 @@ class Kronecker:
 
     def values(self, totals: dict) -> dict:
         """The nonzero values of a dict of packed sums, as Cyclotomics of
-        conductor N under the same keys; equal sums are unpacked once."""
-        out = {}
+        conductor N under the same keys: a sum that the packed Phi_N divides
+        is zero and is dropped unread (the zero test of the class
+        docstring); equal sums are unpacked once."""
+        out, modulus = {}, self._modulus
         for key, total in totals.items():
-            if not total:
-                continue
-            value = self._values.get(total)
-            if value is None:
-                value = self._values[total] = self._unpack(total)
-            if not value.is_zero():
+            if total % modulus:
+                value = self._values.get(total)
+                if value is None:
+                    value = self._values[total] = self._unpack(total)
                 out[key] = value
         return out
 

@@ -28,7 +28,9 @@ Each map entry and source and Chen-Ruan coefficient is then packed once into
 one Python int (`exactnum.Kronecker`), every product is one big-integer
 multiplication and every sum one addition, both sides of each basis
 coefficient sum into one int, their difference over a common denominator,
-and only a nonzero one is unpacked and built as a Cyclotomic.  Otherwise
+and only one whose value is nonzero, which the exact zero test of
+`Kronecker.values` tells from the int alone, is unpacked and built as a
+Cyclotomic: at a passing root no difference is unpacked.  Otherwise
 the check sums slot by slot, one field product and one `accumulate` per
 term (`_apply_map`, `_pair_through_table`), and subtracts the two sides.
 `_packing` decides the route.  Clause (c) keeps the slot path for a few
@@ -82,9 +84,14 @@ N = 4(n+1), and sigma_a for z -> z^a, a unit a of Z/N with a = m mod n+1.
     zeta = z^(4m), so the sum of each pair is one integer polynomial in z,
     built once per (i - j, part, monomial, k + k') and rotated by
     zeta^(j(k+k')): O(n^3) index arithmetic per root and one reduction per
-    printed coefficient.  A coefficient eps_p eps_k eps_k' - 1 that is zero
-    adds nothing.  At m = n every sign is +1: a = -1 mod 2(n+1) acts on
-    Q(z^2), where every entry and value lies, as complex conjugation.
+    printed coefficient.  N is even, so each such polynomial is folded once
+    per root by z^(N/2) = -1 to N/2 coordinates, and the rotation by z^r is
+    negacyclic: for r < N/2 the top r coordinates move to the bottom,
+    negated, and z^(N/2 + r) negates all of that once more; the reduction
+    then starts from the folded list.  A coefficient eps_p eps_k eps_k' - 1
+    that is zero adds nothing.  At m = n every sign is +1: a = -1 mod
+    2(n+1) acts on Q(z^2), where every entry and value lies, as complex
+    conjugation.
 
 Why the bytes and conductors are those the check computes at m.  The check
 stores each nonzero difference of an e_p, and each nonzero right side of
@@ -264,10 +271,13 @@ def _packed_differences(source: ProductTable, kr: Kronecker):
     # the nonzero entries (k, packed) of each map column l
     columns = [[(k, x) for (k, l), x in kr.packed["map"].items() if l == col]
                for col in range(n)]
-    # the (part, monomial, -b numerator) terms of each Chen-Ruan entry
+    # the (part, monomial, -b numerator) terms of each Chen-Ruan entry,
+    # indexed by the ordered pair (k, k') of 0-based generators
     products = {}
     for (key, p, mono), t in kr.packed["cr"].items():
         products.setdefault(key, []).append((p, mono, -b * t))
+    ordered = [[products.get((min(k, kk) + 1, max(k, kk) + 1), ())
+                for kk in range(n)] for k in range(n)]
     diffs = []
     for key in source.pairs():
         i, j = key
@@ -280,10 +290,10 @@ def _packed_differences(source: ProductTable, kr: Kronecker):
                     acc = sums[k + 1]
                     acc[mono] = acc.get(mono, 0) + x * y
         for k, x in columns[i - 1]:
+            row = ordered[k]
             for kk, y in columns[j - 1]:
                 weight = x * y
-                for p, mono, t in products.get(
-                        (min(k, kk) + 1, max(k, kk) + 1), ()):
+                for p, mono, t in row[kk]:
                     acc = sums[p]
                     acc[mono] = acc.get(mono, 0) + t * weight
         minus_rhs_s, *diff_e = (BaseScalar._make(n, kr.values(acc))
@@ -589,6 +599,13 @@ def _transported(n: int, m_root: int, signs: tuple, checked: TransportReport,
             poly[(base + e - ee) % conductor] -= w
             poly[(base - e + ee) % conductor] -= w
             poly[(base - e - ee) % conductor] += w
+    # each G folded once by z^(N/2) = -1, N = 4(n+1) being even, and kept
+    # with its negation for the negacyclic rotations below
+    half = conductor // 2
+    for acc in sums:
+        for key, poly in acc.items():
+            folded = [x - y for x, y in zip(poly, poly[half:])]
+            acc[key] = folded, [-x for x in folded]
     entries = []
     for check in checked.entries:
         i, j, diff = check.i, check.j, check.diff
@@ -598,11 +615,18 @@ def _transported(n: int, m_root: int, signs: tuple, checked: TransportReport,
         # the sums the check runs at m_root, at conductor 4(n+1): the right
         # side negated for the s part, the difference for each e_p
         parts = [{} for _ in range(n + 1)]
-        # Phi[k][i] Phi[k'][j] = zeta^(j(k + k')) zeta^((i - j)k) r_k r_k'
-        for (p, mono, total), poly in sums[j - i].items():
+        # Phi[k][i] Phi[k'][j] = zeta^(j(k + k')) zeta^((i - j)k) r_k r_k';
+        # z^shift moves the top r = shift mod N/2 folded coordinates to the
+        # bottom, negated, and negates everything once more if shift >= N/2
+        for (p, mono, total), (pos, neg) in sums[j - i].items():
             shift = step * j * total % conductor
-            accumulate(parts[p], mono, Cyclotomic._from_poly(
-                conductor, poly[-shift:] + poly[:-shift], den))
+            if shift < half:
+                poly = neg[half - shift:] + pos[:half - shift]
+            else:
+                shift -= half
+                poly = pos[half - shift:] + neg[:half - shift]
+            accumulate(parts[p], mono,
+                       Cyclotomic._from_poly(conductor, poly, den))
         for p, part in enumerate(diff.e, 1):
             for mono, c in part.terms.items():
                 accumulate(parts[p], mono,

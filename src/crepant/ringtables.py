@@ -57,7 +57,13 @@ cup part gains the scaled monomials by `BaseScalar` addition, and a
 correction that sums to zero leaves it as it is.  These are the values and
 conductors that summing each correction term by term as Cyclotomics at the
 lifted point and adding K scaled by it gives, the reference the tests hold
-it to.
+it to.  Two shortcuts keep them so.  `cache_deltas` returns at once for a
+correction whose deltas are all cached, where its walk would do nothing, so
+the walk order, and the (index, entry) of a PoleError, are unchanged.  And
+each distinct pair of a cup part and a packed sum is built into its
+coefficient once per call and shared by every coefficient with that pair:
+`cup_table` shares its row objects among the entries, and a `BaseScalar` is
+immutable, so sharing changes no value.
 """
 
 from __future__ import annotations
@@ -364,15 +370,22 @@ def _packed_values(coeffs: list, deltas: dict, kappa: BaseScalar,
     # both L and M above it
     k = next(iter(kappa.terms.values())).as_fraction()
     scaled = {}         # packed sum -> K times its value, None for zero
+    # (id of a cup part, packed sum) -> the coefficient; coeffs keeps every
+    # cup part alive, so no id is reused during the call
+    built = {}
     out = []
     for c in coeffs:
         total = sum(w * packed[idx] for idx, w in c.corr.terms.items())
-        if total not in scaled:
-            value = kr.values({0: total}).get(0)
-            scaled[total] = None if value is None else BaseScalar._make(
-                kappa.n, dict.fromkeys(kappa.terms, value * k))
-        corr = scaled[total]
-        out.append(c.cup if corr is None else c.cup + corr)
+        key = id(c.cup), total
+        value = built.get(key)
+        if value is None:
+            if total not in scaled:
+                corr = kr.values({0: total}).get(0)
+                scaled[total] = None if corr is None else BaseScalar._make(
+                    kappa.n, dict.fromkeys(kappa.terms, corr * k))
+            corr = scaled[total]
+            value = built[key] = c.cup if corr is None else c.cup + corr
+        out.append(value)
     return out
 
 

@@ -7,8 +7,10 @@ import pytest
 from crepant import corrections
 from crepant.corrections import (CorrectionFunction, DeltaIndex, PoleError,
                                  cache_deltas, delta_eval)
+from crepant.coeffring import BaseScalar
 from crepant.exactnum import Cyclotomic, root_of_unity
-from crepant.ringtables import qc_eval, qc_table
+from crepant.ringtables import (KIND_QUANTUM, ExcClass, ProductTable, QCoeff,
+                                qc_eval, qc_table)
 
 from oracles import cartan_build, correction_eval
 from oracles import row_sum_pairing as beta_pairing
@@ -186,6 +188,33 @@ def test_the_cached_walk_fails_where_an_uncached_walk_does(n):
         assert _qc_eval_failure(table, q) == failure, point
         failures.add(failure if failure in (None, "zero") else "pole")
     assert failures == {None, "zero", "pole"}
+
+
+def test_a_pole_met_beside_cached_indices_raises_where_it_is_first_met():
+    # the pole delta_12 first appears in entry (1, 2), in a coefficient
+    # whose other index, delta_11, entry (1, 1) has cached already: the
+    # shortcut for fully cached corrections must not skip it
+    n, zero = 2, BaseScalar.zero(2)
+
+    def coeff(*indices):
+        return QCoeff(zero, CorrectionFunction(n, dict.fromkeys(indices, 1)))
+
+    d11, d12 = DeltaIndex(1, 1), DeltaIndex(1, 2)
+    table = ProductTable(n, KIND_QUANTUM, {
+        (1, 1): ExcClass(n, zero, (coeff(d11), coeff())),
+        (1, 2): ExcClass(n, zero, (coeff(), coeff(d11, d12))),
+        (2, 2): ExcClass(n, zero, (coeff(d12), coeff()))})
+    q = _q(Fraction(1, 2), 2)
+    assert _walk_failure(table, q) == ((1, 2), (1, 2))
+    assert _qc_eval_failure(table, q) == ((1, 2), (1, 2))
+    deltas = {}
+    cache_deltas(CorrectionFunction(n, {d11: 1}), q, deltas)
+    cached = dict(deltas)
+    cache_deltas(CorrectionFunction(n, {d11: 3}), q, deltas)
+    assert deltas == cached
+    with pytest.raises(PoleError) as err:
+        cache_deltas(CorrectionFunction(n, {d11: 1, d12: 1}), q, deltas)
+    assert err.value.index == d12
 
 
 @pytest.mark.parametrize("q", [

@@ -19,8 +19,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from crepant.exactnum import (Cyclotomic, _reduce,  # noqa: E402
-                              cyclotomic_polynomial, euler_phi,
+from crepant.exactnum import (Cyclotomic, Kronecker,  # noqa: E402
+                              _reduce, cyclotomic_polynomial, euler_phi,
                               root_of_unity)
 
 X = sympy.Symbol("x")
@@ -268,3 +268,75 @@ def test_galois_keeps_the_conductor_of_a_rational(n):
 def test_galois_refuses_an_exponent_that_is_not_a_unit(n):
     with pytest.raises(ValueError):
         root_of_unity(n).galois(n // 2)
+
+
+# -- the zero test of Kronecker.values ---------------------------------------
+
+
+def _scaled_to(poly, bound):
+    """poly, each coefficient scaled toward 0 so that ||poly||_1 <= bound."""
+    norm = sum(map(abs, poly))
+    if norm <= bound:
+        return poly
+    return [(1 if c > 0 else -1) * (abs(c) * bound // norm) for c in poly]
+
+
+@st.composite
+def packed_sums(draw):
+    """(N, a packing, P) with P an integer polynomial of degree below the
+    packing's digits and ||P||_1 at most its declared bound: the packing
+    holds the one value zeta^(phi - 1), of norm 1, and sums up to `bound`
+    products of two of them, so its bound is `bound` and it has
+    2 phi - 1 digits.  P is a random polynomial, one exactly at the bound,
+    a multiple x^j Phi_N R, or such a multiple plus one monomial."""
+    n = draw(st.sampled_from(CONJUGATE_CONDUCTORS))
+    phi = euler_phi(n)
+    digits = 2 * phi - 1
+    shape = draw(st.sampled_from(["random", "at-bound", "multiple",
+                                  "multiple-plus-one"]))
+    if shape in ("random", "at-bound"):
+        width = draw(st.integers(1, 80))       # digit widths past 64 bits
+        bound = draw(st.integers(2 ** (width - 1), 2 ** width - 1))
+        poly = _scaled_to(draw(st.lists(st.integers(-bound, bound),
+                                        min_size=digits, max_size=digits)),
+                          bound)
+        if shape == "at-bound":
+            k = draw(st.integers(0, digits - 1))
+            rest = bound - sum(map(abs, poly))
+            poly[k] += rest if poly[k] >= 0 else -rest
+    else:
+        phi_n = list(cyclotomic_polynomial(n))
+        room = digits - len(phi_n)              # degrees left for x^j R
+        poly = [0] * digits
+        if room >= 0:
+            j = draw(st.integers(0, room))
+            r = draw(st.lists(st.integers(-2 ** 40, 2 ** 40),
+                              min_size=room - j + 1, max_size=room - j + 1))
+            for a, x in enumerate(r):
+                for b, y in enumerate(phi_n):
+                    poly[j + a + b] += x * y
+        if shape == "multiple-plus-one":
+            poly[draw(st.integers(0, digits - 1))] += draw(
+                st.sampled_from([-1, 1]))
+        bound = max(sum(map(abs, poly)), 1) + draw(st.integers(0, 3))
+    assert sum(map(abs, poly)) <= bound
+    kr = Kronecker.pack(n, {"x": {0: root_of_unity(n, phi - 1)}},
+                        [(bound, ("x", "x"))])
+    assert kr._digits == digits
+    return n, kr, poly
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(packed_sums())
+def test_the_packed_zero_test_drops_exactly_the_multiples_of_phi_n(case):
+    n, kr, poly = case
+    expected = sympy.rem(sympy.Poly(poly[::-1], X, domain="ZZ"),
+                         sympy.Poly(sympy.cyclotomic_poly(n, X), X))
+    coeffs = [int(c) for c in expected.all_coeffs()[::-1]]
+    coeffs += [0] * (euler_phi(n) - len(coeffs))
+    out = kr.values({"P": kr._pack(poly)})
+    if any(coeffs):
+        assert out["P"]._num == tuple(coeffs) and out["P"]._den == 1
+    else:
+        assert out == {}
+    assert all(not value.is_zero() for value in out.values())

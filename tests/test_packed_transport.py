@@ -249,30 +249,34 @@ def test_each_declared_shape_holds_sums_at_its_bound(entry, source_value):
 # -- the differences: both sides summed into one packed int ------------------
 
 
-def _unpacked(monkeypatch):
-    """Record, for every packed sum read back, whether it is zero."""
-    seen = []
-    original = Kronecker._unpack
+def _dropped_unread(monkeypatch):
+    """Record every nonzero packed sum that `Kronecker.values` drops without
+    unpacking it (an unpacked sum is kept in the packing's `_values`)."""
+    dropped = []
+    original = Kronecker.values
 
-    def spy(self, total):
-        value = original(self, total)
-        seen.append(value.is_zero())
-        return value
+    def spy(self, totals):
+        out = original(self, totals)
+        dropped.extend(total for key, total in totals.items()
+                       if total and key not in out
+                       and total not in self._values)
+        return out
 
-    monkeypatch.setattr(Kronecker, "_unpack", spy)
-    return seen
+    monkeypatch.setattr(Kronecker, "values", spy)
+    return dropped
 
 
 def test_a_passing_root_whose_sides_differ_as_packed_ints(monkeypatch):
     # the two sides' unreduced product polynomials differ, so their packed
-    # difference is a nonzero int that reduces to zero mod Phi_N; it must
-    # be dropped, as the BaseScalar subtraction of equal values drops it
+    # difference is a nonzero int that reduces to zero mod Phi_N; the
+    # packed Phi_N divides it, and it must be dropped unread, as the
+    # BaseScalar subtraction of equal values drops it
     n = 4
     source = qc_eval(qc_table(n), [root_of_unity(20, 4)] * n)
-    seen = _unpacked(monkeypatch)
+    dropped = _dropped_unread(monkeypatch)
     report = _assert_kernel_matches(bgp_map(n, 1), source)
     assert report.passed
-    assert any(seen)
+    assert dropped and all(type(t) is int for t in dropped)
 
 
 def _basis_conductors(report):

@@ -491,6 +491,47 @@ def test_a_malformed_table_is_refused_naming_the_field(edit, field):
         table_from_json(doc)
 
 
+_ZERO_COEFF = {"conductor": 1, "coeffs": ["0"]}
+_S = ("entries", 0, "s")
+
+
+def _append(path, item):
+    def edit(doc):
+        for key in path:
+            doc = doc[key]
+        doc.append(item(doc) if callable(item) else item)
+    return edit
+
+
+@pytest.mark.parametrize("n, edit, field", [
+    (2, _append(_CORR_TERM[:-1], {"mu": 2, "nu": 2, "coeff": _ZERO_COEFF}),
+     '"coeff"'),
+    (2, _append(_CUP + ("terms",),
+                {"coeff": _ZERO_COEFF, "exp_l": 0, "exp_m": 0}), '"coeff"'),
+    (2, _append(_S + ("terms",),
+                {"coeff": _ZERO_COEFF, "exp_l": 1, "exp_m": 0}), '"coeff"'),
+    (2, _append(_CORR_TERM[:-1], lambda terms: {
+        **terms[0], "coeff": {"conductor": 1, "coeffs": ["7"]}}),
+     '"mu", "nu"'),
+    (2, _append(_CUP + ("terms",), lambda terms: {
+        **terms[0], "coeff": {"conductor": 1, "coeffs": ["5"]}}),
+     '"exp_l", "exp_m"'),
+    (2, _append(_S + ("terms",), lambda terms: terms[0]),
+     '"exp_l", "exp_m"'),
+    (1, _append(_CUP + ("terms",), lambda terms: terms[0]), '"exp_k"'),
+], ids=["zero-weight", "zero-cup-coeff", "zero-s-coeff", "repeated-delta",
+        "repeated-cup-monomial", "repeated-s-monomial",
+        "repeated-rank-one-monomial"])
+def test_a_zero_or_repeated_term_is_refused_naming_the_field(n, edit, field):
+    # each would read back as an equal table written as other JSON, or, as
+    # the later term replaced the earlier one, as another table
+    doc = _quantum_doc(n)
+    assert table_from_json(doc) == qc_table(n)
+    edit(doc)
+    with pytest.raises(ValueError, match=field):
+        table_from_json(doc)
+
+
 @pytest.mark.parametrize("kind", ["cr", "cup"])
 def test_a_malformed_scalar_table_is_refused(kind):
     table = {"cr": cr_table, "cup": cup_table}[kind](3)
