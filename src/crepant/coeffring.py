@@ -90,6 +90,11 @@ class BaseScalar:
     def __setattr__(self, *args):
         raise AttributeError("BaseScalar values are immutable")
 
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return BaseScalar._make, (self.n, self.terms)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

@@ -41,6 +41,9 @@ class PoleError(ArithmeticError):
             f"pole of delta_{index.mu}{index.nu}: "
             f"q_{index.mu}...q_{index.nu} = 1{where}")
 
+    def __reduce__(self):
+        return type(self), (self.index, self.entry)
+
 
 class CorrectionFunction:
     """sum of w * delta_{mu nu} with integer weights w."""
@@ -71,6 +74,11 @@ class CorrectionFunction:
 
     def __setattr__(self, *args):
         raise AttributeError("CorrectionFunction values are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return CorrectionFunction._make, (self.n, self.terms)
 
     def __eq__(self, other):
         if not isinstance(other, CorrectionFunction):

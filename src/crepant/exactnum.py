@@ -234,6 +234,11 @@ class Cyclotomic:
     def __setattr__(self, *args):
         raise AttributeError("Cyclotomic values are immutable")
 
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Cyclotomic._make, (self.conductor, self._num, self._den)
+
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coordinates in the power basis, as Fractions."""

@@ -107,7 +107,6 @@ q_mu...q_nu = zeta^(m(nu-mu+1)) with 1 <= nu-mu+1 <= n is never 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -117,6 +116,7 @@ from .corrections import DeltaIndex, PoleError
 from .exactnum import (Cyclotomic, Kronecker, branch_exponent, imaginary_unit,
                        root_of_unity, sqrt_rational)
 from .mckay import LinearMap, bgp_map
+from .record import Record
 from .ringtables import (KIND_QUANTUM, ExcClass, ProductTable, cr_table,
                          cup_table, qc_eval, qc_table)
 
@@ -132,23 +132,28 @@ class RankMismatch(ValueError):
                       f"target {rank}")
 
 
-@dataclass(frozen=True)
-class EntryCheck:
-    i: int
-    j: int
-    diff: ExcClass
+class EntryCheck(Record):
+    __slots__ = ("i", "j", "diff")
+
+    def __init__(self, i: int, j: int, diff: ExcClass):
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "diff", diff)
 
     @property
     def ok(self) -> bool:
         return self.diff.is_zero()
 
 
-@dataclass(frozen=True)
-class TransportReport:
-    n: int
-    q: tuple | None
-    map_matrix: LinearMap
-    entries: tuple
+class TransportReport(Record):
+    __slots__ = ("n", "q", "map_matrix", "entries")
+
+    def __init__(self, n: int, q: tuple | None, map_matrix: LinearMap,
+                 entries: tuple):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "map_matrix", map_matrix)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def passed(self) -> bool:
@@ -517,12 +522,16 @@ def solve_a2() -> list[A2Solution]:
 # The scan over primitive roots.
 
 
-@dataclass(frozen=True)
-class RootScan:
-    m_root: int
-    status: str                       # "pass" | "fail" | "pole"
-    report: TransportReport | None
-    pole: PoleError | None = None
+class RootScan(Record):
+    __slots__ = ("m_root", "status", "report", "pole")
+
+    def __init__(self, m_root: int, status: str,
+                 report: TransportReport | None,
+                 pole: PoleError | None = None):
+        object.__setattr__(self, "m_root", m_root)
+        object.__setattr__(self, "status", status)  # "pass" | "fail" | "pole"
+        object.__setattr__(self, "report", report)
+        object.__setattr__(self, "pole", pole)
 
     def to_json(self):
         doc = {"m_root": self.m_root, "status": self.status}

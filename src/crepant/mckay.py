@@ -24,17 +24,21 @@ provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .exactnum import Cyclotomic, InvalidRoot, branch_exponent, root_of_unity
+from .record import Record
 
 
-@dataclass(frozen=True)
-class McKayGraph:
-    group_label: str
-    vertices: tuple            # (name, dimension) pairs
-    adjacency: tuple           # symmetric integer matrix, rows as tuples
-    reduced: bool
+class McKayGraph(Record):
+    __slots__ = ("group_label", "vertices", "adjacency", "reduced")
+
+    def __init__(self, group_label: str, vertices: tuple, adjacency: tuple,
+                 reduced: bool):
+        object.__setattr__(self, "group_label", group_label)
+        object.__setattr__(self, "vertices", vertices)  # (name, dim) pairs
+        # a symmetric integer matrix, rows as tuples
+        object.__setattr__(self, "adjacency", adjacency)
+        object.__setattr__(self, "reduced", reduced)
 
     @property
     def size(self) -> int:
@@ -160,12 +164,15 @@ def aut_gamma(label: str) -> str:
     raise ValueError(f"unknown ADE label {label!r}")
 
 
-@dataclass(frozen=True)
-class LinearMap:
+class LinearMap(Record):
     """A linear map E_l -> sum_k matrix[k][l] e_k with exact entries."""
 
-    n: int
-    matrix: tuple  # rows k = e-basis index, columns l = E-basis index
+    __slots__ = ("n", "matrix")
+
+    def __init__(self, n: int, matrix: tuple):
+        object.__setattr__(self, "n", n)
+        # rows k = e-basis index, columns l = E-basis index
+        object.__setattr__(self, "matrix", matrix)
 
     def to_json(self):
         return {"n": self.n,

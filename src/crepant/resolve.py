@@ -24,8 +24,9 @@ rather than computed from chart intersection theory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .record import Record
 
 
 class NotSingular(ValueError):
@@ -142,22 +143,29 @@ def classify(equation: Poly3):
     raise UnclassifiedSurface(f"cannot classify {equation}")
 
 
-@dataclass(frozen=True)
-class ChartSurface:
-    equation: Poly3
-    tag: object  # "smooth" or ("A", k)
-    curves: tuple = ()  # (curve id, local equation) pairs in this chart
+class ChartSurface(Record):
+    __slots__ = ("equation", "tag", "curves")
+
+    def __init__(self, equation: Poly3, tag, curves: tuple = ()):
+        object.__setattr__(self, "equation", equation)
+        object.__setattr__(self, "tag", tag)  # "smooth" or ("A", k)
+        # (curve id, local equation) pairs in this chart
+        object.__setattr__(self, "curves", curves)
 
     @classmethod
     def an_singularity(cls, k: int) -> "ChartSurface":
         return cls(an_equation(k), ("A", k))
 
 
-@dataclass(frozen=True)
-class BlowupResult:
-    charts: dict            # chart name -> ChartSurface
-    new_curves: tuple       # new exceptional curve ids, x-side first
-    singular_chart: str | None
+class BlowupResult(Record):
+    __slots__ = ("charts", "new_curves", "singular_chart")
+
+    def __init__(self, charts: dict, new_curves: tuple,
+                 singular_chart: str | None):
+        object.__setattr__(self, "charts", charts)  # name -> ChartSurface
+        # new exceptional curve ids, x-side first
+        object.__setattr__(self, "new_curves", new_curves)
+        object.__setattr__(self, "singular_chart", singular_chart)
 
 
 def blowup_step(surface: ChartSurface, round_no: int = 1) -> BlowupResult:
@@ -198,11 +206,15 @@ def blowup_step(surface: ChartSurface, round_no: int = 1) -> BlowupResult:
     return BlowupResult(charts, new, singular)
 
 
-@dataclass(frozen=True)
-class ResolutionGraph:
-    nodes: tuple            # (curve id, self-intersection) in chain order
-    edges: frozenset        # frozenset of 2-element frozensets
-    rounds: int             # number of blow-up rounds performed
+class ResolutionGraph(Record):
+    __slots__ = ("nodes", "edges", "rounds")
+
+    def __init__(self, nodes: tuple, edges: frozenset, rounds: int):
+        # (curve id, self-intersection) in chain order
+        object.__setattr__(self, "nodes", nodes)
+        # a frozenset of 2-element frozensets
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "rounds", rounds)  # blow-up rounds done
 
     @property
     def size(self) -> int:

@@ -69,7 +69,6 @@ immutable, so sharing changes no value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -77,6 +76,7 @@ from .coeffring import BaseScalar, coerce, json_int
 from .corrections import (CorrectionFunction, DeltaIndex, PoleError,
                           cache_deltas)
 from .exactnum import Cyclotomic, Kronecker
+from .record import Record
 
 KIND_CR = "chen_ruan"
 KIND_CUP = "cup"
@@ -85,17 +85,19 @@ KIND_QUANTUM_AT = "quantum_at"
 KINDS = (KIND_CR, KIND_CUP, KIND_QUANTUM, KIND_QUANTUM_AT)
 
 
-@dataclass(frozen=True)
-class ExcClass:
+class ExcClass(Record):
     """s_coeff * s + sum basis_coeffs[l] * (generator l+1).
 
     The basis coefficients are BaseScalars, or QCoeffs in a symbolic quantum
     table, whose coefficients still carry delta terms.
     """
 
-    n: int
-    s: BaseScalar
-    e: tuple
+    __slots__ = ("n", "s", "e")
+
+    def __init__(self, n: int, s: BaseScalar, e: tuple):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "e", e)
 
     def is_zero(self) -> bool:
         return self.s.is_zero() and all(c.is_zero() for c in self.e)
@@ -114,16 +116,18 @@ class ExcClass:
         return cls(n, scalar(data["s"]), tuple(coeff(c) for c in e))
 
 
-@dataclass(frozen=True)
-class QCoeff:
+class QCoeff(Record):
     """A symbolic basis coefficient: cup + corr(q) * K.
 
     Every correction multiplies the same class K = `BaseScalar.K(n)`, the
     paper's sum over b of (E_i.b)(E_j.b) delta_b(q) K, so K is not stored.
     """
 
-    cup: BaseScalar
-    corr: CorrectionFunction
+    __slots__ = ("cup", "corr")
+
+    def __init__(self, cup: BaseScalar, corr: CorrectionFunction):
+        object.__setattr__(self, "cup", cup)
+        object.__setattr__(self, "corr", corr)
 
     def __str__(self):
         if self.corr.is_zero():
