@@ -9,17 +9,25 @@ point.
 Exit codes: 0 success, 1 verification failure, 2 usage errors and poles.
 Input the library rejects with a ValueError (an imprimitive root, an
 unknown ADE label, a malformed map file, ...) is a usage error: one line on
-stderr and exit 2, never a traceback.
+stderr and exit 2, never a traceback.  A usage error writes nothing to
+stdout, and the last line it writes to stderr is "Error: <message>", after
+the command's usage line when the command line itself is malformed.
+
+The command line is read with `argparse`.  `--help` (there is no `-h`) is
+read before option values are checked, so it prints the help whatever they
+are; an option takes the argument after it whatever it is; options are not
+abbreviated, a repeated one keeps its last value, and `--n` is read by
+int().
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import os
 import re
 import sys
-
-import click
 
 from .corrections import PoleError
 from .exactnum import Cyclotomic, euler_phi, root_of_unity
@@ -87,26 +95,17 @@ MAX_MAP_DIGITS = 25
 _MAP_COORDINATE = re.compile(r"[-+]?([0-9]+)(?:/([0-9]+))?")
 
 
-class InputError(click.ClickException):
-    """Input the library cannot take: one line on stderr, exit 2."""
-
-    exit_code = 2
-
-
-class _Main(click.Group):
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except ValueError as exc:  # the library's input validation
-            raise InputError(str(exc)) from exc
+class UsageError(ValueError):
+    """A command line crepant does not run: nothing on stdout, "Error: "
+    and the message as the last line on stderr, exit 2."""
 
 
 def _bound_rank(command: str, rank: int, cap: int, option: str = "--n"):
     """Refuse a rank outside 1..cap, given as `option`, before any work."""
     if rank < 1:
-        raise InputError(f"{command} {option} must be >= 1, got {rank}")
+        raise UsageError(f"{command} {option} must be >= 1, got {rank}")
     if rank > cap:
-        raise InputError(
+        raise UsageError(
             f"{command} {option} {rank} exceeds the limit n <= {cap}")
 
 
@@ -119,18 +118,18 @@ def _parse_qpoint(spec: str, n: int, lmap: LinearMap | None = None):
     """
     tokens = [t.strip() for t in spec.split(",")]
     if len(tokens) != n:
-        raise click.UsageError(f"expected {n} q-values, got {len(tokens)}")
+        raise UsageError(f"expected {n} q-values, got {len(tokens)}")
     literals = []
     for tok in tokens:
         if not tok.startswith("e:"):
-            raise click.UsageError(
+            raise UsageError(
                 f"bad q literal {tok!r}: use e:j/k for exp(2*pi*i*j/k)")
         literal = _QLITERAL.fullmatch(tok)
         if literal is None:
-            raise click.UsageError(f"bad q literal {tok!r}")
+            raise UsageError(f"bad q literal {tok!r}")
         j, k = int(literal[1]), int(literal[2] or "1")
         if k < 1:
-            raise click.UsageError(f"bad q literal {tok!r}: k must be >= 1")
+            raise UsageError(f"bad q literal {tok!r}: k must be >= 1")
         literals.append((j, k))
     conductor = math.lcm(4 * (n + 1), *(k for _, k in literals))
     rows = lmap.matrix if lmap is not None else ()
@@ -138,7 +137,7 @@ def _parse_qpoint(spec: str, n: int, lmap: LinearMap | None = None):
     # phi(N) >= sqrt(N/2), so the first test also bounds the factorisation
     if field > 2 * MAX_QPOINT_PHI ** 2 or euler_phi(field) > MAX_QPOINT_PHI:
         by_map = " with this map" if field != conductor else ""
-        raise InputError(
+        raise UsageError(
             f"q-point {spec!r}{by_map} needs Q(zeta_{field}), whose degree "
             f"exceeds the limit phi <= {MAX_QPOINT_PHI}")
     return [root_of_unity(conductor, j * conductor // k) for j, k in literals]
@@ -148,13 +147,13 @@ def _dump_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def _emit_pole(exc: PoleError):
+def _emit_pole(exc: PoleError) -> int:
     doc = {"error": "pole",
            "mu": exc.index.mu, "nu": exc.index.nu,
            "entry": list(exc.entry) if exc.entry else None,
            "message": str(exc)}
-    click.echo(_dump_json(doc))
-    sys.exit(POLE_EXIT)
+    print(_dump_json(doc))
+    return POLE_EXIT
 
 
 def _approx(value: Cyclotomic) -> str:
@@ -163,28 +162,54 @@ def _approx(value: Cyclotomic) -> str:
     return f"~{z.real:+.6f}{z.imag:+.6f}i"
 
 
-@click.group(cls=_Main)
-def main():
-    """Exact rings and ring-isomorphism checks for transversal A_n
-    orbifolds and their crepant resolutions."""
+class _Param:
+    """One option of a command ("--n") or its one positional ("kind").
+
+    `kind` is str, int (read with int()), bool (a flag) or the tuple of the
+    allowed values.
+    """
+
+    __slots__ = ("name", "dest", "kind", "required", "default", "help")
+
+    def __init__(self, name, dest, kind=str, required=False, default=None,
+                 help=""):
+        self.name, self.dest, self.kind = name, dest, kind
+        self.required, self.default, self.help = required, default, help
 
 
-@main.command("table")
-@click.argument("kind", type=click.Choice(["cr", "cup", "qc"]))
-@click.option("--n", "rank", type=int, required=True,
-              help=f"rank 1 <= n <= {MAX_TABLE_RANK}")
-@click.option("--q", "qspec", default=None,
-              help="evaluate the qc table at this exact q-point; its field "
-              f"Q(zeta_N) must have degree phi(N) <= {MAX_QPOINT_PHI}")
-@click.option("--format", "fmt", default="text",
-              type=click.Choice(["json", "text", "latex"]))
-@click.option("--check-roundtrip", is_flag=True,
-              help="re-ingest the emitted JSON and compare")
+def _format(*choices) -> _Param:
+    return _Param("--format", "fmt", choices, default="text")
+
+
+# name -> (the function that runs the command, its parameters); the
+# function's docstring is the command's help, its first line the summary
+_COMMANDS = {}
+
+
+def _command(*params):
+    """Register `cmd_NAME` as the command NAME taking `params`."""
+    def register(run):
+        _COMMANDS[run.__name__.removeprefix("cmd_")] = run, params
+        return run
+    return register
+
+
+@_command(_Param("kind", "kind", ("cr", "cup", "qc"), required=True,
+                 help="Chen-Ruan, cup or quantum-corrected"),
+          _Param("--n", "rank", int, required=True,
+                 help=f"rank 1 <= n <= {MAX_TABLE_RANK}"),
+          _Param("--q", "qspec",
+                 help="evaluate the qc table at this exact q-point; its "
+                 f"field Q(zeta_N) must have degree phi(N) <= "
+                 f"{MAX_QPOINT_PHI}"),
+          _format("json", "text", "latex"),
+          _Param("--check-roundtrip", "check_roundtrip", bool,
+                 help="re-ingest the emitted JSON and compare"))
 def cmd_table(kind, rank, qspec, fmt, check_roundtrip):
     """Print one product table (qc is symbolic unless --q is given)."""
     _bound_rank("table", rank, MAX_TABLE_RANK)
     if qspec is not None and kind != "qc":
-        raise click.UsageError("--q only applies to the qc table")
+        raise UsageError("--q only applies to the qc table")
     q = None if qspec is None else _parse_qpoint(qspec, rank)
     if kind == "cr":
         table = cr_table(rank)
@@ -196,18 +221,19 @@ def cmd_table(kind, rank, qspec, fmt, check_roundtrip):
             try:
                 table = qc_eval(table, q)
             except PoleError as exc:
-                _emit_pole(exc)
+                return _emit_pole(exc)
     if check_roundtrip:
         doc = table_to_json(table)
         if table_from_json(json.loads(_dump_json(doc))) != table:
-            click.echo("round-trip mismatch", err=True)
-            sys.exit(1)
+            print("round-trip mismatch", file=sys.stderr)
+            return 1
     if fmt == "json":
-        click.echo(_dump_json(table_to_json(table)))
+        print(_dump_json(table_to_json(table)))
     elif fmt == "latex":
-        click.echo(table_to_latex(table))
+        print(table_to_latex(table))
     else:
-        click.echo(table_to_text(table))
+        print(table_to_text(table))
+    return 0
 
 
 def _load_map(source: str, rank: int) -> LinearMap:
@@ -216,15 +242,15 @@ def _load_map(source: str, rank: int) -> LinearMap:
     if source.startswith("bgp:"):
         spec = _BGP.fullmatch(source)
         if spec is None:
-            raise click.UsageError(f"bad map spec {source!r}")
+            raise UsageError(f"bad map spec {source!r}")
         return bgp_map(rank, int(spec[1]))
     try:
         with open(source) as fh:
             doc = json.load(fh, parse_int=_map_int)
     except OSError as exc:
-        raise click.UsageError(f"cannot read map file {source!r}: {exc}")
+        raise UsageError(f"cannot read map file {source!r}: {exc}")
     except RecursionError:
-        raise InputError(f"map file {source!r} is nested too deeply")
+        raise UsageError(f"map file {source!r} is nested too deeply")
     _bound_map_digits(source, doc)
     return LinearMap.from_json(doc)
 
@@ -255,7 +281,7 @@ def _bound_map_digits(source: str, doc) -> None:
     if not isinstance(doc, dict):
         return
     if isinstance(doc.get("n"), _LongInt):
-        raise InputError(f'map file {source!r}: "n" is an integer of '
+        raise UsageError(f'map file {source!r}: "n" is an integer of '
                          f'{doc["n"].digits()} digits, too long to read')
     rows = doc.get("matrix")
     if not isinstance(rows, list):
@@ -265,7 +291,7 @@ def _bound_map_digits(source: str, doc) -> None:
             if not isinstance(entry, dict):
                 continue
             if isinstance(entry.get("conductor"), _LongInt):
-                raise InputError(
+                raise UsageError(
                     f"map file {source!r}: entry matrix[{k}][{l}] has a "
                     f"conductor of {entry['conductor'].digits()} digits, "
                     "too long to read")
@@ -276,29 +302,29 @@ def _bound_map_digits(source: str, doc) -> None:
                 parts = isinstance(c, str) and _MAP_COORDINATE.fullmatch(c)
                 width = parts and max(len(parts[1]), len(parts[2] or ""))
                 if width and width > MAX_MAP_DIGITS:
-                    raise InputError(
+                    raise UsageError(
                         f"map file {source!r}: entry matrix[{k}][{l}] has "
                         f"a coordinate of {width} digits, above the limit "
                         f"of {MAX_MAP_DIGITS} digits per numerator or "
                         "denominator")
 
 
-@main.command("verify")
-@click.option("--n", "rank", type=int, required=True,
-              help=f"rank 1 <= n <= {MAX_VERIFY_RANK}")
-@click.option("--map", "map_source", required=True,
-              help="bgp:M, chtd, or a JSON file with a LinearMap, each "
-              "numerator and denominator of its coordinates at most "
-              f"{MAX_MAP_DIGITS} digits")
-@click.option("--q", "qspec", required=True,
-              help="exact q-point e:j/k,...; the field Q(zeta_N) holding it "
-              f"and every map entry must have degree phi(N) <= "
-              f"{MAX_QPOINT_PHI}")
-@click.option("--format", "fmt", default="text",
-              type=click.Choice(["json", "text"]))
+@_command(_Param("--n", "rank", int, required=True,
+                 help=f"rank 1 <= n <= {MAX_VERIFY_RANK}"),
+          _Param("--map", "map_source", required=True,
+                 help="bgp:M, chtd, or a JSON file with a LinearMap, each "
+                 "numerator and denominator of its coordinates at most "
+                 f"{MAX_MAP_DIGITS} digits"),
+          _Param("--q", "qspec", required=True,
+                 help="exact q-point e:j/k,...; the field Q(zeta_N) holding "
+                 "it and every map entry must have degree phi(N) <= "
+                 f"{MAX_QPOINT_PHI}"),
+          _format("json", "text"))
 def cmd_verify(rank, map_source, qspec, fmt):
-    """Check that the map transports the quantum product at q into the
-    orbifold product; exit 0 iff it does."""
+    """Check that the map transports the quantum product at q.
+
+    Exit 0 iff the map carries the quantum product at q into the orbifold
+    product."""
     _bound_rank("verify", rank, MAX_VERIFY_RANK)
     lmap = _load_map(map_source, rank)
     RankMismatch.check(lmap.n, rank)
@@ -306,19 +332,17 @@ def cmd_verify(rank, map_source, qspec, fmt):
     try:
         source = qc_eval(qc_table(rank), q)
     except PoleError as exc:
-        _emit_pole(exc)
+        return _emit_pole(exc)
     report = transport_check(lmap, source)
     if fmt == "json":
-        click.echo(_dump_json(report.to_json()))
+        print(_dump_json(report.to_json()))
     else:
-        click.echo(report.summary())
-    sys.exit(0 if report.passed else 1)
+        print(report.summary())
+    return 0 if report.passed else 1
 
 
-@main.command("solve")
-@click.option("--n", "rank", type=click.Choice(["1", "2"]), required=True)
-@click.option("--format", "fmt", default="text",
-              type=click.Choice(["json", "text"]))
+@_command(_Param("--n", "rank", ("1", "2"), required=True),
+          _format("json", "text"))
 def cmd_solve(rank, fmt):
     """Solve the rank-1 or rank-2 isomorphism system exactly."""
     if rank == "1":
@@ -333,53 +357,48 @@ def cmd_solve(rank, fmt):
         lines = [f"E1 -> a*e1 + b*e2, E2 -> b*e1 + a*e2 with "
                  f"a = {s.a} ({_approx(s.a)}), b = {s.b} ({_approx(s.b)}) "
                  f"at q = ({s.q1}, {s.q2})" for s in sols]
-    if fmt == "json":
-        click.echo(_dump_json(doc))
-    else:
-        click.echo("\n".join(lines))
+    print(_dump_json(doc) if fmt == "json" else "\n".join(lines))
+    return 0
 
 
-@main.command("scan")
-@click.option("--n", "rank", type=int, required=True,
-              help=f"rank 1 <= n <= {MAX_SCAN_RANK}")
-@click.option("--format", "fmt", default="text",
-              type=click.Choice(["json", "text"]))
+@_command(_Param("--n", "rank", int, required=True,
+                 help=f"rank 1 <= n <= {MAX_SCAN_RANK}"),
+          _format("json", "text"))
 def cmd_scan(rank, fmt):
     """Probe the conjectured map at every primitive (n+1)-th root."""
     _bound_rank("scan", rank, MAX_SCAN_RANK)
     results = conjecture_scan(rank)
     if fmt == "json":
-        click.echo(_dump_json([r.to_json() for r in results]))
-    else:
-        for r in results:
-            line = f"m_root={r.m_root}: {r.status}"
-            if r.status == "fail":
-                bad = ",".join(f"({e.i},{e.j})"
-                               for e in r.report.failures())
-                line += f" at entries {bad}"
-            elif r.status == "pole":
-                line += f" ({r.pole})"
-            click.echo(line)
+        print(_dump_json([r.to_json() for r in results]))
+        return 0
+    for r in results:
+        line = f"m_root={r.m_root}: {r.status}"
+        if r.status == "fail":
+            bad = ",".join(f"({e.i},{e.j})" for e in r.report.failures())
+            line += f" at entries {bad}"
+        elif r.status == "pole":
+            line += f" ({r.pole})"
+        print(line)
+    return 0
 
 
-@main.command("mckay")
-@click.option("--n", "rank", type=int, default=None,
-              help=f"rank 1 <= n <= {MAX_MCKAY_RANK}")
-@click.option("--group", "label", default=None,
-              help="static ADE data, e.g. D_4 or E_7; A_n and D_n need "
-              f"n <= {MAX_MCKAY_RANK}")
-@click.option("--full", is_flag=True,
-              help="include the trivial representation")
-@click.option("--compare-resolution", is_flag=True,
-              help="exit nonzero unless the graph matches resolve_an")
-@click.option("--format", "fmt", default="text",
-              type=click.Choice(["json", "text", "dot"]))
+@_command(_Param("--n", "rank", int, help=f"rank 1 <= n <= {MAX_MCKAY_RANK}"),
+          _Param("--group", "label",
+                 help="static ADE data, e.g. D_4 or E_7; A_n and D_n need "
+                 f"n <= {MAX_MCKAY_RANK}"),
+          _Param("--full", "full", bool,
+                 help="include the trivial representation (needs --n)"),
+          _Param("--compare-resolution", "compare_resolution", bool,
+                 help="exit nonzero unless the graph matches resolve_an"),
+          _format("json", "text", "dot"))
 def cmd_mckay(rank, label, full, compare_resolution, fmt):
     """McKay graph from characters (A_n) or classification data (D/E)."""
     if (rank is None) == (label is None):
-        raise click.UsageError("give exactly one of --n or --group")
+        raise UsageError("give exactly one of --n or --group")
     if compare_resolution and (rank is None or full):
-        raise click.UsageError("--compare-resolution needs --n without --full")
+        raise UsageError("--compare-resolution needs --n without --full")
+    if full and rank is None:  # the static graphs are reduced ones only
+        raise UsageError("--full needs --n")
     if rank is not None:
         _bound_rank("mckay", rank, MAX_MCKAY_RANK)
         graph = an_mckay(rank, reduced=not full)
@@ -392,40 +411,188 @@ def cmd_mckay(rank, label, full, compare_resolution, fmt):
     if fmt == "json":
         doc = graph.to_json()
         doc["aut"] = aut_gamma(graph.group_label)
-        click.echo(_dump_json(doc))
+        print(_dump_json(doc))
     elif fmt == "dot":
-        click.echo(graph.to_graphviz())
+        print(graph.to_graphviz())
     else:
-        click.echo(f"{graph.group_label} "
-                   f"({'reduced' if graph.reduced else 'full'}), "
-                   f"Aut = {aut_gamma(graph.group_label)}")
+        print(f"{graph.group_label} "
+              f"({'reduced' if graph.reduced else 'full'}), "
+              f"Aut = {aut_gamma(graph.group_label)}")
         for i, j, mult in graph.edges():
-            click.echo(f"  {graph.vertices[i][0]} -- {graph.vertices[j][0]}"
-                       + (f" (x{mult})" if mult > 1 else ""))
-    if compare_resolution:
-        match = resolve_an(rank).adjacency() == graph.adjacency
-        click.echo("resolution graph match: " + ("yes" if match else "NO"))
-        sys.exit(0 if match else 1)
+            print(f"  {graph.vertices[i][0]} -- {graph.vertices[j][0]}"
+                  + (f" (x{mult})" if mult > 1 else ""))
+    if not compare_resolution:
+        return 0
+    match = resolve_an(rank).adjacency() == graph.adjacency
+    print("resolution graph match: " + ("yes" if match else "NO"))
+    return 0 if match else 1
 
 
-@main.command("resolve")
-@click.option("--n", "rank", type=int, required=True,
-              help=f"rank 1 <= n <= {MAX_RESOLVE_RANK}")
-@click.option("--format", "fmt", default="text",
-              type=click.Choice(["json", "text", "dot"]))
+@_command(_Param("--n", "rank", int, required=True,
+                 help=f"rank 1 <= n <= {MAX_RESOLVE_RANK}"),
+          _format("json", "text", "dot"))
 def cmd_resolve(rank, fmt):
     """Resolve x y = z^(n+1) by iterated blow-ups of the origin."""
     _bound_rank("resolve", rank, MAX_RESOLVE_RANK)
     graph = resolve_an(rank)
     if fmt == "json":
-        click.echo(_dump_json(graph.to_json()))
+        print(_dump_json(graph.to_json()))
     elif fmt == "dot":
-        click.echo(graph.to_graphviz())
+        print(graph.to_graphviz())
     else:
-        click.echo(f"A_{rank}: {graph.size} exceptional curves in "
-                   f"{graph.rounds} blow-up rounds")
-        chain = " -- ".join(cid for cid, _ in graph.nodes)
-        click.echo(f"  chain: {chain}")
+        print(f"A_{rank}: {graph.size} exceptional curves in "
+              f"{graph.rounds} blow-up rounds")
+        print("  chain: " + " -- ".join(cid for cid, _ in graph.nodes))
+    return 0
+
+
+_ABOUT = """\
+Exact rings and ring-isomorphism checks for transversal A_n orbifolds and
+their crepant resolutions."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a UsageError, after the usage."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
+def _fixed_width_help(prog):
+    # a fixed width, so the help reads the same in every terminal
+    return argparse.HelpFormatter(prog, width=80)
+
+
+def _top_parser(prog: str) -> _Parser:
+    """The help and usage of `crepant` itself; `_run` reads the options
+    before the command."""
+    commands = "\n".join(f"  {name:9}{run.__doc__.splitlines()[0]}"
+                         for name, (run, _) in _COMMANDS.items())
+    return _Parser(
+        prog=prog, usage="%(prog)s [--help] COMMAND [ARGS]...",
+        description=_ABOUT, add_help=False,
+        epilog=f"commands:\n{commands}\n\n"
+        f"'{prog} COMMAND --help' lists a command's options.",
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+
+
+def _command_parser(prog: str, name: str) -> _Parser:
+    run, params = _COMMANDS[name]
+    usage = "%(prog)s [OPTIONS]" + "".join(
+        " {" + ",".join(p.kind) + "}" for p in params if p.name[0] != "-")
+    parser = _Parser(prog=f"{prog} {name}", usage=usage,
+                     description=run.__doc__, add_help=False,
+                     allow_abbrev=False, formatter_class=_fixed_width_help)
+    for p in params:
+        if p.kind is bool:
+            parser.add_argument(p.name, dest=p.dest, action="store_true",
+                                help=p.help)
+            continue
+        text = p.help + (" (required)" if p.required else
+                         f" (default: {p.default})" if p.default else "")
+        metavar = ("{" + ",".join(p.kind) + "}" if type(p.kind) is tuple
+                   else p.name.lstrip("-").upper())
+        names = {"dest": p.dest} if p.name[0] == "-" else {"nargs": "?"}
+        parser.add_argument(p.name, **names, metavar=metavar,
+                            help=text.strip())
+    parser.add_argument("--help", action="store_true",
+                        help="show this message and exit")
+    return parser
+
+
+def _value(parser: _Parser, p: _Param, raw):
+    """The value of `p` given as the string `raw`, or None if absent."""
+    if raw == []:  # argparse reads the value of "--n=--" as no strings
+        raw = "--"
+    if raw is None:
+        if p.required:
+            what = "option" if p.name[0] == "-" else "argument"
+            parser.error(f"Missing {what} '{p.name}'.")
+        return p.default
+    if p.kind is int:
+        try:
+            return int(raw)
+        except ValueError:
+            parser.error(f"Invalid value for '{p.name}': {raw!r} is not a "
+                         "valid integer.")
+    if type(p.kind) is tuple and raw not in p.kind:
+        parser.error(f"Invalid value for '{p.name}': {raw!r} is not one of "
+                     + ", ".join(map(repr, p.kind)) + ".")
+    return raw
+
+
+def _run(prog: str, argv: list) -> int:
+    """Read argv and run the command it names; its exit code.
+
+    `--help` is read before anything but a malformed option: it prints the
+    help even where an option value is invalid or missing.
+    """
+    start = 0  # where the command's name is: after the options and a "--"
+    while start < len(argv) and argv[start][:1] == "-" and argv[start] != "-":
+        start += 1
+        if argv[start - 1] == "--":
+            break
+        if argv[start - 1] != "--help":
+            _top_parser(prog).error(f"No such option: {argv[start - 1]}")
+    if "--help" in argv[:start]:
+        _top_parser(prog).print_help()
+        return 0
+    if start == len(argv):
+        _top_parser(prog).print_help(sys.stderr)
+        raise UsageError("Missing command.")
+    name = argv[start]
+    if name not in _COMMANDS:
+        _top_parser(prog).error(f"No such command {name!r}.")
+    run, params = _COMMANDS[name]
+    # an option that takes a value takes the next argument, whatever it is
+    # ("--q -1,e:1/2", "--map --help"): join the two as "--q=-1,e:1/2"
+    takes_value = {p.name for p in params
+                   if p.name[0] == "-" and p.kind is not bool}
+    args, k = argv[start + 1:], 0
+    while k < len(args) - 1 and args[k] != "--":
+        if args[k] in takes_value:
+            args[k:k + 2] = [f"{args[k]}={args[k + 1]}"]
+        k += 1
+    parser = _command_parser(prog, name)
+    args, extras = parser.parse_known_args(args)
+    extra = []  # arguments that are no option, each one too many
+    for k, arg in enumerate(extras):
+        if arg == "--":
+            extra += extras[k + 1:]
+            break
+        if arg[:1] == "-" and arg != "-":
+            parser.error(f"No such option: {arg}")
+        extra.append(arg)
+    if args.help:
+        parser.print_help()
+        return 0
+    values = {p.dest: _value(parser, p, getattr(args, p.dest))
+              for p in params}
+    if extra:
+        parser.error(f"Got unexpected extra argument{'s' * (len(extra) > 1)}"
+                     f" ({' '.join(extra)})")
+    return run(**values)
+
+
+def main(args=None, prog_name: str | None = None):
+    """Run the `crepant` command line `args` (default: sys.argv[1:]) and
+    exit with its code: 0 success, 1 a failed check, 2 a usage error, input
+    the library refuses, or a pole."""
+    argv = sys.argv[1:] if args is None else list(args)
+    try:
+        code = _run(prog_name or "crepant", argv)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+    except ValueError as exc:  # UsageError or the library's validation
+        print(f"Error: {exc}", file=sys.stderr)
+        code = 2
+    except KeyboardInterrupt:
+        print("\nAborted!", file=sys.stderr)
+        code = 1
+    except BrokenPipeError:  # the reader of stdout is gone, as in `| head`
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

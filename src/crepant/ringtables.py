@@ -153,32 +153,24 @@ class QCoeff(Record):
         BaseScalar and `read` a Cyclotomic."""
         cup = scalar(data["cup"])
         mult = data["mult"]
-        if not _json_equal(mult, kappa_json) and scalar(mult) != kappa:
+        if not _is_kappa_json(mult, kappa_json) and scalar(mult) != kappa:
             raise ValueError("a quantum coefficient's \"mult\" must be K")
         return cls(cup, CorrectionFunction.from_json(data["corr"], cup.n,
                                                      read))
 
 
-def _json_equal(a, b) -> bool:
-    """a == b as JSON values: of the same types all the way down, so 1.0 and
-    true do not equal 1."""
-    if type(a) is not type(b):
+def _is_kappa_json(mult, kappa_json) -> bool:
+    """mult is `kappa_json`, K's JSON, as JSON values: equal, and of the
+    same types all the way down.  Of K's leaves only the ints ("rank", each
+    "conductor" and the exponents) can equal a value of another type (true,
+    1.0), so once == holds only their types are checked."""
+    if mult != kappa_json or type(mult["rank"]) is not int:
         return False
-    if type(a) is dict:
-        if a.keys() != b.keys():
-            return False
-        for k, v in a.items():
-            if not _json_equal(v, b[k]):
+    for term in mult["terms"]:
+        for key, v in term.items():
+            if type(v["conductor"] if key == "coeff" else v) is not int:
                 return False
-        return True
-    if type(a) is list:
-        if len(a) != len(b):
-            return False
-        for x, y in zip(a, b):
-            if not _json_equal(x, y):
-                return False
-        return True
-    return a == b
+    return True
 
 
 class ProductTable:

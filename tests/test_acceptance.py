@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
+from clirunner import CliRunner
 
 from crepant.cli import main
 from crepant.coeffring import BaseScalar

@@ -3,7 +3,7 @@
 `bench/expected.json` holds the sha256 of the stdout of every `tables`
 operation (the bytes `crepant table KIND --n N --format F` prints) and the
 exit code and stdout sha256 of every `cli` catalogue command.  Each one is
-run here through click's `CliRunner`, reading only that file, so a change
+run here in-process (`tests/clirunner.py`), reading only that file, so a change
 in the bytes shows up before a benchmark run.
 """
 
@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from clirunner import CliRunner
 
 from crepant.cli import main
 

@@ -2,7 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from clirunner import CliRunner
 
 from crepant.cli import MAX_MAP_DIGITS, main
 
@@ -200,6 +200,25 @@ def test_mckay_requires_exactly_one_selector(runner):
     assert runner.invoke(main, ["mckay"]).exit_code == 2
     assert runner.invoke(main, ["mckay", "--n", "2", "--group",
                                 "D_4"]).exit_code == 2
+
+
+@pytest.mark.parametrize("label", ["A_3", "D_4", "E_7"])
+def test_mckay_full_needs_a_rank(runner, monkeypatch, label):
+    # the graphs of --group are reduced ones only, so --full was ignored
+    _forbid_work(monkeypatch, "mckay --group --full did work")
+    result = runner.invoke(main, ["mckay", "--group", label, "--full"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "Error: --full needs --n\n"
+
+
+def test_no_arguments_lists_the_commands_and_is_a_usage_error(runner):
+    result = runner.invoke(main, [])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1] == "Error: Missing command."
+    for name in ("table", "verify", "solve", "scan", "mckay", "resolve"):
+        assert f"\n  {name} " in result.stderr
 
 
 def test_resolve_command(runner):

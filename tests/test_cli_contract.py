@@ -14,7 +14,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from click.testing import CliRunner  # noqa: E402
+from clirunner import CliRunner  # noqa: E402
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 

@@ -17,7 +17,7 @@ import hashlib
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from clirunner import CliRunner
 
 from crepant.cli import main
 

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
+from clirunner import CliRunner
 
 from crepant import cli
 from crepant.cli import main

@@ -20,7 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from click.testing import CliRunner  # noqa: E402
+from clirunner import CliRunner  # noqa: E402
 
 from crepant import isocheck  # noqa: E402
 from crepant.cli import main  # noqa: E402

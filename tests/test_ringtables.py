@@ -443,6 +443,25 @@ def test_a_mult_is_parsed_only_when_it_is_not_ks_json(monkeypatch):
             table_from_json(doc)
 
 
+@pytest.mark.parametrize("value", [True, 1.0], ids=["bool", "float"])
+@pytest.mark.parametrize("leaf", ["rank", "exponent", "conductor"])
+def test_a_mult_equal_to_ks_json_only_in_python_is_parsed_and_refused(
+        leaf, value):
+    # at rank 1 K's JSON holds "rank" 1, one "exp_k" 1 and one "conductor"
+    # 1, each equal in Python to true and 1.0
+    doc = json.loads(json.dumps(table_to_json(qc_table(1))))
+    kappa = doc["entries"][0]["e"][0]["mult"]
+    assert kappa == BaseScalar.K(1).to_json()
+    term = kappa["terms"][0]
+    holder, key = {"rank": (kappa, "rank"), "exponent": (term, "exp_k"),
+                   "conductor": (term["coeff"], "conductor")}[leaf]
+    holder[key] = value
+    assert kappa == BaseScalar.K(1).to_json()
+    with pytest.raises(ValueError, match="must be an int, not "
+                       f"{type(value).__name__}"):
+        table_from_json(doc)
+
+
 def _quantum_doc(n=2):
     return json.loads(json.dumps(table_to_json(qc_table(n))))
 

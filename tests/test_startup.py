@@ -2,9 +2,10 @@
 
 Every `crepant` command starts a fresh interpreter, so what the package
 imports is paid on every command.  The value classes are plain slotted
-records, not dataclasses, so neither `import crepant` nor `import
-crepant.cli` loads `dataclasses`, and `import crepant` does not load
-`inspect` (with `ast`, `dis` and `tokenize` behind it).
+records, not dataclasses, and the command line is read with `argparse`, not
+click, so neither `import crepant` nor `import crepant.cli` loads
+`dataclasses`, `inspect` (with `ast`, `dis` and `tokenize` behind it) or
+click.
 """
 
 import json
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-WATCHED = ("dataclasses", "inspect")
+WATCHED = ("click", "dataclasses", "inspect")
 
 PROBE = f"""
 import json, sys
@@ -42,8 +43,13 @@ def loaded():
 
 
 def test_import_crepant_loads_neither_dataclasses_nor_inspect(loaded):
-    assert loaded["crepant"] == {"dataclasses": False, "inspect": False}
+    assert not loaded["crepant"]["dataclasses"]
+    assert not loaded["crepant"]["inspect"]
 
 
 def test_import_crepant_cli_does_not_load_dataclasses(loaded):
     assert loaded["crepant.cli"]["dataclasses"] is False
+
+
+def test_import_crepant_cli_loads_neither_click_nor_inspect(loaded):
+    assert loaded["crepant.cli"] == dict.fromkeys(WATCHED, False)
