@@ -59,11 +59,11 @@ MAX_QPOINT_PHI = 128
 # Largest rank `scan --n` accepts.  The scan runs one transport check, at
 # m_root = 1, in the field Q(zeta_{4(n+1)}), and transports its report to
 # the other primitive (n+1)-th roots by Galois automorphisms: on a 2-vCPU x86
-# host `conjecture_scan(n)` for n = 10, 12, 14, 15 took 98-105 ms,
-# 0.22-0.24 s, 0.25-0.27 s and 0.32-0.34 s in three timings in one sitting,
-# and n = 16 (a field of degree 32) 0.71-0.75 s; `scan --n 15 --format json`
-# writes 20 MB in 1.6-2.0 s, most of it spent writing the JSON, so the JSON,
-# not the scan, is what binds the cap.
+# host `conjecture_scan(n)` for n = 10, 12, 14, 15 took 43-46 ms, 88-93 ms,
+# 91-97 ms and 0.11-0.13 s in three timings in one sitting, each in a fresh
+# interpreter, and n = 16 (a field of degree 32) 0.30-0.31 s; in the same
+# sitting `scan --n 15 --format json` wrote 20 MB in 0.90-1.04 s, most of it
+# spent writing the JSON, so the JSON, not the scan, is what binds the cap.
 MAX_SCAN_RANK = 15
 
 # Largest rank each other command accepts, timed on the same host at its

@@ -83,15 +83,18 @@ N = 4(n+1), and sigma_a for z -> z^a, a unit a of Z/N with a = m mod n+1.
   * Phi[k][i] Phi[k'][j] = zeta^(j(k+k')) zeta^((i-j)k) r_k r_k' with
     zeta = z^(4m), so the sum of each pair is one integer polynomial in z,
     built once per (i - j, part, monomial, k + k') and rotated by
-    zeta^(j(k+k')): O(n^3) index arithmetic per root and one reduction per
-    printed coefficient.  N is even, so each such polynomial is folded once
-    per root by z^(N/2) = -1 to N/2 coordinates, and the rotation by z^r is
-    negacyclic: for r < N/2 the top r coordinates move to the bottom,
-    negated, and z^(N/2 + r) negates all of that once more; the reduction
-    then starts from the folded list.  A coefficient eps_p eps_k eps_k' - 1
-    that is zero adds nothing.  At m = n every sign is +1: a = -1 mod
-    2(n+1) acts on Q(z^2), where every entry and value lies, as complex
-    conjugation.
+    zeta^(j(k+k')): O(n^3) index arithmetic per root.  N is even, so each
+    such polynomial is folded once per root by z^(N/2) = -1 to N/2
+    coordinates, and the rotation by z^r is negacyclic: for r < N/2 the top
+    r coordinates move to the bottom, negated, and z^(N/2 + r) negates all
+    of that once more.  The rotated lists repeat, across pairs and across
+    roots (12 distinct among the 80 at n = 4, 941 among 5 500 at n = 10),
+    so the scan keeps one dict from (common denominator, rotated list) to
+    its reduced value, and makes one reduction per distinct value per
+    scan, each starting from the folded list.  A coefficient
+    eps_p eps_k eps_k' - 1 that is zero adds nothing.  At m = n every sign
+    is +1: a = -1 mod 2(n+1) acts on Q(z^2), where every entry and value
+    lies, as complex conjugation.
 
 Why the bytes and conductors are those the check computes at m.  The check
 stores each nonzero difference of an e_p, and each nonzero right side of
@@ -582,12 +585,16 @@ def _chen_ruan_terms(n: int) -> list:
 
 
 def _transported(n: int, m_root: int, signs: tuple, checked: TransportReport,
-                 source: ProductTable, terms: list) -> tuple:
+                 own: list, terms: list, reduced: dict) -> tuple:
     """The entries `transport_check(bgp_map(n, m_root), sigma_a(source))`
     reports, from the report `checked` of bgp_map(n, 1) on source, by the
     Galois transport of the module docstring.  signs are
     `_galois_signs(n, m_root)`, and terms `_chen_ruan_terms(n)` or, when
-    every sign is +1, any list."""
+    every sign is +1, any list.  own holds, per checked entry, the pair
+    (the source's s part, diff.s minus it), the latter the right side
+    negated, both at m_root = 1.  reduced maps (den, folded coordinates) to
+    the value already reduced from them, and gains each value reduced
+    here."""
     conductor = 4 * (n + 1)
     step = 4 * m_root                       # zeta = z^step
     a, eps, exps = signs
@@ -614,9 +621,9 @@ def _transported(n: int, m_root: int, signs: tuple, checked: TransportReport,
     for acc in sums:
         for key, poly in acc.items():
             folded = [x - y for x, y in zip(poly, poly[half:])]
-            acc[key] = folded, [-x for x in folded]
+            acc[key] = tuple(folded), tuple([-x for x in folded])
     entries = []
-    for check in checked.entries:
+    for check, (own_s, minus_rhs_s) in zip(checked.entries, own):
         i, j, diff = check.i, check.j, check.diff
         if check.ok and not sums[j - i]:
             entries.append(check)       # zero at 1, and no sum: zero here
@@ -630,23 +637,24 @@ def _transported(n: int, m_root: int, signs: tuple, checked: TransportReport,
         for (p, mono, total), (pos, neg) in sums[j - i].items():
             shift = step * j * total % conductor
             if shift < half:
-                poly = neg[half - shift:] + pos[:half - shift]
+                key = den, neg[half - shift:] + pos[:half - shift]
             else:
                 shift -= half
-                poly = pos[half - shift:] + neg[:half - shift]
-            accumulate(parts[p], mono,
-                       Cyclotomic._from_poly(conductor, poly, den))
+                key = den, pos[half - shift:] + neg[:half - shift]
+            value = reduced.get(key)
+            if value is None:
+                value = reduced[key] = Cyclotomic._from_poly(
+                    conductor, list(key[1]), den)
+            accumulate(parts[p], mono, value)
         for p, part in enumerate(diff.e, 1):
             for mono, c in part.terms.items():
                 accumulate(parts[p], mono,
                            (c.galois(a) * eps[p]).lift(conductor))
-        # the s part is the source's own plus the right side negated, which
-        # is diff.s - own at m_root = 1
-        own = source.entry(i, j).s
-        for mono, c in (diff.s - own).terms.items():
+        # the s part is the source's own plus the right side negated
+        for mono, c in minus_rhs_s.terms.items():
             accumulate(parts[0], mono, c.galois(a).lift(conductor))
         own_here = BaseScalar._make(n, {mono: c.galois(a)
-                                        for mono, c in own.terms.items()})
+                                        for mono, c in own_s.terms.items()})
         entries.append(EntryCheck(i, j, ExcClass(
             n, own_here + BaseScalar._make(n, parts[0]),
             tuple(BaseScalar._make(n, acc) for acc in parts[1:]))))
@@ -668,8 +676,11 @@ def conjecture_scan(n: int) -> list[RootScan]:
     `bgp_map(n, m_root)` up to the signs eps_k of its rows, so each
     difference is eps_p sigma_a of the checked one plus a sum over the
     Chen-Ruan terms weighted by eps_p eps_k eps_k' - 1 (the module
-    docstring gives the argument).  A pole is Galois-invariant, so a pole at
-    m_root = 1 is reported, with its index, at every root.
+    docstring gives the argument).  Those sums are reduced once per distinct
+    value per scan, in a dict dropped on return; each checked entry's own
+    s part, and its right side negated, are read once for all roots.  A
+    pole is Galois-invariant, so a pole at m_root = 1 is reported, with its
+    index, at every root.
     """
     if n < 1:
         raise ValueError("rank must be >= 1")
@@ -684,12 +695,18 @@ def conjecture_scan(n: int) -> list[RootScan]:
     # signs all +1, as at m_root = n, weight no Chen-Ruan term
     terms = (_chen_ruan_terms(n)
              if any(-1 in eps for _, eps, _ in signs.values()) else [])
+    own = []
+    for check in checked.entries:
+        own_s = source.entry(check.i, check.j).s
+        own.append((own_s, check.diff.s - own_s))
+    reduced = {}    # one reduction per distinct value over all roots
     results = []
     for m_root in roots:
         report = checked if m_root == 1 else TransportReport(
             n, (root_of_unity(conductor, 4 * m_root),) * n,
             bgp_map(n, m_root),
-            _transported(n, m_root, signs[m_root], checked, source, terms))
+            _transported(n, m_root, signs[m_root], checked, own, terms,
+                         reduced))
         results.append(RootScan(
             m_root, "pass" if report.passed else "fail", report))
     return results

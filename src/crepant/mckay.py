@@ -18,7 +18,9 @@ provided:
   e_k with zeta = exp(2 pi i m_root/(n+1)), in Q(zeta_{4(n+1)}): the root
   zeta^{lk} times the closed-form, branch-resolved square root +-(w^j - w^-j)
   of `exactnum.branch_sqrt`, w = zeta_{2(n+1)} and j = k m_root, each entry
-  built as one two-term polynomial in zeta_{4(n+1)}.
+  built as one two-term polynomial in zeta_{4(n+1)}, already folded by
+  zeta_{4(n+1)}^(2(n+1)) = -1 to the 2(n+1) coordinates that the reduction
+  starts from.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ def ade_resolution_graph(label: str) -> McKayGraph:
                 (1, 2, 3, 2, 1, 2)),
             7: ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)],
                 (2, 3, 4, 3, 2, 1, 2)),
-            8: ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 7)],
+            8: ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)],
                 (2, 3, 4, 5, 6, 4, 2, 3)),
         }
         num = int(num)
@@ -226,17 +228,19 @@ def bgp_map(n: int, m_root: int) -> LinearMap:
         raise InvalidRoot(
             f"m_root={m_root} is not coprime to {n + 1}")
     conductor = 4 * (n + 1)
+    half = conductor // 2
     step = 4 * (m_root % (n + 1))
     rows = []
     for k in range(1, n + 1):
-        # zeta^{lk} (w^j - w^-j) = z^(s + e) - z^(s - e), z = zeta_{4(n+1)}
+        # zeta^{lk} (w^j - w^-j) = z^(s + e) - z^(s - e), z = zeta_{4(n+1)},
+        # each power folded by z^(N/2) = -1 below N/2
         e = branch_exponent(n, m_root, k)
         row = []
         for l in range(1, n + 1):
             s = step * l * k
-            poly = [0] * conductor
-            poly[(s + e) % conductor] += 1
-            poly[(s - e) % conductor] -= 1
+            poly = [0] * half
+            for x, c in ((s + e) % conductor, 1), ((s - e) % conductor, -1):
+                poly[x % half] += c if x < half else -c
             row.append(Cyclotomic._from_poly(conductor, poly))
         rows.append(tuple(row))
     return LinearMap(n, tuple(rows))

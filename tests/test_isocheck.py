@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -337,7 +338,7 @@ def _perturbed(evaluate):
     return perturbed
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(2, 11))
 def test_the_transport_of_a_failing_check_is_the_check_at_every_root(
         monkeypatch, n):
     perturbed = _perturbed(qc_eval)
@@ -348,6 +349,23 @@ def test_the_transport_of_a_failing_check_is_the_check_at_every_root(
     assert scan[0].report.entries[0].diff.s.terms   # the s part is off too
     assert _first_difference(_scan_json(conjecture_scan, n),
                              _scan_json(conjecture_scan_every_root, n)) is None
+
+
+@pytest.mark.parametrize("n, reductions", [(4, 12), (6, 89), (10, 941)])
+def test_the_scan_reduces_each_distinct_transported_value_once(
+        monkeypatch, n, reductions):
+    # the transported sums of all entries and roots hold 80, 588 and 5 500
+    # rotated polynomials at these ranks, of 12, 89 and 941 distinct values
+    calls, from_poly = [], Cyclotomic._from_poly.__func__
+
+    def counted(cls, conductor, poly, den=1):
+        if sys._getframe(1).f_code is isocheck._transported.__code__:
+            calls.append(conductor)
+        return from_poly(cls, conductor, poly, den)
+
+    monkeypatch.setattr(Cyclotomic, "_from_poly", classmethod(counted))
+    conjecture_scan(n)
+    assert len(calls) == reductions
 
 
 @pytest.mark.parametrize("n", range(1, 13))

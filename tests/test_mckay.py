@@ -97,6 +97,22 @@ def test_static_de_graphs():
         assert max(sum(row) for row in g.adjacency) == 3
 
 
+@pytest.mark.parametrize("label", [f"A_{n}" for n in range(1, 13)]
+                         + [f"D_{n}" for n in range(4, 13)]
+                         + ["E_6", "E_7", "E_8"])
+def test_the_reduced_graphs_satisfy_the_mckay_identity(label):
+    # Q (x) rho_v = sum of the neighbours of v, plus the trivial
+    # representation deficit(v) times: 2 dim(v) - (neighbour dims) is the
+    # number of edges from v to the removed trivial vertex, and those edges
+    # carry Q (x) trivial = Q, of dimension 2
+    g = ade_resolution_graph(label)
+    dims = [d for _, d in g.vertices]
+    deficits = [2 * dims[v] - sum(a * d for a, d in zip(g.adjacency[v], dims))
+                for v in range(g.size)]
+    assert min(deficits) >= 0, deficits
+    assert sum(x * d for x, d in zip(deficits, dims)) == 2, deficits
+
+
 def test_chtd_map_rank_two():
     m = chtd_map(2)
     z3 = root_of_unity(3, 1)
