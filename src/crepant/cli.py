@@ -18,27 +18,23 @@ read before option values are checked, so it prints the help whatever they
 are; an option takes the argument after it whatever it is; options are not
 abbreviated, a repeated one keeps its last value, and `--n` is read by
 int().
+
+Every command starts a fresh interpreter, which compiles each module it
+imports unless the module's bytecode was written beforehand.  So a command
+loads only the modules it runs: each `cmd_*` imports what it calls in its
+own body, and `import crepant.cli` loads no library module and not `json`,
+which only the code that reads or prints JSON imports.  `resolve` loads
+`resolve` and `record` alone, `mckay` loads `resolve` only with
+`--compare-resolution`, and `table` loads neither `isocheck` nor `mckay`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
 import sys
-
-from .corrections import PoleError
-from .exactnum import Cyclotomic, euler_phi, root_of_unity
-from .isocheck import (RankMismatch, conjecture_scan, solve_a1, solve_a2,
-                       transport_check)
-from .mckay import (LinearMap, ade_resolution_graph, an_mckay, aut_gamma,
-                    bgp_map, chtd_map)
-from .resolve import resolve_an
-from .ringtables import (cr_table, cup_table, qc_eval, qc_table,
-                         table_from_json, table_to_json, table_to_latex,
-                         table_to_text)
 
 POLE_EXIT = 2
 # ASCII digits only: int() would also take "1_0", " 1", "+3" and other
@@ -116,6 +112,8 @@ def _parse_qpoint(spec: str, n: int, lmap: LinearMap | None = None):
     field a run computes in, which also holds every entry of `lmap` if one
     is given, must have degree at most MAX_QPOINT_PHI.
     """
+    from .exactnum import euler_phi, root_of_unity
+
     tokens = [t.strip() for t in spec.split(",")]
     if len(tokens) != n:
         raise UsageError(f"expected {n} q-values, got {len(tokens)}")
@@ -144,6 +142,7 @@ def _parse_qpoint(spec: str, n: int, lmap: LinearMap | None = None):
 
 
 def _dump_json(doc) -> str:
+    import json
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
@@ -207,6 +206,11 @@ def _command(*params):
                  help="re-ingest the emitted JSON and compare"))
 def cmd_table(kind, rank, qspec, fmt, check_roundtrip):
     """Print one product table (qc is symbolic unless --q is given)."""
+    from .corrections import PoleError
+    from .ringtables import (cr_table, cup_table, qc_eval, qc_table,
+                             table_from_json, table_to_json, table_to_latex,
+                             table_to_text)
+
     _bound_rank("table", rank, MAX_TABLE_RANK)
     if qspec is not None and kind != "qc":
         raise UsageError("--q only applies to the qc table")
@@ -223,6 +227,7 @@ def cmd_table(kind, rank, qspec, fmt, check_roundtrip):
             except PoleError as exc:
                 return _emit_pole(exc)
     if check_roundtrip:
+        import json
         doc = table_to_json(table)
         if table_from_json(json.loads(_dump_json(doc))) != table:
             print("round-trip mismatch", file=sys.stderr)
@@ -237,6 +242,8 @@ def cmd_table(kind, rank, qspec, fmt, check_roundtrip):
 
 
 def _load_map(source: str, rank: int) -> LinearMap:
+    from .mckay import LinearMap, bgp_map, chtd_map
+
     if source == "chtd":
         return chtd_map(rank)
     if source.startswith("bgp:"):
@@ -244,6 +251,7 @@ def _load_map(source: str, rank: int) -> LinearMap:
         if spec is None:
             raise UsageError(f"bad map spec {source!r}")
         return bgp_map(rank, int(spec[1]))
+    import json
     try:
         with open(source) as fh:
             doc = json.load(fh, parse_int=_map_int)
@@ -325,6 +333,10 @@ def cmd_verify(rank, map_source, qspec, fmt):
 
     Exit 0 iff the map carries the quantum product at q into the orbifold
     product."""
+    from .corrections import PoleError
+    from .isocheck import RankMismatch, transport_check
+    from .ringtables import qc_eval, qc_table
+
     _bound_rank("verify", rank, MAX_VERIFY_RANK)
     lmap = _load_map(map_source, rank)
     RankMismatch.check(lmap.n, rank)
@@ -345,6 +357,8 @@ def cmd_verify(rank, map_source, qspec, fmt):
           _format("json", "text"))
 def cmd_solve(rank, fmt):
     """Solve the rank-1 or rank-2 isomorphism system exactly."""
+    from .isocheck import solve_a1, solve_a2
+
     if rank == "1":
         sols = solve_a1()
         doc = [{"t": s.t.to_json(), "q": s.q.to_json()} for s in sols]
@@ -366,6 +380,8 @@ def cmd_solve(rank, fmt):
           _format("json", "text"))
 def cmd_scan(rank, fmt):
     """Probe the conjectured map at every primitive (n+1)-th root."""
+    from .isocheck import conjecture_scan
+
     _bound_rank("scan", rank, MAX_SCAN_RANK)
     results = conjecture_scan(rank)
     if fmt == "json":
@@ -393,6 +409,8 @@ def cmd_scan(rank, fmt):
           _format("json", "text", "dot"))
 def cmd_mckay(rank, label, full, compare_resolution, fmt):
     """McKay graph from characters (A_n) or classification data (D/E)."""
+    from .mckay import ade_resolution_graph, an_mckay, aut_gamma
+
     if (rank is None) == (label is None):
         raise UsageError("give exactly one of --n or --group")
     if compare_resolution and (rank is None or full):
@@ -423,6 +441,7 @@ def cmd_mckay(rank, label, full, compare_resolution, fmt):
                   + (f" (x{mult})" if mult > 1 else ""))
     if not compare_resolution:
         return 0
+    from .resolve import resolve_an
     match = resolve_an(rank).adjacency() == graph.adjacency
     print("resolution graph match: " + ("yes" if match else "NO"))
     return 0 if match else 1
@@ -433,6 +452,8 @@ def cmd_mckay(rank, label, full, compare_resolution, fmt):
           _format("json", "text", "dot"))
 def cmd_resolve(rank, fmt):
     """Resolve x y = z^(n+1) by iterated blow-ups of the origin."""
+    from .resolve import resolve_an
+
     _bound_rank("resolve", rank, MAX_RESOLVE_RANK)
     graph = resolve_an(rank)
     if fmt == "json":

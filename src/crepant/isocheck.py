@@ -113,7 +113,6 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import linalg
 from .coeffring import BaseScalar, accumulate
 from .corrections import DeltaIndex, PoleError
 from .exactnum import (Cyclotomic, Kronecker, branch_exponent, imaginary_unit,
@@ -467,6 +466,8 @@ def solve_a2() -> list[A2Solution]:
     delta_12 = q_1 q_2/(1 - q_1 q_2).  Exactly two solutions survive, both
     with q_1 = q_2 a primitive cube root of unity.
     """
+    from . import linalg
+
     n = 2
     conductor = 4 * (n + 1)
     qct = qc_table(n)

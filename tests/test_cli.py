@@ -94,9 +94,10 @@ def test_group_ranks_take_ascii_digits_only(runner, label):
 
 
 def test_a_round_trip_mismatch_is_a_failed_check(runner, monkeypatch):
-    import crepant.cli as cli
+    from crepant import ringtables
 
-    monkeypatch.setattr(cli, "table_from_json", lambda doc: cli.cr_table(2))
+    monkeypatch.setattr(ringtables, "table_from_json",
+                        lambda doc: ringtables.cr_table(2))
     result = runner.invoke(main, ["table", "qc", "--n", "2",
                                   "--format", "json", "--check-roundtrip"])
     assert result.exit_code == 1
@@ -323,13 +324,13 @@ def test_qpoint_field_degree_is_bounded(runner):
 
 def test_wrong_rank_map_is_refused_before_evaluation(runner, tmp_path,
                                                      monkeypatch):
-    import crepant.cli as cli
+    from crepant import ringtables
     from crepant.mckay import bgp_map
 
     def no_eval(*args):
         raise AssertionError("qc_eval called for a map of the wrong rank")
 
-    monkeypatch.setattr(cli, "qc_eval", no_eval)
+    monkeypatch.setattr(ringtables, "qc_eval", no_eval)
     path = tmp_path / "map.json"
     path.write_text(json.dumps(bgp_map(2, 1).to_json()))
     result = runner.invoke(main, ["verify", "--n", "3", "--map", str(path),
@@ -350,15 +351,21 @@ RANKED_IDS = [command for command, _, _ in RANKED_COMMANDS]
 
 
 def _forbid_work(monkeypatch, message):
-    import crepant.cli as cli
+    """Make every function that does a command's work raise, patched in the
+    module that defines it: each command imports it from there when run."""
+    from crepant import cli, isocheck, mckay, resolve, ringtables
 
     def no_work(*args, **kwargs):
         raise AssertionError(message)
 
-    for name in ("cr_table", "cup_table", "qc_table", "qc_eval", "bgp_map",
-                 "chtd_map", "an_mckay", "ade_resolution_graph",
-                 "resolve_an", "conjecture_scan", "_parse_qpoint"):
-        monkeypatch.setattr(cli, name, no_work)
+    for module, names in (
+            (ringtables, ("cr_table", "cup_table", "qc_table", "qc_eval")),
+            (mckay, ("bgp_map", "chtd_map", "an_mckay",
+                     "ade_resolution_graph")),
+            (resolve, ("resolve_an",)), (isocheck, ("conjecture_scan",)),
+            (cli, ("_parse_qpoint",))):
+        for name in names:
+            monkeypatch.setattr(module, name, no_work)
 
 
 @pytest.mark.parametrize("command, cap, argv", RANKED_COMMANDS,
@@ -430,12 +437,13 @@ def _diagonal_map_file(tmp_path, conductors):
 def test_map_file_field_degree_is_bounded(runner, tmp_path, monkeypatch,
                                           conductors, q, field):
     import crepant.cli as cli
+    from crepant import ringtables
 
     def no_build(*args):
         raise AssertionError("a table was built for a map past the bound")
 
     for name in ("cr_table", "qc_table", "qc_eval"):
-        monkeypatch.setattr(cli, name, no_build)
+        monkeypatch.setattr(ringtables, name, no_build)
     result = runner.invoke(main, ["verify", "--n", str(len(conductors)),
                                   "--map", _diagonal_map_file(tmp_path,
                                                               conductors),

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from clirunner import CliRunner
 
-from crepant import cli, isocheck
+from crepant import isocheck
 from crepant.cli import main
 from crepant.coeffring import BaseScalar
 from crepant.exactnum import (Cyclotomic, imaginary_unit, root_of_unity,
@@ -377,7 +377,8 @@ def test_the_scan_prints_what_the_scan_of_every_root_prints(monkeypatch, n):
                 for fmt in ("json", "text")]
 
     scanned = printed()
-    monkeypatch.setattr(cli, "conjecture_scan", conjecture_scan_every_root)
+    monkeypatch.setattr(isocheck, "conjecture_scan",
+                        conjecture_scan_every_root)
     expected = printed()
     for result, reference in zip(scanned, expected):
         assert result.exit_code == reference.exit_code == 0

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 from clirunner import CliRunner
 
-from crepant import cli
 from crepant.cli import main
 from crepant.exactnum import (Cyclotomic, InvalidRoot, branch_sqrt,
                               imaginary_unit, root_of_unity, sqrt_rational)
@@ -64,7 +63,6 @@ def test_the_graph_by_residues_prints_what_the_graph_by_entries_prints(
 
     by_residues = printed()
     by_entries = functools.lru_cache(an_mckay_by_entries)  # once per graph
-    monkeypatch.setattr(cli, "an_mckay", by_entries)
     monkeypatch.setattr("crepant.mckay.an_mckay", by_entries)
     for a, result, reference in zip(args, by_residues, printed()):
         assert result.exit_code == reference.exit_code == 0, a
