@@ -45,7 +45,7 @@ _BGP = re.compile(r"bgp:([+-]?[0-9]+)")
 # Largest degree phi(N) of the field Q(zeta_N) a run may compute in, N being
 # the lcm of 4(n+1), the q literals' denominators and, for `verify`, the
 # conductors of the map's entries.  A product costs O(phi^2), an inverse of
-# 1 - zeta^a (every delta value's) O(N phi) and any other inverse O(phi^3):
+# 1 - zeta^a (every delta value's) O(N phi), any other (by norm) O(phi^3):
 # `verify --n 2 --q e:1/5,e:1/7` (N = 420, phi = 96) takes well under a
 # second, while at `e:1/2003` at rank 1 (phi = 8008) one product is 64
 # million coordinate products, and a rank-1 map file with an entry in

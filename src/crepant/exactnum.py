@@ -19,8 +19,8 @@ powers of zeta are reduced by monic division, after folding zeta^(N/2) = -1
 when N is even.  A rational adds into the constant coordinate of a value
 whose conductor its own divides, with no lift.  The inverse of 1 - zeta^a is
 a closed form, 1/(1 - w) = -(1/o) sum_{j<o} j w^j for w = zeta^a of order
-o; any other inverse solves the integer system of the multiplication matrix
-by fraction-free (Bareiss) elimination.  There is no floating point anywhere;
+o; any other x is prod_{a != 1} sigma_a(x) over the norm, the positive
+rational x prod_{a != 1} sigma_a(x).  There is no floating point anywhere;
 `Cyclotomic.to_complex` exists only as a non-authoritative display aid.
 
 `Kronecker` runs one kind of sum of products in one field Q(zeta_N) as
@@ -173,37 +173,6 @@ def _reduce(poly: list[int], n: int) -> list[int]:
                 poly[base + i] -= c * p
     del poly[m:]
     return poly + [0] * (m - len(poly))
-
-
-def _bareiss_solve(rows: list[list[int]]) -> tuple[list[int], int]:
-    """Solve a nonsingular integer system given as augmented rows [M | b].
-
-    Fraction-free (Bareiss) elimination, then back substitution with exact
-    divisions.  Returns (z, d) with M z = d b and d = +-det M.  The rows are
-    overwritten.
-    """
-    size = len(rows)
-    prev = 1
-    for k in range(size):
-        if not rows[k][k]:
-            swap = next(i for i in range(k + 1, size) if rows[i][k])
-            rows[k], rows[swap] = rows[swap], rows[k]
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
-        tail = pivot_row[k + 1:]
-        for i in range(k + 1, size):
-            row = rows[i]
-            f = row[k]
-            row[k + 1:] = [(x * pivot - f * y) // prev
-                           for x, y in zip(row[k + 1:], tail)]
-        prev = pivot
-    z = [0] * size
-    for i in range(size - 1, -1, -1):
-        row = rows[i]
-        acc = prev * row[size] - sum(x * y for x, y in zip(row[i + 1:size],
-                                                          z[i + 1:]))
-        z[i] = acc // row[i]
-    return z, prev
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +407,15 @@ class Cyclotomic:
         """1/self.  A rational inverts directly, and 1 - w for a root of
         unity w = zeta_N^a != 1 of order o in closed form:
         (1 - w) sum_{j<o} j w^j = -o, so 1/(1 - w) = -(1/o) sum_{j<o} j w^j.
-        Every other value solves the multiplication matrix by Bareiss
-        elimination."""
+        Every other value is the product of its other Galois conjugates over
+        its norm: 1/x = prod_{a != 1} sigma_a(x) / N(x).
+
+        >>> x = 2 + root_of_unity(5)
+        >>> x * x.inverse() == 1
+        True
+        >>> print(x.inverse())
+        5/11 - 3/11*z5 + 1/11*z5^2 - 1/11*z5^3
+        """
         num, n = self._num, self.conductor
         if not any(num):
             raise ZeroDivisionError("division by zero in Q(zeta_N)")
@@ -456,21 +432,12 @@ class Cyclotomic:
                 for j in range(1, o):
                     poly[a * j % n] -= j
                 return Cyclotomic._from_poly(n, poly, o)
-        # Column k of the multiplication matrix is x^k * num mod Phi_N; solve
-        # for the coordinates z/d of 1/num, then 1/self = den * z/d.
-        x_m = _reduction_rows(n)[0]
-        m = len(num)
-        cols, col = [], list(num)
-        for _ in range(m):
-            cols.append(col)
-            top = col[-1]
-            col = [0] + col[:-1]
-            for j, v in x_m:
-                col[j] += top * v
-        rows = [[c[i] for c in cols] + [int(i == 0)] for i in range(m)]
-        z, d = _bareiss_solve(rows)
-        scale = self._den if d > 0 else -self._den
-        return Cyclotomic._make(n, [scale * x for x in z], abs(d))
+        # x times the product of its other conjugates is the norm N(x), a
+        # rational, and positive since Q(zeta_N) is totally complex
+        rest = math.prod((self.galois(a) for a in range(2, n)
+                          if math.gcd(a, n) == 1), start=Cyclotomic.one(n))
+        norm = self * rest
+        return rest._scale(norm._den, norm._num[0])
 
     def __truediv__(self, other):
         other = self._coerce(other, self.conductor)

@@ -202,17 +202,18 @@ class LinearMap(Record):
 def chtd_map(n: int) -> LinearMap:
     """The Chern-character/Todd comparison map, zeta = zeta_{n+1} principal.
 
-    Entry (l, m) is zeta^{-lm}/(2 - zeta^l - zeta^-l), with one inverse per
-    row; by the worked A_2 verification this map is not a ring isomorphism.
+    Entry (l, m) is zeta^{-lm}/(2 - w - 1/w) = -zeta^{l(1-m)}/(1 - w)^2 with
+    w = zeta^l, so each row inverts only 1 - w, in closed form; by the worked
+    A_2 verification this map is not a ring isomorphism.
     """
     if n < 1:
         raise ValueError("rank must be >= 1")
     order = n + 1
     rows = []
     for l in range(1, n + 1):
-        denom = 2 - root_of_unity(order, l) - root_of_unity(order, -l)
-        inv = denom.inverse()
-        rows.append(tuple(root_of_unity(order, -l * m) * inv
+        t = (1 - root_of_unity(order, l)).inverse()
+        t2 = -(t * t)
+        rows.append(tuple(root_of_unity(order, l - l * m) * t2
                           for m in range(1, n + 1)))
     return LinearMap(n, tuple(rows))
 

@@ -16,8 +16,8 @@ from crepant import linalg
 from crepant.coeffring import BaseScalar, accumulate
 from crepant.corrections import (CorrectionFunction, DeltaIndex, PoleError,
                                  cache_deltas)
-from crepant.exactnum import (Cyclotomic, InvalidRoot, euler_phi,
-                              imaginary_unit, root_of_unity)
+from crepant.exactnum import (Cyclotomic, InvalidRoot, cyclotomic_polynomial,
+                              euler_phi, imaginary_unit, root_of_unity)
 from crepant.isocheck import RootScan, transport_check
 from crepant.mckay import LinearMap, McKayGraph, bgp_map
 from crepant.ringtables import (KIND_CUP, KIND_QUANTUM, ExcClass,
@@ -47,6 +47,45 @@ def conjugate(x: Cyclotomic) -> Cyclotomic:
     """Complex conjugation, the Galois map zeta -> zeta^-1."""
     return sum((c * root_of_unity(x.conductor, -k)
                 for k, c in enumerate(x.coeffs)), Cyclotomic.zero(x.conductor))
+
+
+def bareiss_inverse(x: Cyclotomic) -> Cyclotomic:
+    """1/x for a nonzero x, by solving the integer multiplication matrix.
+
+    Column k of the matrix is x^k * num mod Phi_N, num the numerators of x
+    over its common denominator den; fraction-free (Bareiss) elimination and
+    back substitution give z and d = +-det with matrix * z = d e_0, so
+    1/x = den * z/d.
+    """
+    n, coeffs = x.conductor, x.coeffs
+    den = math.lcm(*(c.denominator for c in coeffs))
+    phi = cyclotomic_polynomial(n)
+    m = len(phi) - 1
+    cols, col = [], [int(c * den) for c in coeffs]
+    for _ in range(m):
+        cols.append(col)
+        top = col[-1]
+        col = [c - top * p for c, p in zip([0] + col[:-1], phi)]
+    rows = [[c[i] for c in cols] + [int(i == 0)] for i in range(m)]
+    prev = 1
+    for k in range(m):
+        if not rows[k][k]:
+            swap = next(i for i in range(k + 1, m) if rows[i][k])
+            rows[k], rows[swap] = rows[swap], rows[k]
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for row in rows[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(a * pivot - f * b) // prev
+                           for a, b in zip(row[k + 1:], pivot_row[k + 1:])]
+        prev = pivot
+    z = [0] * m
+    for i in range(m - 1, -1, -1):
+        row = rows[i]
+        acc = prev * row[m] - sum(a * b for a, b in zip(row[i + 1:m],
+                                                        z[i + 1:]))
+        z[i] = acc // row[i]
+    return Cyclotomic(n, [Fraction(den * v, prev) for v in z])
 
 
 # -- coordinates through Fractions --------------------------------------------
@@ -136,8 +175,9 @@ def fraction_from_json(data) -> Cyclotomic:
 #
 # The library builds every power of a root of unity in closed form with
 # `root_of_unity`.  These references build the same values the generic way,
-# by `Cyclotomic.__pow__` (square-and-multiply, a Bareiss inverse for each
-# negative exponent), through the sine identities the closed forms rest on.
+# by `Cyclotomic.__pow__` (square-and-multiply, a Galois-norm inverse for
+# each negative exponent), through the sine identities the closed forms rest
+# on.
 
 
 def power_branch_sqrt(n: int, m: int, k: int) -> Cyclotomic:

@@ -3,8 +3,10 @@
 An element of Q(zeta_N) is compared with the polynomial of its coordinates
 in QQ[x]; sympy reduces modulo its own cyclotomic_poly(N), so agreement
 checks the integer core (Phi_N, the reduction with its x^(N/2) = -1 fold,
-reduction rows, lifts, the closed-form inverse of 1 - zeta^a and the Bareiss
-inverse) against an independent implementation.
+reduction rows, lifts, the closed-form inverse of 1 - zeta^a and the
+Galois-norm inverse) against an independent implementation.  The norm
+inverse is also compared, byte for byte, with the fraction-free elimination
+of `oracles.bareiss_inverse`.
 """
 
 import math
@@ -22,6 +24,7 @@ from hypothesis import strategies as st  # noqa: E402
 from crepant.exactnum import (Cyclotomic, Kronecker,  # noqa: E402
                               _reduce, cyclotomic_polynomial, euler_phi,
                               root_of_unity)
+from oracles import bareiss_inverse  # noqa: E402
 
 X = sympy.Symbol("x")
 MAX_CONDUCTOR = 84
@@ -113,6 +116,24 @@ def test_inverse_matches_sympy(case):
     if euler_phi(n) <= SYMPY_INVERT_MAX_DEGREE:
         assert inv.coeffs == _coords(sympy.invert(_poly(a), _phi(n)), n)
     _assert_normal(inv)
+
+
+def test_inverse_equals_the_bareiss_inverse():
+    # 1, -1/2, 1, -1/2, ...: coordinates over distinct denominators; and
+    # 3 + zeta^p, p the least prime factor of N, stored at N but lying in
+    # the proper subfield Q(zeta_{N/p}); 2 + zeta_12^4 = 1 - zeta_12^8 is
+    # the closed form's, checked too
+    for n in [*range(1, MAX_CONDUCTOR + 1), 104, 105, 260, 420]:
+        p = next((p for p in range(2, n + 1) if n % p == 0), 1)
+        values = [Cyclotomic(n, [Fraction((-1) ** k, k % 2 + 1)
+                                 for k in range(euler_phi(n))]),
+                  3 + root_of_unity(n, p)]
+        if n == 12:
+            values.append(2 + root_of_unity(12, 4))
+        for x in values:
+            inv, ref = x.inverse(), bareiss_inverse(x)
+            assert (inv.conductor, inv._num, inv._den) == (
+                ref.conductor, ref._num, ref._den), (n, str(x))
 
 
 @ORACLE

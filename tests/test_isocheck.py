@@ -221,7 +221,7 @@ def inverses(monkeypatch):
     calls, inverse = [], Cyclotomic.inverse
 
     def counted(self):
-        calls.append(self.conductor)
+        calls.append(self)
         return inverse(self)
 
     monkeypatch.setattr(Cyclotomic, "__pow__", no_power)
@@ -235,8 +235,12 @@ def test_roots_of_unity_are_neither_powered_nor_inverted(inverses):
             if math.gcd(m, n + 1) == 1:
                 bgp_map(n, m)
         assert inverses == [], n
-        chtd_map(n)  # one inverse per row's 2 - zeta^l - zeta^-l
+        # one closed-form inverse per row: 1/(2 - w - 1/w) = -w/(1 - w)^2,
+        # w = zeta^l
+        chtd_map(n)
         assert len(inverses) == n, n
+        for l, x in enumerate(inverses, 1):
+            assert x == 1 - root_of_unity(n + 1, l), (n, l)
         inverses.clear()
     # the scan inverts only its deltas' 1 - q^d, d = 1..n, at m_root = 1:
     # every other root's report is a Galois image of that one
