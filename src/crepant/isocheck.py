@@ -31,8 +31,9 @@ coefficient sum into one int, their difference over a common denominator,
 and only one whose value is nonzero, which the exact zero test of
 `Kronecker.values` tells from the int alone, is unpacked and built as a
 Cyclotomic: at a passing root no difference is unpacked.  Otherwise
-the check sums slot by slot, one field product and one `accumulate` per
-term (`_apply_map`, `_pair_through_table`), and subtracts the two sides.
+the check sums slot by slot in `BaseScalar` arithmetic, each coefficient
+scaled by a map entry or a product of two and added to a running sum
+(`_apply_map`, `_pair_through_table`), and subtracts the two sides.
 `_packing` decides the route.  Clause (c) keeps the slot path for a few
 operands, or a common denominator of many, far wider than the typical one:
 every packed product multiplies phi digits of the full width, however
@@ -40,7 +41,7 @@ narrow its own factors, where field products of one pair at a time cost
 less.
 
 Why the two print the same bytes.  Under (a) and (b) every term the
-slot-by-slot sum hands to `accumulate` is a product with a conductor-N
+slot-by-slot sum adds, monomial by monomial, is a product with a conductor-N
 factor and factors whose conductors divide N, the source's by (b) and
 those of `cr_table(n)` at conductor 1, so it has conductor exactly N.  A
 sum of such terms, whatever their order or grouping, is its exact value at
@@ -137,11 +138,6 @@ class RankMismatch(ValueError):
 class EntryCheck(Record):
     __slots__ = ("i", "j", "diff")
 
-    def __init__(self, i: int, j: int, diff: ExcClass):
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "diff", diff)
-
     @property
     def ok(self) -> bool:
         return self.diff.is_zero()
@@ -149,13 +145,6 @@ class EntryCheck(Record):
 
 class TransportReport(Record):
     __slots__ = ("n", "q", "map_matrix", "entries")
-
-    def __init__(self, n: int, q: tuple | None, map_matrix: LinearMap,
-                 entries: tuple):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "map_matrix", map_matrix)
-        object.__setattr__(self, "entries", entries)
 
     @property
     def passed(self) -> bool:
@@ -190,16 +179,9 @@ class TransportReport(Record):
 
 def _apply_map(lmap: LinearMap, cls: ExcClass) -> list:
     """The basis coefficients of Phi(cls); Phi fixes s."""
-    n = cls.n
-    out = []
-    for k in range(n):
-        acc = {}
-        for l, factor in enumerate(lmap.matrix[k]):
-            if not factor.is_zero():
-                for mono, c in cls.e[l].terms.items():
-                    accumulate(acc, mono, c * factor)
-        out.append(BaseScalar._make(n, acc))
-    return out
+    zero = BaseScalar.zero(cls.n)
+    return [sum(map(BaseScalar.scale, cls.e, row), zero)
+            for row in lmap.matrix]
 
 
 def _pair_through_table(lmap: LinearMap, i: int, j: int,
@@ -207,26 +189,24 @@ def _pair_through_table(lmap: LinearMap, i: int, j: int,
     """Phi(E_i) . Phi(E_j) expanded bilinearly through the Chen-Ruan table
     crt: its s part and its basis coefficients.
 
-    Terms are summed slot by slot in (k, kk) order; a Chen-Ruan entry has a
-    single nonzero slot, so this costs O(n^2) per product.
+    Terms are summed in (k, kk) order; a Chen-Ruan entry has a single
+    nonzero slot, so this costs O(n^2) per product.
     """
     n = crt.n
-    s_acc, e_acc = {}, [{} for _ in range(n)]
-    for k in range(n):
-        ci = lmap.matrix[k][i - 1]
+    acc = [BaseScalar.zero(n)] * (n + 1)    # the s part, then e_1..e_n
+    for k, row in enumerate(lmap.matrix):
+        ci = row[i - 1]
         if ci.is_zero():
             continue
-        for kk in range(n):
-            cj = lmap.matrix[kk][j - 1]
+        for kk, other in enumerate(lmap.matrix):
+            cj = other[j - 1]
             if cj.is_zero():
                 continue
             weight = ci * cj
-            entry = crt.entry(k + 1, kk + 1)
-            for acc, part in zip((s_acc, *e_acc), (entry.s, *entry.e)):
-                for mono, c in part.terms.items():
-                    accumulate(acc, mono, c * weight)
-    return (BaseScalar._make(n, s_acc),
-            [BaseScalar._make(n, acc) for acc in e_acc])
+            for p, part in enumerate(_parts(crt.entry(k + 1, kk + 1))):
+                if part:
+                    acc[p] = acc[p] + part.scale(weight)
+    return acc[0], acc[1:]
 
 
 def _parts(entry: ExcClass):
@@ -527,15 +507,14 @@ def solve_a2() -> list[A2Solution]:
 
 
 class RootScan(Record):
-    __slots__ = ("m_root", "status", "report", "pole")
+    __slots__ = ("m_root",
+                 "status",  # "pass" | "fail" | "pole"
+                 "report", "pole")
 
     def __init__(self, m_root: int, status: str,
                  report: TransportReport | None,
                  pole: PoleError | None = None):
-        object.__setattr__(self, "m_root", m_root)
-        object.__setattr__(self, "status", status)  # "pass" | "fail" | "pole"
-        object.__setattr__(self, "report", report)
-        object.__setattr__(self, "pole", pole)
+        Record.__init__(self, m_root, status, report, pole)
 
     def to_json(self):
         doc = {"m_root": self.m_root, "status": self.status}

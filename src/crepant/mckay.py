@@ -32,15 +32,10 @@ from .record import Record
 
 
 class McKayGraph(Record):
-    __slots__ = ("group_label", "vertices", "adjacency", "reduced")
-
-    def __init__(self, group_label: str, vertices: tuple, adjacency: tuple,
-                 reduced: bool):
-        object.__setattr__(self, "group_label", group_label)
-        object.__setattr__(self, "vertices", vertices)  # (name, dim) pairs
-        # a symmetric integer matrix, rows as tuples
-        object.__setattr__(self, "adjacency", adjacency)
-        object.__setattr__(self, "reduced", reduced)
+    __slots__ = ("group_label",
+                 "vertices",    # (name, dim) pairs
+                 "adjacency",   # a symmetric integer matrix, rows as tuples
+                 "reduced")
 
     @property
     def size(self) -> int:
@@ -169,12 +164,8 @@ def aut_gamma(label: str) -> str:
 class LinearMap(Record):
     """A linear map E_l -> sum_k matrix[k][l] e_k with exact entries."""
 
-    __slots__ = ("n", "matrix")
-
-    def __init__(self, n: int, matrix: tuple):
-        object.__setattr__(self, "n", n)
-        # rows k = e-basis index, columns l = E-basis index
-        object.__setattr__(self, "matrix", matrix)
+    __slots__ = ("n",
+                 "matrix")  # rows k = e-basis index, columns l = E-basis index
 
     def to_json(self):
         return {"n": self.n,

@@ -144,13 +144,12 @@ def classify(equation: Poly3):
 
 
 class ChartSurface(Record):
-    __slots__ = ("equation", "tag", "curves")
+    __slots__ = ("equation",
+                 "tag",     # "smooth" or ("A", k)
+                 "curves")  # (curve id, local equation) pairs in this chart
 
     def __init__(self, equation: Poly3, tag, curves: tuple = ()):
-        object.__setattr__(self, "equation", equation)
-        object.__setattr__(self, "tag", tag)  # "smooth" or ("A", k)
-        # (curve id, local equation) pairs in this chart
-        object.__setattr__(self, "curves", curves)
+        Record.__init__(self, equation, tag, curves)
 
     @classmethod
     def an_singularity(cls, k: int) -> "ChartSurface":
@@ -158,14 +157,9 @@ class ChartSurface(Record):
 
 
 class BlowupResult(Record):
-    __slots__ = ("charts", "new_curves", "singular_chart")
-
-    def __init__(self, charts: dict, new_curves: tuple,
-                 singular_chart: str | None):
-        object.__setattr__(self, "charts", charts)  # name -> ChartSurface
-        # new exceptional curve ids, x-side first
-        object.__setattr__(self, "new_curves", new_curves)
-        object.__setattr__(self, "singular_chart", singular_chart)
+    __slots__ = ("charts",          # name -> ChartSurface
+                 "new_curves",      # new exceptional curve ids, x-side first
+                 "singular_chart")
 
 
 def blowup_step(surface: ChartSurface, round_no: int = 1) -> BlowupResult:
@@ -207,14 +201,9 @@ def blowup_step(surface: ChartSurface, round_no: int = 1) -> BlowupResult:
 
 
 class ResolutionGraph(Record):
-    __slots__ = ("nodes", "edges", "rounds")
-
-    def __init__(self, nodes: tuple, edges: frozenset, rounds: int):
-        # (curve id, self-intersection) in chain order
-        object.__setattr__(self, "nodes", nodes)
-        # a frozenset of 2-element frozensets
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "rounds", rounds)  # blow-up rounds done
+    __slots__ = ("nodes",   # (curve id, self-intersection) in chain order
+                 "edges",   # a frozenset of 2-element frozensets
+                 "rounds")  # blow-up rounds done
 
     @property
     def size(self) -> int:

@@ -94,11 +94,6 @@ class ExcClass(Record):
 
     __slots__ = ("n", "s", "e")
 
-    def __init__(self, n: int, s: BaseScalar, e: tuple):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "e", e)
-
     def is_zero(self) -> bool:
         return self.s.is_zero() and all(c.is_zero() for c in self.e)
 
@@ -124,10 +119,6 @@ class QCoeff(Record):
     """
 
     __slots__ = ("cup", "corr")
-
-    def __init__(self, cup: BaseScalar, corr: CorrectionFunction):
-        object.__setattr__(self, "cup", cup)
-        object.__setattr__(self, "corr", corr)
 
     def __str__(self):
         if self.corr.is_zero():

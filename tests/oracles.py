@@ -18,7 +18,8 @@ from crepant.corrections import (CorrectionFunction, DeltaIndex, PoleError,
                                  cache_deltas)
 from crepant.exactnum import (Cyclotomic, InvalidRoot, cyclotomic_polynomial,
                               euler_phi, imaginary_unit, root_of_unity)
-from crepant.isocheck import RootScan, transport_check
+from crepant.isocheck import (EntryCheck, RootScan, TransportReport,
+                              transport_check)
 from crepant.mckay import LinearMap, McKayGraph, bgp_map
 from crepant.ringtables import (KIND_CUP, KIND_QUANTUM, ExcClass,
                                 ProductTable, QCoeff, beta_pairing, cr_table,
@@ -551,6 +552,68 @@ def cr_associativity_report(n: int):
                         != times_generator(table.entry(b, c), a)):
                     ok = False
     return ok, checked, skipped
+
+
+# -- transport ----------------------------------------------------------------
+
+
+def _apply_map(lmap: LinearMap, cls: ExcClass) -> list:
+    """The basis coefficients of Phi(cls); Phi fixes s."""
+    n = cls.n
+    out = []
+    for k in range(n):
+        acc = {}
+        for l, factor in enumerate(lmap.matrix[k]):
+            if not factor.is_zero():
+                for mono, c in cls.e[l].terms.items():
+                    accumulate(acc, mono, c * factor)
+        out.append(BaseScalar(n, acc))
+    return out
+
+
+def _pair_through_table(lmap: LinearMap, i: int, j: int,
+                        crt: ProductTable):
+    """Phi(E_i) . Phi(E_j) expanded bilinearly through the Chen-Ruan table
+    crt: its s part and its basis coefficients.
+
+    Terms are summed slot by slot in (k, kk) order; a Chen-Ruan entry has a
+    single nonzero slot, so this costs O(n^2) per product.
+    """
+    n = crt.n
+    s_acc, e_acc = {}, [{} for _ in range(n)]
+    for k in range(n):
+        ci = lmap.matrix[k][i - 1]
+        if ci.is_zero():
+            continue
+        for kk in range(n):
+            cj = lmap.matrix[kk][j - 1]
+            if cj.is_zero():
+                continue
+            weight = ci * cj
+            entry = crt.entry(k + 1, kk + 1)
+            for acc, part in zip((s_acc, *e_acc), (entry.s, *entry.e)):
+                for mono, c in part.terms.items():
+                    accumulate(acc, mono, c * weight)
+    return (BaseScalar(n, s_acc),
+            [BaseScalar(n, acc) for acc in e_acc])
+
+
+def slot_by_slot_transport(lmap: LinearMap,
+                           source: ProductTable) -> TransportReport:
+    """`isocheck.transport_check` with every sum written out: one field
+    product and one `accumulate` per term, in (k, k') order, then the two
+    sides subtracted, whatever the conductors of the map and the source.
+    Both routes of the check must print its bytes."""
+    n = source.n
+    crt = cr_table(n)
+    checks = []
+    for i, j in source.pairs():
+        entry = source.entry(i, j)
+        lhs = _apply_map(lmap, entry)
+        rhs_s, rhs_e = _pair_through_table(lmap, i, j, crt)
+        checks.append(EntryCheck(i, j, ExcClass(
+            n, entry.s - rhs_s, tuple(a - b for a, b in zip(lhs, rhs_e)))))
+    return TransportReport(n, source.q, lmap, tuple(checks))
 
 
 # -- McKay graphs -------------------------------------------------------------

@@ -5,7 +5,9 @@ share one conductor N, the source's basis coefficients lie in subfields of
 Q(zeta_N) and the packing is not far wider than the typical operand
 (`isocheck._packing` decides); otherwise it sums slot by slot.  Both must
 give the same report, byte for byte, conductors included; the slot-by-slot
-path is the oracle here.
+path is the oracle for the kernel here, and `oracles.slot_by_slot_transport`,
+every sum written out term by term, the oracle for both on maps of mixed
+conductors.
 """
 
 import json
@@ -35,7 +37,7 @@ from crepant.ringtables import (KIND_QUANTUM_AT, ExcClass,  # noqa: E402
                                 ProductTable, cr_table, cup_table, qc_eval,
                                 qc_table)
 
-from oracles import strip_corrections  # noqa: E402
+from oracles import slot_by_slot_transport, strip_corrections  # noqa: E402
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -220,7 +222,7 @@ def test_the_width_holds_a_sum_at_its_declared_bound():
 def _constant_table(n, value):
     """A rank-n evaluated table with every s part and basis coefficient
     `value`."""
-    part = BaseScalar(n, {(0, 0): value})
+    part = BaseScalar.const(n, value)
     return ProductTable(n, KIND_QUANTUM_AT, {
         key: ExcClass(n, part, (part,) * n) for key in cr_table(n).pairs()})
 
@@ -484,3 +486,110 @@ def test_wide_entries_alone_still_pack():
     source = qc_eval(qc_table(3), [root_of_unity(16, 4)] * 3)
     lmap = _rank_three_map(lambda e: _dense(e, PRIMES[0], bits=4000))
     _assert_kernel_matches(lmap, source)
+
+
+# -- mixed conductors: both routes against the written-out sums --------------
+
+
+MIXED = [1, 3, 4, 5, 12]
+
+
+def _small(conductor):
+    """A value at `conductor` with small coordinates over 1, 2 or 3."""
+    return st.lists(st.builds(Fraction, st.integers(-3, 3),
+                              st.integers(1, 3)),
+                    min_size=euler_phi(conductor),
+                    max_size=euler_phi(conductor)).map(
+        lambda v: Cyclotomic(conductor, v))
+
+
+def _mixed_map(n):
+    """A rank-n map whose entries are two values at distinct conductors,
+    their negatives and zero.  A row flagged to cancel starts x, -x, so
+    against a source whose coefficients are all equal its sum cancels after
+    two terms and restarts at the third."""
+    pool = st.lists(st.sampled_from(MIXED), min_size=2, max_size=2,
+                    unique=True).flatmap(
+        lambda ds: st.tuples(*(_small(d) for d in ds)))
+
+    def flagged(row_and_flag):
+        row, cancel = row_and_flag
+        return [row[0], -row[0], *row[2:]] if cancel else row
+
+    def rows(values):
+        entry = st.sampled_from([*values, *(-v for v in values),
+                                 Cyclotomic.zero(1)])
+        row = st.tuples(st.lists(entry, min_size=n, max_size=n),
+                        st.booleans()).map(flagged)
+        return st.lists(row, min_size=n, max_size=n)
+
+    return pool.flatmap(rows).map(
+        lambda rows: LinearMap(n, tuple(map(tuple, rows))))
+
+
+def _mixed_source(n):
+    """An evaluated rank-n table: the quantum table at a point of roots of
+    unity of any of these conductors, or one value in every slot."""
+    root = st.sampled_from([*MIXED, 8, 20]).flatmap(
+        lambda d: st.integers(1, d).map(lambda j: root_of_unity(d, j)))
+    point = st.lists(root, min_size=n, max_size=n)
+    constant = st.sampled_from(MIXED).flatmap(_small).map(
+        lambda v: _constant_table(n, v))
+    return st.one_of(point, constant)
+
+
+MIXED_CASE = st.integers(2, 3).flatmap(
+    lambda n: st.tuples(_mixed_map(n), _mixed_source(n), st.just(n)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=MIXED_CASE)
+def test_generated_mixed_conductor_maps_match_the_written_out_sums(case):
+    lmap, source, n = case
+    conductors = {c.conductor for row in lmap.matrix for c in row
+                  if not c.is_zero()}
+    assume(len(conductors) >= 2)
+    if isinstance(source, list):
+        try:
+            source = qc_eval(qc_table(n), source)
+        except PoleError:
+            assume(False)
+    assert _route(lmap, source) == (False, False)
+    assert (_bytes(transport_check(lmap, source))
+            == _bytes(slot_by_slot_transport(lmap, source)))
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_chtd_maps_off_their_field_match_the_written_out_sums(n):
+    # chtd_map(n) lies in Q(zeta_{n+1}); the point e:1/(4(n+1)) does not
+    source = qc_eval(qc_table(n), [root_of_unity(4 * (n + 1), 1)] * n)
+    lmap = chtd_map(n)
+    assert _route(lmap, source) == (False, False)
+    assert (_bytes(transport_check(lmap, source))
+            == _bytes(slot_by_slot_transport(lmap, source)))
+
+
+def test_a_prefix_that_cancels_mid_sum_restarts_at_the_next_term():
+    n = 3
+    x, y = root_of_unity(5, 1), root_of_unity(3, 1)
+    one = Cyclotomic.one(1)
+    source = _constant_table(n, 1)
+    # row 1 of the map is (x, -x, y): with every source coefficient 1 at
+    # the constant monomial, which no Chen-Ruan entry has, that monomial of
+    # Phi(E_i * E_j) sums x - x = 0 first and then y, so it is y at y's
+    # conductor 3, not at lcm(5, 3) = 15
+    lmap = LinearMap(n, ((x, -x, y), (one, one, one), (one, one, one)))
+    report = transport_check(lmap, source)
+    assert _bytes(report) == _bytes(slot_by_slot_transport(lmap, source))
+    for check in report.entries:
+        left = check.diff.e[0].terms[(0, 0)]
+        assert left == y and left.conductor == 3
+    # columns 1 and 2 are (x, x, y) and (1, -1, 1): the s part of
+    # Phi(E_1) . Phi(E_2) sums s/4 times x, then -x, then y over the
+    # (k, k') with k + k' = 4, in that order, so it is y/4 at conductor 3
+    lmap = LinearMap(n, ((x, one, one), (x, -one, one), (y, one, one)))
+    report = transport_check(lmap, source)
+    assert _bytes(report) == _bytes(slot_by_slot_transport(lmap, source))
+    (check,) = [e for e in report.entries if (e.i, e.j) == (1, 2)]
+    assert check.diff.s == 1 - y / 4
+    assert {c.conductor for c in check.diff.s.terms.values()} == {3}

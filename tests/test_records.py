@@ -1,10 +1,11 @@
 """The value records of the package behave as frozen value objects.
 
-Ten classes hold the results of the checks, tables, maps and resolutions as
-named fields.  Each is built positionally, refuses assignment, equals only a
-record of its own class with equal fields, hashes when its fields do, and
-reprs as ``Name(field=value, ...)``.  Every crepant value, records included,
-survives `copy.deepcopy` and a pickle round trip.
+Ten `Record` subclasses hold the results of the checks, tables, maps and
+resolutions as named fields.  Each is built positionally by `Record`'s own
+`__init__`, which refuses a wrong number of values.  Each record refuses
+assignment, equals only a record of its own class with equal fields, hashes
+when its fields do, and reprs as ``Name(field=value, ...)``.  Every crepant
+value, records included, survives `copy.deepcopy` and a pickle round trip.
 """
 
 import copy
@@ -17,6 +18,7 @@ from crepant.exactnum import Cyclotomic, root_of_unity
 from crepant.isocheck import (EntryCheck, RootScan, TransportReport,
                               conjecture_scan)
 from crepant.mckay import LinearMap, McKayGraph, an_mckay, bgp_map
+from crepant.record import Record
 from crepant.resolve import (BlowupResult, ChartSurface, ResolutionGraph,
                              blowup_step, resolve_an)
 from crepant.ringtables import (ExcClass, QCoeff, cr_table, cup_table,
@@ -62,6 +64,23 @@ REAL = {
 def test_positional_construction_sets_every_field(cls):
     rec = cls(*_values(cls))
     assert [getattr(rec, f) for f in FIELDS[cls]] == _values(cls)
+
+
+def test_every_record_class_is_listed():
+    # the imports above load every module that defines a record
+    assert set(Record.__subclasses__()) == set(FIELDS)
+    for cls in RECORDS:
+        assert cls.__slots__ == FIELDS[cls]
+    # only the classes with a default field have an __init__ of their own
+    assert {cls for cls in RECORDS
+            if "__init__" in vars(cls)} == {RootScan, ChartSurface}
+
+
+def test_a_wrong_number_of_values_is_refused():
+    with pytest.raises(TypeError, match="EntryCheck"):
+        EntryCheck(1, 2)
+    with pytest.raises(TypeError, match="LinearMap"):
+        LinearMap(1, 2, 3)
 
 
 def test_the_two_defaults():
