@@ -11,9 +11,9 @@ degree-2 products: for every pair (i, j) the difference
 must vanish as an ExcClass, where the right side expands bilinearly through
 the Chen-Ruan table `cr_table(n)`, the one ring the conjecture compares
 with.  `transport_check` reports the exact difference per entry; `solve_a1`
-and `solve_a2` run the reduction in the opposite direction, extracting the
-polynomial system a candidate must satisfy and solving it exactly over
-Q(zeta_{4(n+1)}).
+and `solve_a2` run the reduction in the opposite direction, reading the
+point a candidate map needs off the tabulated products in closed form over
+Q(zeta_{4(n+1)}), and keep the candidates whose check passes.
 
 The check sums its products in one of two ways, with equal results.  It
 runs as a packed kernel when
@@ -404,50 +404,50 @@ def _sqrt_in_field(value: Cyclotomic, conductor: int) -> list[Cyclotomic]:
     return roots
 
 
-def _delta_system(lmap: LinearMap, qct: ProductTable):
-    """Linear equations in (delta_11, delta_22, delta_12) forcing
-    Phi(E_i * E_j) = Phi(E_i) . Phi(E_j) for the concrete map entries.
+def _delta_values(lmap: LinearMap, qct: ProductTable):
+    """(delta_11, delta_22, delta_12) read off in closed form.
 
-    Returns (rows, rhs) over Q(zeta); each basis coefficient equation is
-    split into its L- and M-monomial components.  The right-hand side is
-    the transport residual of the cup table, which is the quantum table
-    with every delta set to zero; the rows hold the delta coefficients of
-    Phi(E_i * E_j), each times K.
+    Phi(E_i * E_j) = Phi(E_i) . Phi(E_j) asks Phi(corr_ij K) = -diff_ij,
+    corr_ij the delta corrections of E_i * E_j on E_1 and E_2 and diff_ij
+    the transport residual of the cup table.  K = (L + M)/(n+1), so the L
+    coefficients give corr_ij = Phi^-1 r, r_k = -(n+1) (the L coefficient of
+    diff_ij.e[k]).  By `qc_table(2)` the corrections on E_1 of E_1 E_1 and
+    E_1 E_2 are 4 delta_11 + delta_12 and -2 delta_11 + delta_12, and those
+    on E_2 of E_2 E_2 and E_1 E_2 likewise with delta_22.  The M
+    coefficients, the s parts and the other corrections are left to the
+    caller's exact checks.
     """
     n = 2
-    unknowns = [DeltaIndex(1, 1), DeltaIndex(2, 2), DeltaIndex(1, 2)]
-    monos = [(1, 0), (0, 1)]
-    rows, rhs = [], []
-    kappa = BaseScalar.K(n)
-    residual = transport_check(lmap, cup_table(n))
-    for check in residual.entries:
-        entry = qct.entry(check.i, check.j)
-        for k in range(n):
-            corr_acc = {u: Cyclotomic.zero(1) for u in unknowns}
-            for l in range(n):
-                factor = lmap.matrix[k][l]
-                if factor.is_zero():
-                    continue
-                for u, c in entry.e[l].corr.terms.items():
-                    corr_acc[u] = corr_acc[u] + c * factor
-            for mono in monos:
-                rows.append([corr_acc[u] * kappa.coefficient(mono)
-                             for u in unknowns])
-                rhs.append(-check.diff.e[k].coefficient(mono))
-    return rows, rhs
+    i11, i22, i12 = DeltaIndex(1, 1), DeltaIndex(2, 2), DeltaIndex(1, 2)
+    assert [qct.entry(1, 1).e[0].corr.terms, qct.entry(1, 2).e[0].corr.terms,
+            qct.entry(2, 2).e[1].corr.terms, qct.entry(1, 2).e[1].corr.terms
+            ] == [{i11: 4, i12: 1}, {i11: -2, i12: 1},
+                  {i22: 4, i12: 1}, {i22: -2, i12: 1}]
+    (a, b), (c, d) = lmap.matrix
+    # a^2 - b^2 for the ansatz, nonzero: a^2 and b^2 are the two roots of
+    # t^2 - 3t + 9
+    inv_det = 1 / (a * d - b * c)
+    corr = {}
+    for check in transport_check(lmap, cup_table(n)).entries:
+        r1, r2 = (-(n + 1) * x.coefficient((1, 0)) for x in check.diff.e)
+        corr[check.i, check.j] = ((d * r1 - b * r2) * inv_det,
+                                  (a * r2 - c * r1) * inv_det)
+    delta_11 = (corr[1, 1][0] - corr[1, 2][0]) / 6
+    delta_22 = (corr[2, 2][1] - corr[1, 2][1]) / 6
+    return delta_11, delta_22, corr[1, 2][0] + 2 * delta_11
 
 
 def solve_a2() -> list[A2Solution]:
     """The exact solutions of the rank-2 transport system.
 
     The s-coefficients give ab = -3 and a^2 + b^2 = 3; for each root pair
-    the remaining equations are linear in the three delta values, and the
+    the remaining equations are linear in the three delta values, which
+    `_delta_values` reads off through the 2x2 inverse of the map, and the
     point (q_1, q_2) is recovered from them, subject to the consistency
-    delta_12 = q_1 q_2/(1 - q_1 q_2).  Exactly two solutions survive, both
-    with q_1 = q_2 a primitive cube root of unity.
+    delta_12 = q_1 q_2/(1 - q_1 q_2) and the transport check at that point,
+    which decide the equations the read-off does not use.  Exactly two
+    solutions survive, both with q_1 = q_2 a primitive cube root of unity.
     """
-    from . import linalg
-
     n = 2
     conductor = 4 * (n + 1)
     qct = qc_table(n)
@@ -478,15 +478,7 @@ def solve_a2() -> list[A2Solution]:
                 continue
             seen.append((a, b))
             lmap = LinearMap(n, ((a, b), (b, a)))
-            rows, rhs = _delta_system(lmap, qct)
-            try:
-                delta = linalg.solve_exact(rows, rhs,
-                                           zero=Cyclotomic.zero(1))
-            except ValueError:
-                continue
-            if delta is None:
-                continue
-            d11, d22, d12 = delta
+            d11, d22, d12 = _delta_values(lmap, qct)
             if d11 == -1 or d22 == -1:
                 continue
             q1 = d11 / (1 + d11)

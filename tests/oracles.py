@@ -12,7 +12,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from crepant import linalg
 from crepant.coeffring import BaseScalar, accumulate
 from crepant.corrections import (CorrectionFunction, DeltaIndex, PoleError,
                                  cache_deltas)
@@ -23,7 +22,61 @@ from crepant.isocheck import (EntryCheck, RootScan, TransportReport,
 from crepant.mckay import LinearMap, McKayGraph, bgp_map
 from crepant.ringtables import (KIND_CUP, KIND_QUANTUM, ExcClass,
                                 ProductTable, QCoeff, beta_pairing, cr_table,
-                                qc_eval, qc_table)
+                                cup_table, qc_eval, qc_table)
+
+# -- Gauss-Jordan elimination ------------------------------------------------
+
+
+def solve_exact(rows, rhs, *, zero):
+    """Solve A x = b for an exactly determined or overdetermined system.
+
+    Returns the unique solution vector, or None when the system is
+    inconsistent.  Raises ValueError when the solution is not unique
+    (rank < number of unknowns).
+    """
+    if len(rows) != len(rhs):
+        raise ValueError("row/rhs length mismatch")
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    pivots = _eliminate(aug, ncols)
+    for row in aug:
+        if all(not x for x in row[:ncols]) and row[ncols]:
+            return None
+    if len(pivots) < ncols:
+        raise ValueError("system is underdetermined")
+    solution = [zero] * ncols
+    for r, c in enumerate(pivots):
+        solution[c] = aug[r][ncols]
+    return solution
+
+
+def _eliminate(aug, ncols):
+    """Reduce aug to reduced row echelon form on its first ncols columns.
+
+    Returns the list of pivot columns, in row order.
+    """
+    nrows = len(aug)
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        piv = next((r for r in range(row, nrows) if aug[r][col]), None)
+        if piv is None:
+            continue
+        aug[row], aug[piv] = aug[piv], aug[row]
+        pivval = aug[row][col]
+        aug[row] = [x / pivval for x in aug[row]]
+        for r in range(nrows):
+            if r != row and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[row])]
+        pivots.append(col)
+        row += 1
+        if row == nrows:
+            break
+    return pivots
+
 
 # -- Cyclotomic ---------------------------------------------------------------
 
@@ -38,7 +91,7 @@ def descend(x: Cyclotomic, conductor: int) -> Cyclotomic:
     basis = [root_of_unity(conductor, k).lift(x.conductor).coeffs
              for k in range(euler_phi(conductor))]
     rows = [list(row) for row in zip(*basis)]
-    sol = linalg.solve_exact(rows, list(x.coeffs), zero=Fraction(0))
+    sol = solve_exact(rows, list(x.coeffs), zero=Fraction(0))
     if sol is None:
         raise ValueError("element does not lie in the requested subfield")
     return Cyclotomic(conductor, sol)
@@ -514,8 +567,8 @@ def is_invertible(matrix) -> bool:
     """Full rank: M x = 0 has the single solution x = 0."""
     zero = Cyclotomic.zero(1)
     try:
-        linalg.solve_exact([list(row) for row in matrix], [zero] * len(matrix),
-                           zero=zero)
+        solve_exact([list(row) for row in matrix], [zero] * len(matrix),
+                    zero=zero)
     except ValueError:  # underdetermined
         return False
     return True
@@ -614,6 +667,42 @@ def slot_by_slot_transport(lmap: LinearMap,
         checks.append(EntryCheck(i, j, ExcClass(
             n, entry.s - rhs_s, tuple(a - b for a, b in zip(lhs, rhs_e)))))
     return TransportReport(n, source.q, lmap, tuple(checks))
+
+
+# -- the rank-2 delta system --------------------------------------------------
+
+
+def delta_system(lmap: LinearMap, qct: ProductTable):
+    """Linear equations in (delta_11, delta_22, delta_12) forcing
+    Phi(E_i * E_j) = Phi(E_i) . Phi(E_j) for the concrete map entries.
+
+    Returns (rows, rhs) over Q(zeta); each basis coefficient equation is
+    split into its L- and M-monomial components.  The right-hand side is
+    the transport residual of the cup table, which is the quantum table
+    with every delta set to zero; the rows hold the delta coefficients of
+    Phi(E_i * E_j), each times K.
+    """
+    n = 2
+    unknowns = [DeltaIndex(1, 1), DeltaIndex(2, 2), DeltaIndex(1, 2)]
+    monos = [(1, 0), (0, 1)]
+    rows, rhs = [], []
+    kappa = BaseScalar.K(n)
+    residual = transport_check(lmap, cup_table(n))
+    for check in residual.entries:
+        entry = qct.entry(check.i, check.j)
+        for k in range(n):
+            corr_acc = {u: Cyclotomic.zero(1) for u in unknowns}
+            for l in range(n):
+                factor = lmap.matrix[k][l]
+                if factor.is_zero():
+                    continue
+                for u, c in entry.e[l].corr.terms.items():
+                    corr_acc[u] = corr_acc[u] + c * factor
+            for mono in monos:
+                rows.append([corr_acc[u] * kappa.coefficient(mono)
+                             for u in unknowns])
+                rhs.append(-check.diff.e[k].coefficient(mono))
+    return rows, rhs
 
 
 # -- McKay graphs -------------------------------------------------------------

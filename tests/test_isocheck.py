@@ -173,6 +173,64 @@ def test_relabeling_conjugation_fixes_the_a2_solutions(a2_solutions):
         assert report.passed
 
 
+def _elimination(lmap, qct):
+    """The delta values by Gauss-Jordan elimination of the 12 x 3 system,
+    or None when it is inconsistent."""
+    rows, rhs = oracles.delta_system(lmap, qct)
+    return oracles.solve_exact(rows, rhs, zero=Cyclotomic.zero(1))
+
+
+def _assert_same_deltas(closed, solved):
+    assert list(closed) == solved
+    assert [json.dumps(x.to_json()) for x in closed] == \
+        [json.dumps(x.to_json()) for x in solved]
+
+
+def test_the_closed_form_deltas_are_those_elimination_solves():
+    # the map of each solution of solve_a2, bgp_map(2, m), and its Galois
+    # conjugates sigma_a, a a unit mod 12
+    qct = qc_table(2)
+    for m in (1, 2):
+        for a in (1, 5, 7, 11):
+            lmap = LinearMap(2, tuple(tuple(c.galois(a) for c in row)
+                                      for row in bgp_map(2, m).matrix))
+            solved = _elimination(lmap, qct)
+            assert solved is not None
+            _assert_same_deltas(isocheck._delta_values(lmap, qct), solved)
+
+
+def test_the_closed_form_deltas_on_invertible_maps_of_q_zeta_12():
+    # the read-off inverts Phi and reads only the L coefficients, and three
+    # of the corrections they give: where the 12 equations are consistent it
+    # gives their solution, and where not, its triple breaks one of them
+    pytest.importorskip("hypothesis")
+    from hypothesis import assume, given, settings
+    from hypothesis import strategies as st
+
+    qct = qc_table(2)
+    entry = st.lists(st.integers(-3, 3), min_size=4, max_size=4).map(
+        lambda coeffs: Cyclotomic(12, coeffs))
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(st.tuples(st.tuples(entry, entry), st.tuples(entry, entry)))
+    def check(matrix):
+        (a, b), (c, d) = matrix
+        assume(not (a * d - b * c).is_zero())
+        lmap = LinearMap(2, matrix)
+        closed = isocheck._delta_values(lmap, qct)
+        solved = _elimination(lmap, qct)
+        if solved is not None:
+            _assert_same_deltas(closed, solved)
+            return
+        rows, rhs = oracles.delta_system(lmap, qct)
+        assert any(row[0] * closed[0] + row[1] * closed[1]
+                   + row[2] * closed[2] != value
+                   for row, value in zip(rows, rhs))
+
+    check()
+
+
 # -- the scan ------------------------------------------------------------------
 
 

@@ -30,14 +30,14 @@ from crepant.coeffring import BaseScalar  # noqa: E402
 from crepant.corrections import PoleError  # noqa: E402
 from crepant.exactnum import (Cyclotomic, Kronecker,  # noqa: E402
                               euler_phi, imaginary_unit, root_of_unity)
-from crepant.isocheck import (_delta_system, conjecture_scan,  # noqa: E402
-                               transport_check)
+from crepant.isocheck import conjecture_scan, transport_check  # noqa: E402
 from crepant.mckay import LinearMap, bgp_map, chtd_map  # noqa: E402
 from crepant.ringtables import (KIND_QUANTUM_AT, ExcClass,  # noqa: E402
                                 ProductTable, cr_table, cup_table, qc_eval,
                                 qc_table)
 
-from oracles import slot_by_slot_transport, strip_corrections  # noqa: E402
+from oracles import (delta_system, slot_by_slot_transport,  # noqa: E402
+                     strip_corrections)
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -113,7 +113,7 @@ def test_the_stripped_source_of_the_rank_two_delta_system():
     # the system is built from that residual (the cup table's, the same
     # table), and still solves
     assert stripped == cup_table(2)
-    assert _delta_system(bgp_map(2, 1), qct)[0]
+    assert delta_system(bgp_map(2, 1), qct)[0]
 
 
 def test_rank_one():

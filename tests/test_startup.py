@@ -117,6 +117,14 @@ def test_verify_as_text_loads_neither_resolve_linalg_nor_json():
     assert not {"crepant.resolve", "crepant.linalg", "json"} & after
 
 
+def test_solve_loads_the_modules_it_runs_and_no_other():
+    after = command_modules("solve --n 2")
+    assert {m for m in after if m.startswith("crepant")} == {
+        "crepant", "crepant.cli", "crepant.coeffring", "crepant.corrections",
+        "crepant.exactnum", "crepant.isocheck", "crepant.mckay",
+        "crepant.record", "crepant.ringtables"}
+
+
 def test_table_loads_neither_isocheck_nor_mckay():
     after = command_modules("table qc --n 2")
     assert "crepant.ringtables" in after
