@@ -335,17 +335,16 @@ def cmd_verify(rank, map_source, qspec, fmt):
     product."""
     from .corrections import PoleError
     from .isocheck import RankMismatch, transport_check
-    from .ringtables import qc_eval, qc_table
+    from .ringtables import qc_table
 
     _bound_rank("verify", rank, MAX_VERIFY_RANK)
     lmap = _load_map(map_source, rank)
     RankMismatch.check(lmap.n, rank)
     q = _parse_qpoint(qspec, rank, lmap)
     try:
-        source = qc_eval(qc_table(rank), q)
+        report = transport_check(lmap, qc_table(rank), q)
     except PoleError as exc:
         return _emit_pole(exc)
-    report = transport_check(lmap, source)
     if fmt == "json":
         print(_dump_json(report.to_json()))
     else:

@@ -19,7 +19,9 @@ The check sums its products in one of two ways, with equal results.  It
 runs as a packed kernel when
 
   (a) every nonzero map entry has one conductor N,
-  (b) the conductor of every basis coefficient of the source divides N, and
+  (b) the conductor of every basis coefficient of the source divides N;
+      for the symbolic `qc_table(n)` at a point, that of every cup part and
+      that of the point, which every delta value has, and
   (c) packing pays: the packed digits need at most 64 bits, or at most
       twice the width that operands of the typical size would need
       (`Kronecker.bits` and `Kronecker.typical`).
@@ -40,15 +42,42 @@ every packed product multiplies phi digits of the full width, however
 narrow its own factors, where field products of one pair at a time cost
 less.
 
+The quantum corrections, summed from the delta values.  Coefficient l of
+E_i * E_j in `qc_table(n)` is its cup part plus sum_b w_ijb delta_b(q) K,
+the sum over the classes b = beta_{mu nu} with mu <= l <= nu, the weight
+w_ijb = (E_i.b)(E_j.b) the same for each such l (`_class_weights` checks
+that the table is so written).  K is kappa (L + M), or kappa K at rank one,
+for one rational kappa, so on each of K's monomials Phi sends the
+correction of E_i * E_j to e_k with the coefficient
+
+    sum_l Phi[k][l] sum_{b ni l} w_ijb kappa delta_b
+        = sum_b w_ijb D_b[k],    D_b[k] = kappa delta_b S_b[k],
+
+S_b[k] = Phi[k][mu] + ... + Phi[k][nu] a difference of two prefix sums of
+map row k: rank one per class.  Given the point, the kernel packs the delta
+values with the cup parts, in place of the evaluated coefficients, forms
+the n^2(n+1)/2 products D_b[k] once, and adds each pair's
+sum_b w_ijb D_b[k] with the small integer weights, without building the
+evaluated table.  The delta values are those `qc_eval` computes
+(`ringtables.point_deltas`), each of the point's conductor, so a pole
+raises the same PoleError, before any sum.  When a clause, or the
+rank-one form, fails, the table is evaluated from those delta values
+(`ringtables.qc_eval_at`) and checked as an evaluated table is.
+
 Why the two print the same bytes.  Under (a) and (b) every term the
 slot-by-slot sum adds, monomial by monomial, is a product with a conductor-N
 factor and factors whose conductors divide N, the source's by (b) and
 those of `cr_table(n)` at conductor 1, so it has conductor exactly N.  A
 sum of such terms, whatever their order or grouping, is its exact value at
 conductor N, or dropped when it cancels to zero; the packed kernel stores
-exactly that.  With mixed conductors the conductor a sum ends in depends on
-which terms cancel first, so reordering them could change the printed
-conductors, and (a) and (b) send those inputs down the slot-by-slot path.
+exactly that.  The same holds for the symbolic table at a point: its
+corrections, regrouped class by class, are sums of products of a
+conductor-N map entry with delta values whose conductor divides N by (b),
+so each coefficient's exact value at N is unchanged by the regrouping, and
+a sum is the value of the evaluated table's.  With mixed conductors the
+conductor a sum ends in depends on which terms cancel first, so
+reordering them could change the printed conductors, and (a) and (b) send
+those inputs down the slot-by-slot path.
 The slot-by-slot path takes the difference by `BaseScalar` subtraction,
 which under (a) and (b), with both sides exact values at N, stores each
 monomial's difference at N, or drops it when it cancels; the kernel reads
@@ -56,7 +85,8 @@ its packed difference back at N and drops a zero, and normal forms are
 unique, so the bytes agree.  The s part, which Phi fixes, is the source's
 own minus the right side's by `BaseScalar` subtraction on both paths: the
 source's coefficient, which may be stored at any conductor, stays as it is
-where the right side has no s term.
+where the right side has no s term; the corrections leave the s part
+alone, so a symbolic table's is its evaluation's.
 
 The scan checks one root, m_root = 1, and transports its report to every
 other primitive root zeta^m by a Galois automorphism.  Write z = zeta_N,
@@ -121,7 +151,7 @@ from .exactnum import (Cyclotomic, Kronecker, branch_exponent, imaginary_unit,
 from .mckay import LinearMap, bgp_map
 from .record import Record
 from .ringtables import (KIND_QUANTUM, ExcClass, ProductTable, cr_table,
-                         cup_table, qc_eval, qc_table)
+                         cup_table, point_deltas, qc_eval_at, qc_table)
 
 
 class RankMismatch(ValueError):
@@ -213,18 +243,46 @@ def _parts(entry: ExcClass):
     return (entry.s, *entry.e)
 
 
-def _packing(lmap: LinearMap, source: ProductTable,
-             crt: ProductTable) -> Kronecker | None:
+def _cups(source: ProductTable, key) -> list:
+    """The basis coefficients of the pair's product, or of a symbolic
+    table their cup parts."""
+    e = source.entry(*key).e
+    return [c.cup for c in e] if source.kind == KIND_QUANTUM else e
+
+
+def _class_weights(qct: ProductTable):
+    """{beta: w} for each pair of the symbolic table, in `pairs()` order,
+    when each pair's correction is w delta_beta K on each of E_mu..E_nu and
+    on no other generator, class by class, as `qc_table` writes it; else
+    None."""
+    weights = []
+    for key in qct.pairs():
+        e = qct.entry(*key).e
+        pair = {}
+        for coeff in e:
+            pair.update(coeff.corr.terms)
+        for l, coeff in enumerate(e, 1):
+            if coeff.corr.terms != {b: w for b, w in pair.items()
+                                    if b.mu <= l <= b.nu}:
+                return None
+        weights.append(pair)
+    return weights
+
+
+def _packing(lmap: LinearMap, source: ProductTable, crt: ProductTable,
+             deltas: dict | None = None) -> Kronecker | None:
     """The operands packed for the kernel, with the Chen-Ruan table crt,
-    when clauses (a)-(c) of the module docstring hold, else None."""
+    when clauses (a)-(c) of the module docstring hold, else None.  A
+    symbolic source comes with its delta values `deltas` at the point."""
     conductors = {c.conductor for row in lmap.matrix for c in row
                   if not c.is_zero()}
     if len(conductors) != 1:
         return None
     (conductor,) = conductors
-    if any(conductor % c.conductor
-           for key in source.pairs() for coeff in source.entry(*key).e
-           for c in coeff.terms.values()):
+    cups = {key: _cups(source, key) for key in source.pairs()}
+    if any(conductor % c.conductor for e in cups.values() for coeff in e
+           for c in coeff.terms.values()) or any(
+               conductor % d.conductor for d in (deltas or {}).values()):
         return None
     n = source.n
     # the kinds of term summed below, as (most terms, factor groups of a
@@ -232,28 +290,57 @@ def _packing(lmap: LinearMap, source: ProductTable,
     # entry (k, l)) x (source coefficient l), one of Phi(E_i) . Phi(E_j)
     # over (k, k') the products t x (map entry (k, i)) x (map entry (k', j)),
     # at most n, as e_k e_k' has one term t, at a place k + k' fixes
-    kr = Kronecker.pack(conductor, {
+    groups = {
         "map": {(k, l): c for k, row in enumerate(lmap.matrix)
                 for l, c in enumerate(row) if not c.is_zero()},
-        "source": {(key, l, mono): c for key in source.pairs()
-                   for l, coeff in enumerate(source.entry(*key).e)
+        "source": {(key, l, mono): c for key, e in cups.items()
+                   for l, coeff in enumerate(e)
                    for mono, c in coeff.terms.items()},
         "cr": {(key, p, mono): c for key in crt.pairs()
                for p, part in enumerate(_parts(crt.entry(*key)))
                for mono, c in part.terms.items()},
-    }, [(n, ("map", "source")), (n, ("cr", "map", "map"))])
+    }
+    kinds = [(n, ("map", "source")), (n, ("cr", "map", "map"))]
+    if deltas is not None:
+        # and the correction of Phi(E_i * E_j) sums, on each of K's
+        # monomials, w kappa delta_b x (map entry (k, l)) over the classes b
+        # and their l, kappa being K's one rational coefficient: sum |w|
+        # terms over the pair's coefficients
+        groups["kappa"] = {0: next(iter(BaseScalar.K(n).terms.values()))}
+        groups["delta"] = deltas
+        kinds.append((max(sum(abs(w) for coeff in source.entry(*key).e
+                              for w in coeff.corr.terms.values())
+                          for key in source.pairs()),
+                      ("kappa", "delta", "map")))
+    kr = Kronecker.pack(conductor, groups, kinds)
     if kr.bits > max(64, 2 * kr.typical):
         return None
     return kr
 
 
-def _packed_differences(source: ProductTable, kr: Kronecker):
+def _class_sums(kr: Kronecker, n: int) -> dict:
+    """D_b[k] = kappa delta_b S_b[k] for each class b and map row k, S_b[k]
+    the sum of map row k over E_mu..E_nu, a difference of its prefix sums:
+    packed, and scaled as the correction's kind."""
+    scale = kr.scales[2] * kr.packed["kappa"][0]
+    prefix = []
+    for k in range(n):
+        row = [0]
+        for l in range(n):
+            row.append(row[-1] + kr.packed["map"].get((k, l), 0))
+        prefix.append(row)
+    return {b: [scale * d * (row[b.nu] - row[b.mu - 1]) for row in prefix]
+            for b, d in kr.packed["delta"].items()}
+
+
+def _packed_differences(source: ProductTable, kr: Kronecker, weights=None):
     """The difference Phi(E_i * E_j) - Phi(E_i) . Phi(E_j) of every source
     pair (i, j), summed as the Kronecker-packed integers of `_packing`; the
-    values and conductors are those of the slot-by-slot path."""
+    values and conductors are those of the slot-by-slot path.  A symbolic
+    source comes with its `_class_weights`."""
     n = source.n
     # scaled by a and -b, both sides sum straight into their difference
-    a, b = kr.scales
+    a, b = kr.scales[:2]
     sources = {key: a * y for key, y in kr.packed["source"].items()}
     # the nonzero entries (k, packed) of each map column l
     columns = [[(k, x) for (k, l), x in kr.packed["map"].items() if l == col]
@@ -265,17 +352,28 @@ def _packed_differences(source: ProductTable, kr: Kronecker):
         products.setdefault(key, []).append((p, mono, -b * t))
     ordered = [[products.get((min(k, kk) + 1, max(k, kk) + 1), ())
                 for kk in range(n)] for k in range(n)]
+    if weights is not None:
+        corrections = _class_sums(kr, n)
+        monos = tuple(BaseScalar.K(n).terms)
     diffs = []
-    for key in source.pairs():
+    for index, key in enumerate(source.pairs()):
         i, j = key
-        entry = source.entry(i, j)
         sums = [{} for _ in range(n + 1)]   # the s part, then e_1..e_n
-        for l, coeff in enumerate(entry.e):
+        for l, coeff in enumerate(_cups(source, key)):
             for mono in coeff.terms:
                 y = sources[key, l, mono]
                 for k, x in columns[l]:
                     acc = sums[k + 1]
                     acc[mono] = acc.get(mono, 0) + x * y
+        if weights is not None:
+            # the correction: sum_b w_b D_b[k] on each of K's monomials
+            total = [0] * n
+            for cls, w in weights[index].items():
+                total = [t + w * d for t, d in zip(total, corrections[cls])]
+            for acc, t in zip(sums[1:], total):
+                if t:
+                    for mono in monos:
+                        acc[mono] = acc.get(mono, 0) + t
         for k, x in columns[i - 1]:
             row = ordered[k]
             for kk, y in columns[j - 1]:
@@ -287,27 +385,47 @@ def _packed_differences(source: ProductTable, kr: Kronecker):
                                 for acc in sums)
         # Phi fixes s, so the s part is the source's own minus the right
         # side's, whose sum above holds only the right side, negated
-        diffs.append(ExcClass(n, entry.s + minus_rhs_s, tuple(diff_e)))
+        diffs.append(ExcClass(n, source.entry(i, j).s + minus_rhs_s,
+                              tuple(diff_e)))
     return diffs
 
 
-def transport_check(lmap: LinearMap, source: ProductTable) -> TransportReport:
+def transport_check(lmap: LinearMap, source: ProductTable, q=None,
+                    crt: ProductTable | None = None) -> TransportReport:
     """Compare Phi(source product) with the Chen-Ruan product of the images,
-    read from `cr_table(n)`.
+    read from crt, `cr_table(n)`, which is built here unless the caller
+    has it.
 
-    The source must be fully evaluated (no symbolic delta terms).  The sums
-    run packed when the map and the source share one conductor and packing
-    pays, as the module docstring states.
+    The source is an evaluated table, or the symbolic `qc_table(n)` with
+    the point q: its delta values are `ringtables.point_deltas`, which
+    raises `qc_eval`'s PoleError before anything is summed, and the kernel
+    sums them straight into the differences, without the evaluated table.
+    The sums run packed when the map, the source and the point share one
+    conductor and packing pays, as the module docstring states; otherwise a
+    symbolic source is evaluated from its delta values, and checked as an
+    evaluated table is.
     """
     RankMismatch.check(lmap.n, source.n)
-    if source.kind == KIND_QUANTUM:
+    if q is None and source.kind == KIND_QUANTUM:
         raise ValueError("source table still has symbolic delta terms; "
-                         "evaluate it with qc_eval first")
+                         "evaluate it with qc_eval first, or give the point")
+    if q is not None and source.kind != KIND_QUANTUM:
+        raise ValueError("a point applies only to a symbolic quantum table")
     n = source.n
-    crt = cr_table(n)
-    kr = _packing(lmap, source, crt)
+    if crt is None:
+        crt = cr_table(n)
+    weights = None
+    if q is not None:
+        q, deltas = point_deltas(source, q)
+        weights = _class_weights(source)
+        kr = None if weights is None else _packing(lmap, source, crt, deltas)
+        if kr is None:
+            # not the rank-one form, or a clause fails: check the evaluation
+            source, weights = qc_eval_at(source, q, deltas), None
+    if weights is None:
+        kr = _packing(lmap, source, crt)
     if kr is not None:
-        diffs = _packed_differences(source, kr)
+        diffs = _packed_differences(source, kr, weights)
     else:
         diffs = []
         for i, j in source.pairs():
@@ -318,7 +436,8 @@ def transport_check(lmap: LinearMap, source: ProductTable) -> TransportReport:
                                   tuple(a - b for a, b in zip(lhs, rhs_e))))
     checks = tuple(EntryCheck(i, j, diff)
                    for (i, j), diff in zip(source.pairs(), diffs))
-    return TransportReport(n, source.q, lmap, checks)
+    return TransportReport(n, source.q if q is None else tuple(q), lmap,
+                           checks)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +479,7 @@ def solve_a1() -> list[A1Solution]:
     solutions = []
     for tt in sorted((t, -t), key=lambda x: x.coeffs):
         lmap = LinearMap(1, ((tt,),))
-        report = transport_check(lmap, qc_eval(qct, [q_star]))
+        report = transport_check(lmap, qct, [q_star])
         assert report.passed
         solutions.append(A1Solution(tt, q_star))
     return solutions
@@ -487,7 +606,7 @@ def solve_a2() -> list[A2Solution]:
                 continue
             if d12 != (q1 * q2) / (1 - q1 * q2):
                 continue
-            report = transport_check(lmap, qc_eval(qct, [q1, q2]))
+            report = transport_check(lmap, qct, [q1, q2])
             if report.passed:
                 solutions.append(A2Solution(a, b, q1, q2, lmap))
     solutions.sort(key=lambda sol: sol.q1.lift(conductor).coeffs)
@@ -541,10 +660,9 @@ def _galois_signs(n: int, m_root: int) -> tuple[int, list, list]:
     return a, eps, exps
 
 
-def _chen_ruan_terms(n: int) -> list:
+def _chen_ruan_terms(crt: ProductTable) -> list:
     """(k, k', p, monomial, t) for each term t e_p of each product e_k e_k'
-    of `cr_table(n)`, k and k' in 1..n; p = 0 is the s part."""
-    crt = cr_table(n)
+    of the Chen-Ruan table crt, k and k' in 1..n; p = 0 is the s part."""
     terms = []
     for k, kk in crt.pairs():
         for p, part in enumerate(_parts(crt.entry(k, kk))):
@@ -561,7 +679,7 @@ def _transported(n: int, m_root: int, signs: tuple, checked: TransportReport,
     """The entries `transport_check(bgp_map(n, m_root), sigma_a(source))`
     reports, from the report `checked` of bgp_map(n, 1) on source, by the
     Galois transport of the module docstring.  signs are
-    `_galois_signs(n, m_root)`, and terms `_chen_ruan_terms(n)` or, when
+    `_galois_signs(n, m_root)`, and terms `_chen_ruan_terms` or, when
     every sign is +1, any list.  own holds, per checked entry, the pair
     (the source's s part, diff.s minus it), the latter the right side
     negated, both at m_root = 1.  reduced maps (den, folded coordinates) to
@@ -640,7 +758,9 @@ def conjecture_scan(n: int) -> list[RootScan]:
     No truth value is asserted beyond what the check computes; a root where
     some q_mu...q_nu = 1 is reported as a pole, not as a failure.
 
-    `qc_eval` and `transport_check` run once, at m_root = 1.  The report at
+    `transport_check` runs once, on `qc_table(n)` at the point of
+    m_root = 1, and reads the one `cr_table(n)` of the scan, which also
+    gives the Chen-Ruan terms of the transport.  The report at
     every other root prints the map `bgp_map(n, m_root)` and the point
     zeta^m_root, and its differences are the Galois transport of the
     checked ones (`_transported`): sigma_a with a = m_root mod n+1 sends the
@@ -658,18 +778,20 @@ def conjecture_scan(n: int) -> list[RootScan]:
         raise ValueError("rank must be >= 1")
     conductor = 4 * (n + 1)
     roots = [m for m in range(1, n + 1) if math.gcd(m, n + 1) == 1]
+    qct, crt = qc_table(n), cr_table(n)
     try:
-        source = qc_eval(qc_table(n), [root_of_unity(conductor, 4)] * n)
+        checked = transport_check(bgp_map(n, 1), qct,
+                                  [root_of_unity(conductor, 4)] * n, crt)
     except PoleError as exc:
         return [RootScan(m, "pole", None, exc) for m in roots]
-    checked = transport_check(bgp_map(n, 1), source)
     signs = {m: _galois_signs(n, m) for m in roots[1:]}
     # signs all +1, as at m_root = n, weight no Chen-Ruan term
-    terms = (_chen_ruan_terms(n)
+    terms = (_chen_ruan_terms(crt)
              if any(-1 in eps for _, eps, _ in signs.values()) else [])
     own = []
     for check in checked.entries:
-        own_s = source.entry(check.i, check.j).s
+        # the corrections leave the s part alone: the table's is the source's
+        own_s = qct.entry(check.i, check.j).s
         own.append((own_s, check.diff.s - own_s))
     reduced = {}    # one reduction per distinct value over all roots
     results = []

@@ -47,23 +47,25 @@ of that form.  Nothing is kept from one call to the next.
 
 `qc_eval` lifts the point into one field Q(zeta_N), N the lcm of its
 entries' conductors, and computes every delta value there first, so every
-value has conductor N.  Each correction sum_b w_b delta_b, its weights
-integers, is then one sum of Kronecker-packed integers
-(`exactnum.Kronecker`, whose one kind of term is a single delta value),
-read back at N and scaled by K's rational coefficient once per distinct
-sum.  A sum of single values multiplies nothing, and costs one big-integer
-addition per term however wide its digits, so it always runs packed.  The
-cup part gains the scaled monomials by `BaseScalar` addition, and a
-correction that sums to zero leaves it as it is.  These are the values and
-conductors that summing each correction term by term as Cyclotomics at the
-lifted point and adding K scaled by it gives, the reference the tests hold
-it to.  Two shortcuts keep them so.  `cache_deltas` returns at once for a
-correction whose deltas are all cached, where its walk would do nothing, so
-the walk order, and the (index, entry) of a PoleError, are unchanged.  And
-each distinct pair of a cup part and a packed sum is built into its
-coefficient once per call and shared by every coefficient with that pair:
-`cup_table` shares its row objects among the entries, and a `BaseScalar` is
-immutable, so sharing changes no value.
+value has conductor N.  That walk is `point_deltas`, which
+`isocheck.transport_check` shares when it checks the symbolic table at a
+point straight from its delta values.  `cache_deltas` returns at once for
+a correction whose deltas are all cached, where its walk would do nothing,
+so the walk order, and the (index, entry) of a PoleError, are unchanged.
+Each correction sum_b w_b delta_b, its weights integers, is then one sum of
+Kronecker-packed integers (`exactnum.Kronecker`, whose one kind of term is
+a single delta value), read back at N and scaled by K's rational
+coefficient once per distinct sum (`qc_eval_at`).  A sum of single values
+multiplies nothing, and costs one big-integer addition per term however
+wide its digits, so it always runs packed.  The cup part gains the scaled
+monomials by `BaseScalar` addition, and a correction that sums to zero
+leaves it as it is.  These are the values and conductors that summing each
+correction term by term as Cyclotomics at the lifted point and adding K
+scaled by it gives, the reference the tests hold it to.  And each distinct
+pair of a cup part and a packed sum is built into its coefficient once per
+call and shared by every coefficient with that pair: `cup_table` shares
+its row objects among the entries, and a `BaseScalar` is immutable, so
+sharing changes no value.
 """
 
 from __future__ import annotations
@@ -309,34 +311,54 @@ def qc_eval(table: ProductTable, q) -> ProductTable:
     """Specialize a symbolic quantum table at an exact q-point.
 
     The point is lifted into Q(zeta_N), N the lcm of its entries'
-    conductors, and the table stores it so.  Each delta value is computed
-    at most once per distinct exact product q_mu...q_nu: at
-    q_1 = ... = q_n that is at most n values, not n(n+1)/2.  They are all
-    computed first, walking the entries in order, each entry's coefficients
-    in order and each coefficient's deltas in order, so a PoleError names
-    both the product entry (i, j) and the delta index at which the family is
-    undefined: the first one met on that walk.  The coefficients are then
-    summed as Kronecker-packed integers (see the module docstring).
+    conductors, and the table stores it so.  The delta values are those of
+    `point_deltas`, which raises a PoleError naming the product entry (i, j)
+    and the delta index at which the family is undefined.  The coefficients
+    are then summed as Kronecker-packed integers (see the module docstring).
     """
     if table.kind != KIND_QUANTUM:
         raise ValueError("qc_eval expects a symbolic quantum table")
+    return qc_eval_at(table, *point_deltas(table, q))
+
+
+def point_deltas(table: ProductTable, q) -> tuple[list, dict]:
+    """The point q lifted into Q(zeta_N), N the lcm of its entries'
+    conductors, and the value there of every delta the symbolic quantum
+    table uses, by index, each of conductor N.
+
+    Each delta value is computed at most once per distinct exact product
+    q_mu...q_nu: at q_1 = ... = q_n that is at most n values, not
+    n(n+1)/2.  They are computed walking the entries in order, each entry's
+    coefficients in order and each coefficient's deltas in order
+    (`corrections.cache_deltas`), so a PoleError names both the product
+    entry (i, j) and the delta index at which the family is undefined: the
+    first one met on that walk.
+    """
     q = [coerce(x) for x in q]
     if len(q) != table.n:
         raise ValueError(f"expected {table.n} q-values")
     conductor = math.lcm(*(x.conductor for x in q))
     q = [x.lift(conductor) for x in q]
-    deltas, coeffs, parts = {}, [], []
+    deltas = {}
     for key in table.pairs():
-        entry = table.entry(*key)
         try:
-            for c in entry.e:
+            for c in table.entry(*key).e:
                 cache_deltas(c.corr, q, deltas)
         except PoleError as exc:
             raise PoleError(exc.index, entry=key) from None
+    return q, {k: v for k, v in deltas.items() if type(k) is DeltaIndex}
+
+
+def qc_eval_at(table: ProductTable, q: list, deltas: dict) -> ProductTable:
+    """`qc_eval` of the symbolic quantum table at the lifted point q whose
+    delta values `point_deltas` gave as `deltas`."""
+    coeffs, parts = [], []
+    for key in table.pairs():
+        entry = table.entry(*key)
         parts.append((key, entry.s, len(coeffs), len(coeffs) + len(entry.e)))
         coeffs.extend(entry.e)
     values = _packed_values(coeffs, deltas, BaseScalar.K(table.n),
-                            conductor)
+                            q[0].conductor)
     entries = {key: ExcClass(table.n, s, tuple(values[start:stop]))
                for key, s, start, stop in parts}
     return ProductTable(table.n, KIND_QUANTUM_AT, entries, q=q)

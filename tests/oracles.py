@@ -752,3 +752,47 @@ def conjecture_scan_every_root(n: int) -> list[RootScan]:
         results.append(RootScan(
             m_root, "pass" if report.passed else "fail", report))
     return results
+
+
+def branch_signs(n: int, m_root: int) -> list:
+    """eps_0 = 1, eps_1..eps_n with bgp_map(n, m_root)[k][l] =
+    eps_k sigma_a(bgp_map(n, 1)[k][l]), for a = m_root + t(n+1) odd, t in
+    {0, 1}: a unit mod 4(n+1), with a = m_root mod n+1.
+
+    Sign arithmetic on the definition of `exactnum.branch_exponent`: with
+    w = zeta_{2(n+1)} and j = km mod 2(n+1), entry (k, l) is
+    zeta^(lk) b(m, j) (w^j - w^-j), b(m, j) = +1 exactly when
+    (j < n+1) == (2m < n+1).  sigma_a fixes zeta^(lk) at m and sends
+    w^k - w^-k to w^(ak) - w^(-ak) = (-1)^(tk) (w^(mk) - w^(-mk)), as
+    w^(n+1) = -1, so eps_k = b(m, km) b(1, k) (-1)^(tk).
+    """
+    def b(m, j):
+        return 1 if (j % (2 * (n + 1)) < n + 1) == (2 * m < n + 1) else -1
+
+    t = 0 if m_root % 2 else 1
+    return [1] + [b(m_root, k * m_root) * b(1, k) * (-1) ** (t * k)
+                  for k in range(1, n + 1)]
+
+
+def character_scan(n: int) -> list:
+    """The status `isocheck.conjecture_scan(n)` gives each primitive root,
+    predicted in O(n^2) sign arithmetic: "pass" exactly when
+    `branch_signs` is a +-1 character of Z/(n+1), eps_(k + k') =
+    eps_k eps_k' for all k and k' mod n+1.
+
+    The difference of pair (i, j) at m_root is the transport of the one at
+    m_root = 1, which passes, plus Phi^T C Phi, C_kk' the Chen-Ruan term of
+    e_k e_k', which lies in the one part p = k + k' mod n+1, times
+    eps_p eps_k eps_k' - 1.  Phi is invertible, so the check passes exactly
+    when every such weight is zero.
+    """
+    statuses = []
+    for m in range(1, n + 1):
+        if math.gcd(m, n + 1) != 1:
+            continue
+        eps = branch_signs(n, m)
+        character = all(eps[(k + kk) % (n + 1)] == eps[k] * eps[kk]
+                        for k in range(n + 1) for kk in range(n + 1))
+        statuses.append("pass" if character else "fail")
+    return statuses
+

@@ -50,6 +50,16 @@ USAGE_ERRORS = [
     ["mckay"],
 ]
 
+# usage errors pinned with their whole message: the q-point of a table
+USAGE_MESSAGES = [
+    (["table", "qc", "--n", "2", "--q", "e:1/3"],
+     "Error: expected 2 q-values, got 1\n"),
+    (["table", "qc", "--n", "1", "--q", "e:1/0"],
+     "Error: bad q literal 'e:1/0': k must be >= 1\n"),
+    (["table", "cr", "--n", "2", "--q", "e:1/3"],
+     "Error: --q only applies to the qc table\n"),
+]
+
 
 def _ids(cases):
     return [" ".join(argv) or "(none)" for argv in cases]
@@ -75,6 +85,13 @@ def test_a_usage_error(argv):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.splitlines()[-1].startswith("Error: ")
+
+
+@pytest.mark.parametrize("argv, stderr", USAGE_MESSAGES,
+                         ids=_ids(argv for argv, _ in USAGE_MESSAGES))
+def test_a_usage_error_and_its_message(argv, stderr):
+    result = CliRunner().invoke(main, argv)
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", stderr)
 
 
 def test_a_rank_below_one_names_itself():

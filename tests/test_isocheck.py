@@ -8,15 +8,15 @@ import pytest
 from clirunner import CliRunner
 
 from crepant import isocheck
-from crepant.cli import main
+from crepant.cli import MAX_SCAN_RANK, main
 from crepant.coeffring import BaseScalar
 from crepant.exactnum import (Cyclotomic, imaginary_unit, root_of_unity,
                               sqrt_rational)
 from crepant.isocheck import (RankMismatch, _galois_signs, conjecture_scan,
                               solve_a1, solve_a2, transport_check)
 from crepant.mckay import LinearMap, bgp_map, chtd_map
-from crepant.ringtables import (ExcClass, ProductTable, cr_table, qc_eval,
-                                qc_table)
+from crepant.ringtables import (ExcClass, ProductTable, QCoeff, cr_table,
+                                qc_eval, qc_table)
 
 import oracles
 from oracles import conjecture_scan_every_root, identity_map
@@ -378,13 +378,12 @@ def _first_difference(text, reference):
             return number, *pair
 
 
-def _perturbed(evaluate):
-    """qc_eval plus fixed rationals in a few entries, s parts included, so
-    that bgp_map(n, 1) fails at every root."""
-    def perturbed(table, q):
-        source = evaluate(table, q)
-        n = source.n
-        entries = {key: source.entry(*key) for key in source.pairs()}
+def _perturbed(build):
+    """qc_table plus fixed rationals in a few entries' cup parts, s parts
+    included, so that bgp_map(n, 1) fails at every root."""
+    def perturbed(n):
+        table = build(n)
+        entries = {key: table.entry(*key) for key in table.pairs()}
         one = BaseScalar.one(n)
         shifts = {(1, 1): (Fraction(1, 7), [(0, one.scale(Fraction(2, 3)))]),
                   (1, 2): (0, [(1, BaseScalar.L(n).scale(Fraction(-3, 5)))]),
@@ -394,23 +393,31 @@ def _perturbed(evaluate):
             entry = entries[key]
             e = list(entry.e)
             for l, shift in es:
-                e[l] = e[l] + shift
+                e[l] = QCoeff(e[l].cup + shift, e[l].corr)
             entries[key] = ExcClass(n, entry.s + s, tuple(e))
-        return ProductTable(n, source.kind, entries, source.q)
+        return ProductTable(n, table.kind, entries)
     return perturbed
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_the_transport_of_a_failing_check_is_the_check_at_every_root(
         monkeypatch, n):
-    perturbed = _perturbed(qc_eval)
-    monkeypatch.setattr(isocheck, "qc_eval", perturbed)
-    monkeypatch.setattr(oracles, "qc_eval", perturbed)
+    perturbed = _perturbed(qc_table)
+    monkeypatch.setattr(isocheck, "qc_table", perturbed)
+    monkeypatch.setattr(oracles, "qc_table", perturbed)
     scan = conjecture_scan(n)
     assert scan[0].status == "fail"
     assert scan[0].report.entries[0].diff.s.terms   # the s part is off too
     assert _first_difference(_scan_json(conjecture_scan, n),
                              _scan_json(conjecture_scan_every_root, n)) is None
+
+
+def test_the_scan_passes_exactly_where_the_branch_signs_are_a_character():
+    # the closed-form rule of `oracles.character_scan`, in sign arithmetic,
+    # at every rank the scan command accepts
+    for n in range(1, MAX_SCAN_RANK + 1):
+        assert [r.status for r in conjecture_scan(n)] == \
+            oracles.character_scan(n), n
 
 
 @pytest.mark.parametrize("n, reductions", [(4, 12), (6, 89), (10, 941)])

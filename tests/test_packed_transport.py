@@ -53,9 +53,10 @@ def _slot_by_slot(lmap, source):
         return transport_check(lmap, source)
 
 
-def _route(lmap, source, packing=isocheck._packing):
+def _route(lmap, source, *deltas, packing=isocheck._packing):
     """Whether clauses (a) and (b) hold, seen as the operands being packed,
-    and whether the check runs packed."""
+    and whether the check runs packed; a symbolic source comes with its
+    delta values."""
     packs = []
     original = Kronecker.pack
 
@@ -65,7 +66,7 @@ def _route(lmap, source, packing=isocheck._packing):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Kronecker, "pack", spy)
-        kr = packing(lmap, source, cr_table(source.n))
+        kr = packing(lmap, source, cr_table(source.n), *deltas)
     return bool(packs), kr is not None
 
 
@@ -363,9 +364,9 @@ def _packing_spy(monkeypatch):
     routes = []
     original = isocheck._packing
 
-    def spy(lmap, source, crt):
-        routes.append(_route(lmap, source, packing=original))
-        return original(lmap, source, crt)
+    def spy(lmap, source, crt, *deltas):
+        routes.append(_route(lmap, source, *deltas, packing=original))
+        return original(lmap, source, crt, *deltas)
 
     monkeypatch.setattr(isocheck, "_packing", spy)
     return routes
@@ -593,3 +594,132 @@ def test_a_prefix_that_cancels_mid_sum_restarts_at_the_next_term():
     (check,) = [e for e in report.entries if (e.i, e.j) == (1, 2)]
     assert check.diff.s == 1 - y / 4
     assert {c.conductor for c in check.diff.s.terms.values()} == {3}
+
+
+# -- the symbolic table at a point: the fused kernel against qc_eval ---------
+
+
+def _outcome(check):
+    """The report of a check and its bytes, or the pole it raised."""
+    try:
+        report = check()
+    except PoleError as exc:
+        return "pole", exc.index, exc.entry
+    return report, _bytes(report)
+
+
+def _fused_against_evaluated(lmap, n, q):
+    """`transport_check` of `qc_table(n)` at q against the check of the
+    table `qc_eval` evaluates there: equal records and equal bytes, or the
+    same pole.  Returns the outcome and whether the fused kernel ran."""
+    qct = qc_table(n)
+    fused = []
+    original = isocheck._class_sums
+
+    def spy(*args):
+        fused.append(args)
+        return original(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(isocheck, "_class_sums", spy)
+        outcome = _outcome(lambda: transport_check(lmap, qct, q))
+    assert outcome == _outcome(lambda: transport_check(lmap, qc_eval(qct, q)))
+    return outcome, bool(fused)
+
+
+SYMBOLIC = [3, 4, 5, 8, 12]
+
+
+def _in_field_point(n, conductor):
+    """Roots of unity of the subfields of Q(zeta_N), and rationals: -1 and 1
+    make poles, q_1 q_2 = 1 and q_1 = 1."""
+    root = st.sampled_from([d for d in [1, *SYMBOLIC] if conductor % d == 0]
+                           ).flatmap(lambda d: st.integers(0, d - 1).map(
+                               lambda j: root_of_unity(d, j)))
+    rational = st.sampled_from([-1, 1, 2, Fraction(1, 3)]).map(
+        Cyclotomic.from_rational)
+    return st.lists(st.one_of(root, rational), min_size=n, max_size=n)
+
+
+def _foreign_point(n, conductor):
+    """A point with one root of unity outside Q(zeta_N)."""
+    foreign = st.sampled_from([d for d in (5, 7, 9, 16) if conductor % d]
+                              ).flatmap(lambda d: st.integers(1, d - 1).map(
+                                  lambda j: root_of_unity(d, j)))
+    return st.tuples(_in_field_point(n, conductor), foreign,
+                     st.integers(0, n - 1)).map(
+        lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2] + 1:])
+
+
+def _one_conductor_map(n, conductor):
+    entry = st.one_of(_small(conductor), st.just(Cyclotomic.zero(1)))
+    return st.lists(st.lists(entry, min_size=n, max_size=n),
+                    min_size=n, max_size=n).map(
+        lambda rows: LinearMap(n, tuple(map(tuple, rows))))
+
+
+ONE_CONDUCTOR = st.tuples(st.integers(1, 4), st.sampled_from(SYMBOLIC)
+                          ).flatmap(lambda nc: st.tuples(
+                              _one_conductor_map(*nc),
+                              st.just(nc[0]), _in_field_point(*nc)))
+FOREIGN_POINT = st.tuples(st.integers(1, 4), st.sampled_from(SYMBOLIC)
+                          ).flatmap(lambda nc: st.tuples(
+                              _one_conductor_map(*nc),
+                              st.just(nc[0]), _foreign_point(*nc)))
+MIXED_POINT = st.integers(2, 3).flatmap(lambda n: st.tuples(
+    _mixed_map(n).filter(lambda lmap: len(
+        {c.conductor for row in lmap.matrix for c in row if c}) > 1),
+    st.just(n), _in_field_point(n, 12)))
+CHTD = st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(chtd_map(n)), st.just(n),
+    st.sampled_from([n + 1, 4 * (n + 1), 5]).flatmap(
+        lambda d: st.lists(st.integers(1, d - 1).map(
+            lambda j: root_of_unity(d, j)), min_size=n, max_size=n))))
+
+
+@pytest.mark.parametrize("cases,packs,reached,examples", [
+    # the kernel runs fused wherever the map and the point share its field
+    (ONE_CONDUCTOR, True, {True, "pole"}, 40),
+    (FOREIGN_POINT, False, {False, "pole"}, 25),
+    (MIXED_POINT, False, {False, "pole"}, 10),
+    # chtd_map(n) lies in Q(zeta_{n+1}): in the field of some points only
+    (CHTD, None, {True, False}, 15),
+], ids=["one-conductor", "foreign-point", "mixed-conductors", "chtd"])
+def test_the_symbolic_table_at_a_point_checks_as_its_evaluation(
+        cases, packs, reached, examples):
+    seen = set()
+
+    @settings(max_examples=examples, deadline=None, derandomize=True,
+              database=None)
+    @given(case=cases)
+    def check(case):
+        lmap, n, q = case
+        outcome, fused = _fused_against_evaluated(lmap, n, q)
+        pole = outcome[0] == "pole"
+        seen.add("pole" if pole else fused)
+        if packs is not None and not pole and any(
+                not c.is_zero() for row in lmap.matrix for c in row):
+            assert fused == packs
+
+    check()
+    assert reached <= seen
+
+
+@pytest.mark.parametrize("n,q,index,entry", [
+    (1, [1], (1, 1), (1, 1)),
+    (2, [-1, -1], (1, 2), (1, 1)),
+    (3, [2, Fraction(1, 2), 5], (1, 2), (1, 1)),
+    (4, [3, 5, Fraction(1, 5), 7], (2, 3), (1, 1)),
+])
+def test_a_pole_of_the_symbolic_check_is_qc_evals(n, q, index, entry):
+    # the pole is found before any sum, for any map of the rank
+    q = [Cyclotomic.from_rational(x) for x in q]
+    for lmap in (bgp_map(n, 1), chtd_map(n)):
+        outcome, fused = _fused_against_evaluated(lmap, n, q)
+        assert outcome == ("pole", index, entry) and not fused
+
+
+def test_a_point_needs_a_symbolic_table():
+    source = qc_eval(qc_table(2), [root_of_unity(3, 1)] * 2)
+    with pytest.raises(ValueError, match="symbolic"):
+        transport_check(bgp_map(2, 1), source, [root_of_unity(3, 1)] * 2)
