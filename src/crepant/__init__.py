@@ -7,7 +7,7 @@ no floating point anywhere in the mathematical path.
 
 `import crepant` is cheap: it loads no submodule.  Each public name below is
 imported from its module on first use (PEP 562) and then bound here, so
-`crepant.cr_table is crepant.ringtables.cr_table`, and a `crepant` command
+`crepant.cr_table is crepant.tables.cr_table`, and a `crepant` command
 loads only the modules it runs.
 """
 
@@ -19,14 +19,14 @@ _SOURCES = {
     "exactnum": ("Cyclotomic", "InvalidRoot", "branch_sqrt",
                  "cyclotomic_polynomial", "imaginary_unit", "root_of_unity",
                  "sqrt_rational"),
-    "isocheck": ("RankMismatch", "TransportReport", "conjecture_scan",
-                 "solve_a1", "solve_a2", "transport_check"),
-    "mckay": ("LinearMap", "McKayGraph", "ade_resolution_graph", "an_mckay",
-              "aut_gamma", "bgp_map", "chtd_map"),
+    "isocheck": ("conjecture_scan", "solve_a1", "solve_a2"),
+    "maps": ("LinearMap", "bgp_map", "chtd_map"),
+    "mckay": ("McKayGraph", "ade_resolution_graph", "an_mckay", "aut_gamma"),
     "resolve": ("ChartSurface", "NotSingular", "ResolutionGraph",
                 "blowup_step", "resolve_an"),
-    "ringtables": ("ExcClass", "ProductTable", "beta_pairing", "cr_table",
-                   "cup_table", "qc_eval", "qc_table"),
+    "tables": ("ExcClass", "ProductTable", "beta_pairing", "cr_table",
+               "cup_table", "qc_eval", "qc_table"),
+    "transport": ("RankMismatch", "TransportReport", "transport_check"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items()
               for name in names}

@@ -23,9 +23,14 @@ Every command starts a fresh interpreter, which compiles each module it
 imports unless the module's bytecode was written beforehand.  So a command
 loads only the modules it runs: each `cmd_*` imports what it calls in its
 own body, and `import crepant.cli` loads no library module and not `json`,
-which only the code that reads or prints JSON imports.  `resolve` loads
-`resolve` and `record` alone, `mckay` loads `resolve` only with
-`--compare-resolution`, and `table` loads neither `isocheck` nor `mckay`.
+which only the code that reads or prints JSON imports.  The modules are cut
+along the commands, so that a command compiles little code it does not
+run: `verify` loads the tables (`tables`), the maps (`maps`) and the check
+(`transport`), and none of the solvers and the scan (`isocheck`), the
+emitters and the JSON reader (`ringtables`) and the McKay graphs (`mckay`).
+`resolve` loads `resolve` and `record` alone, `mckay` loads `resolve` only
+with `--compare-resolution`, and `table` loads none of `transport`, `maps`,
+`isocheck` and `mckay`.
 """
 
 from __future__ import annotations
@@ -207,9 +212,9 @@ def _command(*params):
 def cmd_table(kind, rank, qspec, fmt, check_roundtrip):
     """Print one product table (qc is symbolic unless --q is given)."""
     from .corrections import PoleError
-    from .ringtables import (cr_table, cup_table, qc_eval, qc_table,
-                             table_from_json, table_to_json, table_to_latex,
+    from .ringtables import (table_from_json, table_to_json, table_to_latex,
                              table_to_text)
+    from .tables import cr_table, cup_table, qc_eval, qc_table
 
     _bound_rank("table", rank, MAX_TABLE_RANK)
     if qspec is not None and kind != "qc":
@@ -242,7 +247,7 @@ def cmd_table(kind, rank, qspec, fmt, check_roundtrip):
 
 
 def _load_map(source: str, rank: int) -> LinearMap:
-    from .mckay import LinearMap, bgp_map, chtd_map
+    from .maps import LinearMap, bgp_map, chtd_map
 
     if source == "chtd":
         return chtd_map(rank)
@@ -334,8 +339,8 @@ def cmd_verify(rank, map_source, qspec, fmt):
     Exit 0 iff the map carries the quantum product at q into the orbifold
     product."""
     from .corrections import PoleError
-    from .isocheck import RankMismatch, transport_check
-    from .ringtables import qc_table
+    from .tables import qc_table
+    from .transport import RankMismatch, transport_check
 
     _bound_rank("verify", rank, MAX_VERIFY_RANK)
     lmap = _load_map(map_source, rank)
@@ -391,8 +396,6 @@ def cmd_scan(rank, fmt):
         if r.status == "fail":
             bad = ",".join(f"({e.i},{e.j})" for e in r.report.failures())
             line += f" at entries {bad}"
-        elif r.status == "pole":
-            line += f" ({r.pole})"
         print(line)
     return 0
 

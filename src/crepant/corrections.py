@@ -12,7 +12,7 @@ Each weight is a product of intersection numbers E_i.beta, so an integer,
 and there is no constant term: every correction vanishes as q -> 0.
 The delta functions are linearly independent, and their values are exact;
 a point where some q_mu ... q_nu = 1 is a genuine pole of the family and
-raises PoleError.  `ringtables.qc_eval` sums the corrections at a point.
+raises PoleError.  `tables.qc_eval` sums the corrections at a point.
 """
 
 from __future__ import annotations
@@ -144,16 +144,23 @@ def _interval_product(idx: DeltaIndex, q) -> Cyclotomic:
     return prod
 
 
+def _delta(idx: DeltaIndex, prod: Cyclotomic) -> Cyclotomic:
+    """delta_{mu nu} = prod/(1 - prod) from its product prod = q_mu...q_nu;
+    PoleError at prod = 1.  A zero product has a zero q entry, refused."""
+    if prod == 1:
+        raise PoleError(idx)
+    if prod.is_zero():
+        raise ValueError("q entries must be nonzero")
+    return prod / (1 - prod)
+
+
 def delta_eval(idx: DeltaIndex, q) -> Cyclotomic:
     """delta_{mu nu} at a point: (q_mu...q_nu)/(1 - q_mu...q_nu), exact.
 
     The q entries must be nonzero; PoleError signals q_mu...q_nu = 1.
     """
     idx = DeltaIndex(*idx)
-    prod = _interval_product(idx, q)
-    if prod == 1:
-        raise PoleError(idx)
-    return prod / (1 - prod)
+    return _delta(idx, _interval_product(idx, q))
 
 
 def cache_deltas(f: CorrectionFunction, q, deltas: dict) -> None:
@@ -164,16 +171,17 @@ def cache_deltas(f: CorrectionFunction, q, deltas: dict) -> None:
     (q_mu...q_{nu-1}) q_nu when the shorter product is already there: one
     field product per index.  Under the index, and under the normal form
     (conductor, numerators, denominator) of its product, it holds the delta
-    value, so each distinct product costs one `delta_eval` and indices with
-    equal products share its value.  Products of equal field value but
-    different conductors stay apart, so every value keeps the conductor its
-    own `delta_eval` would give it; a running product has the lcm of its
-    factors' conductors, as `_interval_product`'s has.  The deltas are
-    visited in index order, so the first pole met is the one a term-by-term
-    evaluation of f would raise; a zero q entry makes a zero product, which
-    `delta_eval` refuses at the same index.  When every index of f is
-    cached already, which at one point is most corrections after the first
-    few, it returns at once: the walk would find nothing to do.
+    value, computed from that product (`_delta`), so each distinct product
+    costs one division and indices with equal products share its value.
+    Products of equal field value but different conductors stay apart, so
+    every value keeps the conductor `delta_eval` would give it; a running
+    product has the lcm of its factors' conductors, as `_interval_product`'s
+    has.  The deltas are visited in index order, so the first pole met is
+    the one a term-by-term evaluation of f would raise; a zero q entry makes
+    a zero product, which `_delta` refuses at the same index, as
+    `delta_eval` does.  When every index of f is cached already, which at
+    one point is most corrections after the first few, it returns at once:
+    the walk would find nothing to do.
     """
     if len(q) != f.n:
         raise ValueError(f"expected {f.n} q-values, got {len(q)}")
@@ -188,5 +196,5 @@ def cache_deltas(f: CorrectionFunction, q, deltas: dict) -> None:
             key = (prod.conductor, prod._num, prod._den)
             delta = deltas.get(key)
             if delta is None:
-                delta = deltas[key] = delta_eval(idx, q)
+                delta = deltas[key] = _delta(idx, prod)
             deltas[idx] = delta

@@ -17,12 +17,13 @@ from crepant.corrections import (CorrectionFunction, DeltaIndex, PoleError,
                                  cache_deltas)
 from crepant.exactnum import (Cyclotomic, InvalidRoot, cyclotomic_polynomial,
                               euler_phi, imaginary_unit, root_of_unity)
-from crepant.isocheck import (EntryCheck, RootScan, TransportReport,
-                              transport_check)
-from crepant.mckay import LinearMap, McKayGraph, bgp_map
-from crepant.ringtables import (KIND_CUP, KIND_QUANTUM, ExcClass,
-                                ProductTable, QCoeff, beta_pairing, cr_table,
-                                cup_table, qc_eval, qc_table)
+from crepant.isocheck import RootScan
+from crepant.maps import LinearMap, bgp_map
+from crepant.mckay import McKayGraph
+from crepant.tables import (KIND_CUP, KIND_QUANTUM, ExcClass, ProductTable,
+                            QCoeff, beta_pairing, cr_table, cup_table, qc_eval,
+                            qc_table)
+from crepant.transport import EntryCheck, TransportReport, transport_check
 
 # -- Gauss-Jordan elimination ------------------------------------------------
 
@@ -653,7 +654,7 @@ def _pair_through_table(lmap: LinearMap, i: int, j: int,
 
 def slot_by_slot_transport(lmap: LinearMap,
                            source: ProductTable) -> TransportReport:
-    """`isocheck.transport_check` with every sum written out: one field
+    """`transport.transport_check` with every sum written out: one field
     product and one `accumulate` per term, in (k, k') order, then the two
     sides subtracted, whatever the conductors of the map and the source.
     Both routes of the check must print its bytes."""

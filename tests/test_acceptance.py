@@ -20,10 +20,12 @@ from crepant.coeffring import BaseScalar
 from crepant.corrections import CorrectionFunction, DeltaIndex, PoleError
 from crepant.exactnum import (Cyclotomic, branch_sqrt, imaginary_unit,
                               root_of_unity, sqrt_rational)
-from crepant.isocheck import conjecture_scan, solve_a2, transport_check
-from crepant.mckay import LinearMap, an_mckay, bgp_map, chtd_map
+from crepant.isocheck import conjecture_scan, solve_a2
+from crepant.maps import LinearMap, bgp_map, chtd_map
+from crepant.mckay import an_mckay
 from crepant.resolve import resolve_an
-from crepant.ringtables import cr_table, cup_table, qc_eval, qc_table
+from crepant.tables import cr_table, cup_table, qc_eval, qc_table
+from crepant.transport import transport_check
 
 from oracles import (cartan_build, degrees, is_homogeneous, strip_corrections,
                      substitute)

@@ -140,7 +140,7 @@ def test_verify_pole_exit(runner):
 
 
 def test_verify_map_from_file(runner, tmp_path):
-    from crepant.mckay import bgp_map
+    from crepant.maps import bgp_map
 
     path = tmp_path / "map.json"
     path.write_text(json.dumps(bgp_map(2, 1).to_json()))
@@ -232,7 +232,8 @@ def test_resolve_command(runner):
 
 def test_qc_table_evaluated_via_cli_matches_library(runner):
     from crepant.exactnum import root_of_unity
-    from crepant.ringtables import qc_eval, qc_table, table_from_json
+    from crepant.ringtables import table_from_json
+    from crepant.tables import qc_eval, qc_table
 
     result = runner.invoke(main, ["table", "qc", "--n", "2",
                                   "--q", "e:1/3,e:1/3", "--format", "json"])
@@ -267,7 +268,7 @@ def test_library_input_errors_are_one_line_usage_errors(runner, argv):
         "bare-coefficient", "huge-conductor"])
 def test_malformed_map_file_is_a_usage_error(runner, tmp_path, rank,
                                              content):
-    from crepant.mckay import bgp_map
+    from crepant.maps import bgp_map
 
     path = tmp_path / "map.json"
     path.write_text(content or json.dumps(bgp_map(2, 1).to_json()))
@@ -324,13 +325,13 @@ def test_qpoint_field_degree_is_bounded(runner):
 
 def test_wrong_rank_map_is_refused_before_evaluation(runner, tmp_path,
                                                      monkeypatch):
-    from crepant import ringtables
-    from crepant.mckay import bgp_map
+    from crepant import tables
+    from crepant.maps import bgp_map
 
     def no_eval(*args):
         raise AssertionError("qc_eval called for a map of the wrong rank")
 
-    monkeypatch.setattr(ringtables, "qc_eval", no_eval)
+    monkeypatch.setattr(tables, "qc_eval", no_eval)
     path = tmp_path / "map.json"
     path.write_text(json.dumps(bgp_map(2, 1).to_json()))
     result = runner.invoke(main, ["verify", "--n", "3", "--map", str(path),
@@ -353,15 +354,15 @@ RANKED_IDS = [command for command, _, _ in RANKED_COMMANDS]
 def _forbid_work(monkeypatch, message):
     """Make every function that does a command's work raise, patched in the
     module that defines it: each command imports it from there when run."""
-    from crepant import cli, isocheck, mckay, resolve, ringtables
+    from crepant import cli, isocheck, maps, mckay, resolve, tables
 
     def no_work(*args, **kwargs):
         raise AssertionError(message)
 
     for module, names in (
-            (ringtables, ("cr_table", "cup_table", "qc_table", "qc_eval")),
-            (mckay, ("bgp_map", "chtd_map", "an_mckay",
-                     "ade_resolution_graph")),
+            (tables, ("cr_table", "cup_table", "qc_table", "qc_eval")),
+            (maps, ("bgp_map", "chtd_map")),
+            (mckay, ("an_mckay", "ade_resolution_graph")),
             (resolve, ("resolve_an",)), (isocheck, ("conjecture_scan",)),
             (cli, ("_parse_qpoint",))):
         for name in names:
@@ -437,13 +438,13 @@ def _diagonal_map_file(tmp_path, conductors):
 def test_map_file_field_degree_is_bounded(runner, tmp_path, monkeypatch,
                                           conductors, q, field):
     import crepant.cli as cli
-    from crepant import ringtables
+    from crepant import tables
 
     def no_build(*args):
         raise AssertionError("a table was built for a map past the bound")
 
     for name in ("cr_table", "qc_table", "qc_eval"):
-        monkeypatch.setattr(ringtables, name, no_build)
+        monkeypatch.setattr(tables, name, no_build)
     result = runner.invoke(main, ["verify", "--n", str(len(conductors)),
                                   "--map", _diagonal_map_file(tmp_path,
                                                               conductors),
@@ -461,9 +462,9 @@ def test_map_file_field_degree_is_bounded(runner, tmp_path, monkeypatch,
 
 def test_mixed_map_file_within_the_field_bound_verifies(runner, tmp_path):
     from crepant.exactnum import root_of_unity
-    from crepant.isocheck import transport_check
-    from crepant.mckay import LinearMap
-    from crepant.ringtables import qc_eval, qc_table
+    from crepant.maps import LinearMap
+    from crepant.tables import qc_eval, qc_table
+    from crepant.transport import transport_check
 
     # lcm(12, 3, 5, 7) = 420, phi = 96
     path = _diagonal_map_file(tmp_path, [5, 7])
@@ -538,7 +539,7 @@ def test_a_map_integer_too_long_to_read_is_named_with_its_digits(
 def test_a_map_coordinate_at_the_digit_cap_verifies(runner, tmp_path,
                                                     quote):
     from crepant.exactnum import Cyclotomic
-    from crepant.mckay import LinearMap
+    from crepant.maps import LinearMap
 
     wide = "9" * MAX_MAP_DIGITS
     coordinate = (f'"-{wide}/{wide[:-1]}8"' if quote
@@ -560,7 +561,7 @@ def test_the_widest_rank_12_map_verifies_and_prints(runner, tmp_path):
     import random
     from fractions import Fraction
 
-    from crepant.mckay import LinearMap, bgp_map
+    from crepant.maps import LinearMap, bgp_map
 
     # bgp:1 with each entry times a distinct rational whose numerator and
     # denominator have MAX_MAP_DIGITS digits (bgp:1's coordinates are at

@@ -9,8 +9,8 @@ from crepant.corrections import (CorrectionFunction, DeltaIndex, PoleError,
                                  cache_deltas, delta_eval)
 from crepant.coeffring import BaseScalar
 from crepant.exactnum import Cyclotomic, root_of_unity
-from crepant.ringtables import (KIND_QUANTUM, ExcClass, ProductTable, QCoeff,
-                                qc_eval, qc_table)
+from crepant.tables import (KIND_QUANTUM, ExcClass, ProductTable, QCoeff,
+                            qc_eval, qc_table)
 
 from oracles import cartan_build, correction_eval
 from oracles import row_sum_pairing as beta_pairing
@@ -111,12 +111,13 @@ def test_correction_eval_reads_and_fills_the_delta_cache(monkeypatch):
     import crepant.corrections as corrections
 
     calls = []
+    original = corrections._delta
 
-    def counting(idx, q):
+    def counting(idx, prod):
         calls.append(idx)
-        return delta_eval(idx, q)
+        return original(idx, prod)
 
-    monkeypatch.setattr(corrections, "delta_eval", counting)
+    monkeypatch.setattr(corrections, "_delta", counting)
     z3 = root_of_unity(3, 1)
     f = CorrectionFunction(2, {DeltaIndex(1, 1): 1, DeltaIndex(1, 2): 1})
     g = CorrectionFunction(2, {DeltaIndex(1, 2): 2, DeltaIndex(2, 2): 1})
@@ -245,28 +246,28 @@ def test_cache_deltas_forms_one_product_per_index_at_equal_q(
     table, deltas = qc_table(n), {}
     q = [root_of_unity(4 * (n + 1), 4)] * n
     products, calls, inside = [], [], []
-    multiply, evaluate = Cyclotomic.__mul__, corrections.delta_eval
+    multiply, evaluate = Cyclotomic.__mul__, corrections._delta
 
     def counting_mul(a, b):
-        if not inside:                  # not one of delta_eval's own
+        if not inside:                  # not one of _delta's own
             products.append((a, b))
         return multiply(a, b)
 
-    def counting_delta(idx, q):
+    def counting_delta(idx, prod):
         calls.append(idx)
         inside.append(idx)
         try:
-            return evaluate(idx, q)
+            return evaluate(idx, prod)
         finally:
             inside.pop()
 
     monkeypatch.setattr(Cyclotomic, "__mul__", counting_mul)
-    monkeypatch.setattr(corrections, "delta_eval", counting_delta)
+    monkeypatch.setattr(corrections, "_delta", counting_delta)
     for key in table.pairs():
         for coeff in table.entry(*key).e:
             cache_deltas(coeff.corr, q, deltas)
     assert len(products) <= n * (n + 1) // 2
-    # one delta_eval per distinct product q^1, ..., q^n
+    # one _delta per distinct product q^1, ..., q^n
     assert len(calls) == n
 
 

@@ -12,11 +12,11 @@ from crepant.cli import MAX_SCAN_RANK, main
 from crepant.coeffring import BaseScalar
 from crepant.exactnum import (Cyclotomic, imaginary_unit, root_of_unity,
                               sqrt_rational)
-from crepant.isocheck import (RankMismatch, _galois_signs, conjecture_scan,
-                              solve_a1, solve_a2, transport_check)
-from crepant.mckay import LinearMap, bgp_map, chtd_map
-from crepant.ringtables import (ExcClass, ProductTable, QCoeff, cr_table,
-                                qc_eval, qc_table)
+from crepant.isocheck import _galois_signs, conjecture_scan, solve_a1, solve_a2
+from crepant.maps import LinearMap, bgp_map, chtd_map
+from crepant.tables import (ExcClass, ProductTable, QCoeff, cr_table, qc_eval,
+                            qc_table)
+from crepant.transport import RankMismatch, transport_check
 
 import oracles
 from oracles import conjecture_scan_every_root, identity_map

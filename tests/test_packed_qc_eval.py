@@ -15,13 +15,14 @@ from fractions import Fraction
 
 import pytest
 
-from crepant import isocheck
+from crepant import transport
 from crepant.coeffring import BaseScalar
 from crepant.corrections import PoleError
 from crepant.exactnum import Cyclotomic, Kronecker, root_of_unity
-from crepant.mckay import LinearMap
-from crepant.ringtables import (KIND_QUANTUM_AT, ExcClass, ProductTable,
-                                cr_table, qc_eval, qc_table, table_to_json)
+from crepant.maps import LinearMap
+from crepant.ringtables import table_to_json
+from crepant.tables import (KIND_QUANTUM_AT, ExcClass, ProductTable, cr_table,
+                            qc_eval, qc_table)
 
 from oracles import qcoeff_eval
 
@@ -174,7 +175,7 @@ def test_a_product_of_wide_and_narrow_groups_is_still_refused():
                                  for k in range(rank)))
     assert {c.conductor for row in lmap.matrix for c in row} == {5}
     source = qc_eval(qc_table(rank), [root_of_unity(5, 1)] * rank)
-    assert isocheck._packing(lmap, source, cr_table(rank)) is None
+    assert transport._packing(lmap, source, cr_table(rank)) is None
 
 
 def test_repeated_values_share_one_int_and_count_in_the_mean_width(

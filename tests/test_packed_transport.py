@@ -3,7 +3,7 @@
 `transport_check` runs Kronecker-packed sums when the map's nonzero entries
 share one conductor N, the source's basis coefficients lie in subfields of
 Q(zeta_N) and the packing is not far wider than the typical operand
-(`isocheck._packing` decides); otherwise it sums slot by slot.  Both must
+(`transport._packing` decides); otherwise it sums slot by slot.  Both must
 give the same report, byte for byte, conductors included; the slot-by-slot
 path is the oracle for the kernel here, and `oracles.slot_by_slot_transport`,
 every sum written out term by term, the oracle for both on maps of mixed
@@ -24,17 +24,18 @@ from hypothesis import strategies as st  # noqa: E402
 
 from clirunner import CliRunner  # noqa: E402
 
-from crepant import isocheck  # noqa: E402
+from crepant import transport  # noqa: E402
 from crepant.cli import main  # noqa: E402
 from crepant.coeffring import BaseScalar  # noqa: E402
 from crepant.corrections import PoleError  # noqa: E402
 from crepant.exactnum import (Cyclotomic, Kronecker,  # noqa: E402
                               euler_phi, imaginary_unit, root_of_unity)
-from crepant.isocheck import conjecture_scan, transport_check  # noqa: E402
-from crepant.mckay import LinearMap, bgp_map, chtd_map  # noqa: E402
-from crepant.ringtables import (KIND_QUANTUM_AT, ExcClass,  # noqa: E402
-                                ProductTable, cr_table, cup_table, qc_eval,
-                                qc_table)
+from crepant.isocheck import conjecture_scan  # noqa: E402
+from crepant.maps import LinearMap, bgp_map, chtd_map  # noqa: E402
+from crepant.tables import (KIND_QUANTUM_AT, ExcClass,  # noqa: E402
+                            ProductTable, cr_table, cup_table, qc_eval,
+                            qc_table)
+from crepant.transport import transport_check  # noqa: E402
 
 from oracles import (delta_system, slot_by_slot_transport,  # noqa: E402
                      strip_corrections)
@@ -49,11 +50,11 @@ def _bytes(report) -> str:
 
 def _slot_by_slot(lmap, source):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(isocheck, "_packing", lambda *args: None)
+        mp.setattr(transport, "_packing", lambda *args: None)
         return transport_check(lmap, source)
 
 
-def _route(lmap, source, *deltas, packing=isocheck._packing):
+def _route(lmap, source, *deltas, packing=transport._packing):
     """Whether clauses (a) and (b) hold, seen as the operands being packed,
     and whether the check runs packed; a symbolic source comes with its
     delta values."""
@@ -71,7 +72,7 @@ def _route(lmap, source, *deltas, packing=isocheck._packing):
 
 
 def _assert_kernel_matches(lmap, source):
-    assert isocheck._packing(lmap, source, cr_table(source.n)) is not None
+    assert transport._packing(lmap, source, cr_table(source.n)) is not None
     packed = transport_check(lmap, source)
     slow = _slot_by_slot(lmap, source)
     assert _bytes(packed) == _bytes(slow)
@@ -362,13 +363,13 @@ def _packing_spy(monkeypatch):
     """Record, per transport check, whether clauses (a) and (b) held and
     whether it ran packed."""
     routes = []
-    original = isocheck._packing
+    original = transport._packing
 
     def spy(lmap, source, crt, *deltas):
         routes.append(_route(lmap, source, *deltas, packing=original))
         return original(lmap, source, crt, *deltas)
 
-    monkeypatch.setattr(isocheck, "_packing", spy)
+    monkeypatch.setattr(transport, "_packing", spy)
     return routes
 
 
@@ -614,14 +615,14 @@ def _fused_against_evaluated(lmap, n, q):
     same pole.  Returns the outcome and whether the fused kernel ran."""
     qct = qc_table(n)
     fused = []
-    original = isocheck._class_sums
+    original = transport._class_sums
 
     def spy(*args):
         fused.append(args)
         return original(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(isocheck, "_class_sums", spy)
+        mp.setattr(transport, "_class_sums", spy)
         outcome = _outcome(lambda: transport_check(lmap, qct, q))
     assert outcome == _outcome(lambda: transport_check(lmap, qc_eval(qct, q)))
     return outcome, bool(fused)

@@ -15,19 +15,20 @@ import pytest
 
 from crepant.corrections import DeltaIndex, PoleError
 from crepant.exactnum import Cyclotomic, root_of_unity
-from crepant.isocheck import (EntryCheck, RootScan, TransportReport,
-                              conjecture_scan)
-from crepant.mckay import LinearMap, McKayGraph, an_mckay, bgp_map
+from crepant.isocheck import RootScan, conjecture_scan
+from crepant.maps import LinearMap, bgp_map
+from crepant.mckay import McKayGraph, an_mckay
 from crepant.record import Record
 from crepant.resolve import (BlowupResult, ChartSurface, ResolutionGraph,
                              blowup_step, resolve_an)
-from crepant.ringtables import (ExcClass, QCoeff, cr_table, cup_table,
-                                qc_eval, qc_table)
+from crepant.tables import (ExcClass, QCoeff, cr_table, cup_table, qc_eval,
+                            qc_table)
+from crepant.transport import EntryCheck, TransportReport
 
 FIELDS = {
     EntryCheck: ("i", "j", "diff"),
     TransportReport: ("n", "q", "map_matrix", "entries"),
-    RootScan: ("m_root", "status", "report", "pole"),
+    RootScan: ("m_root", "status", "report"),
     ExcClass: ("n", "s", "e"),
     QCoeff: ("cup", "corr"),
     McKayGraph: ("group_label", "vertices", "adjacency", "reduced"),
@@ -71,9 +72,9 @@ def test_every_record_class_is_listed():
     assert set(Record.__subclasses__()) == set(FIELDS)
     for cls in RECORDS:
         assert cls.__slots__ == FIELDS[cls]
-    # only the classes with a default field have an __init__ of their own
+    # only the class with a default field has an __init__ of its own
     assert {cls for cls in RECORDS
-            if "__init__" in vars(cls)} == {RootScan, ChartSurface}
+            if "__init__" in vars(cls)} == {ChartSurface}
 
 
 def test_a_wrong_number_of_values_is_refused():
@@ -83,8 +84,7 @@ def test_a_wrong_number_of_values_is_refused():
         LinearMap(1, 2, 3)
 
 
-def test_the_two_defaults():
-    assert RootScan(1, "pass", None).pole is None
+def test_a_chart_surface_has_no_curves_by_default():
     assert ChartSurface("eq", "smooth").curves == ()
 
 
@@ -146,10 +146,6 @@ def test_repr_names_the_class_and_every_field(cls):
 # copy.deepcopy and pickle
 
 
-def _pole_scan():
-    return RootScan(1, "pole", None, PoleError(DeltaIndex(1, 2), entry=(1, 1)))
-
-
 VALUES = {
     "cr_table": lambda: cr_table(2),
     "cup_table": lambda: cup_table(2),
@@ -158,7 +154,6 @@ VALUES = {
     "cyclotomic": lambda: Cyclotomic.one(4),
     "scan": lambda: conjecture_scan(2),
     "scan4": lambda: conjecture_scan(4),
-    "pole_scan": _pole_scan,
     "bgp_map": lambda: bgp_map(3, 1),
     "an_mckay": lambda: an_mckay(4),
     "resolve_an": lambda: resolve_an(3),
@@ -170,22 +165,6 @@ def _pickled(value):
     return pickle.loads(pickle.dumps(value))
 
 
-def _rootscan_key(scan):
-    """A RootScan's fields with its pole as (index, entry): exceptions do
-    not compare by value."""
-    pole = scan.pole and (type(scan.pole), scan.pole.index, scan.pole.entry,
-                          str(scan.pole))
-    return scan.m_root, scan.status, scan.report, pole
-
-
-def _key(value):
-    if isinstance(value, RootScan):
-        return _rootscan_key(value)
-    if isinstance(value, list):
-        return [_key(v) for v in value]
-    return value
-
-
 @pytest.mark.parametrize("copier", [copy.deepcopy, _pickled],
                          ids=["deepcopy", "pickle"])
 @pytest.mark.parametrize("name", list(VALUES))
@@ -193,7 +172,7 @@ def test_values_survive_deepcopy_and_pickle(name, copier):
     value = VALUES[name]()
     copied = copier(value)
     assert type(copied) is type(value)
-    assert _key(copied) == _key(value)
+    assert copied == value
 
 
 @pytest.mark.parametrize("copier", [copy.deepcopy, _pickled],

@@ -7,10 +7,10 @@ from crepant.cli import MAX_TABLE_RANK
 from crepant.coeffring import BaseScalar
 from crepant.corrections import CorrectionFunction, DeltaIndex, PoleError
 from crepant.exactnum import Cyclotomic, root_of_unity
-from crepant.ringtables import (KIND_CUP, ExcClass, ProductTable, cr_table,
-                                cup_table, qc_eval, qc_table,
-                                table_from_json, table_to_json,
-                                table_to_latex, table_to_text)
+from crepant.ringtables import (table_from_json, table_to_json, table_to_latex,
+                                table_to_text)
+from crepant.tables import (KIND_CUP, ExcClass, ProductTable, cr_table,
+                            cup_table, qc_eval, qc_table)
 
 from oracles import (cartan_build, correction_eval, cr_associativity_report,
                      cup_table_by_scalars, degrees, is_homogeneous,
@@ -225,13 +225,13 @@ def test_qc_eval_computes_each_delta_once(monkeypatch, n, q):
     import crepant.corrections as corrections
 
     calls = []
-    original = corrections.delta_eval
+    original = corrections._delta
 
-    def counting(idx, point):
+    def counting(idx, prod):
         calls.append(tuple(idx))
-        return original(idx, point)
+        return original(idx, prod)
 
-    monkeypatch.setattr(corrections, "delta_eval", counting)
+    monkeypatch.setattr(corrections, "_delta", counting)
     qc_eval(qc_table(n), q)
     assert len(calls) == len(set(calls)) <= n * (n + 1) // 2
 
@@ -638,3 +638,11 @@ def test_json_output_is_deterministic():
     a = json.dumps(table_to_json(qc_table(2)), sort_keys=True)
     b = json.dumps(table_to_json(qc_table(2)), sort_keys=True)
     assert a == b
+
+
+def test_the_builders_are_bound_beside_the_emitters():
+    # callers that read a table's builders and its emitters from one module
+    from crepant import ringtables, tables
+
+    for name in ("cr_table", "cup_table", "qc_table", "qc_eval"):
+        assert getattr(ringtables, name) is getattr(tables, name)

@@ -8,7 +8,9 @@ neither `import crepant` nor `import crepant.cli` loads `dataclasses`,
 `inspect` (with `ast`, `dis` and `tokenize` behind it) or click.
 `import crepant` loads no submodule (each public name is imported on first
 use), `import crepant.cli` loads no library module and not `json`, and each
-command imports only what it uses.
+command imports only what it uses.  The modules are cut along the commands:
+`verify` loads the tables, the maps and the check, but not the solvers and
+the scan, the emitters or the McKay graphs.
 """
 
 import json
@@ -113,7 +115,7 @@ def test_resolve_loads_no_field_arithmetic():
 
 def test_verify_as_text_loads_neither_resolve_linalg_nor_json():
     after = command_modules("verify --n 2 --map bgp:1 --q e:1/3,e:1/3")
-    assert "crepant.isocheck" in after
+    assert "crepant.transport" in after
     assert not {"crepant.resolve", "crepant.linalg", "json"} & after
 
 
@@ -121,14 +123,51 @@ def test_solve_loads_the_modules_it_runs_and_no_other():
     after = command_modules("solve --n 2")
     assert {m for m in after if m.startswith("crepant")} == {
         "crepant", "crepant.cli", "crepant.coeffring", "crepant.corrections",
-        "crepant.exactnum", "crepant.isocheck", "crepant.mckay",
-        "crepant.record", "crepant.ringtables"}
+        "crepant.exactnum", "crepant.isocheck", "crepant.maps",
+        "crepant.record", "crepant.tables", "crepant.transport"}
 
 
 def test_table_loads_neither_isocheck_nor_mckay():
     after = command_modules("table qc --n 2")
-    assert "crepant.ringtables" in after
-    assert not {"crepant.isocheck", "crepant.mckay"} & after
+    assert {"crepant.tables", "crepant.ringtables"} <= after
+    assert not {"crepant.isocheck", "crepant.mckay", "crepant.transport",
+                "crepant.maps"} & after
+
+
+VERIFY = "verify --n 2 --map bgp:1 --q e:1/3,e:1/3 --format "
+# the field arithmetic, the records, the tables, the maps and the check
+CHECK_MODULES = {"crepant", "crepant.cli", "crepant.coeffring",
+                 "crepant.corrections", "crepant.exactnum", "crepant.record",
+                 "crepant.tables", "crepant.maps", "crepant.transport"}
+
+
+@pytest.mark.parametrize("args, modules", [
+    (VERIFY + "text", CHECK_MODULES),
+    (VERIFY + "json", CHECK_MODULES),
+    ("table qc --n 2", {"crepant", "crepant.cli", "crepant.coeffring",
+                        "crepant.corrections", "crepant.exactnum",
+                        "crepant.record", "crepant.tables",
+                        "crepant.ringtables"}),
+    ("mckay --n 3", {"crepant", "crepant.cli", "crepant.exactnum",
+                     "crepant.record", "crepant.mckay"}),
+], ids=["verify-text", "verify-json", "table", "mckay"])
+def test_a_command_loads_exactly_the_modules_it_runs(args, modules):
+    after = command_modules(args)
+    assert {m for m in after if m.startswith("crepant")} == modules
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_loads_neither_the_solvers_the_scan_the_emitters_nor_graphs(
+        fmt):
+    import crepant
+    from crepant import ringtables
+
+    homes = {crepant.solve_a2.__module__, crepant.conjecture_scan.__module__,
+             ringtables.table_to_latex.__module__,
+             crepant.an_mckay.__module__}
+    assert homes == {"crepant.isocheck", "crepant.ringtables",
+                     "crepant.mckay"}
+    assert not homes & command_modules(VERIFY + fmt)
 
 
 # The public names of `crepant`, as the package listed them when it imported

@@ -34,7 +34,8 @@ sympy = pytest.importorskip("sympy")
 
 from crepant.corrections import DeltaIndex, delta_eval  # noqa: E402
 from crepant.exactnum import root_of_unity  # noqa: E402
-from crepant.ringtables import qc_eval, qc_table, table_to_json  # noqa: E402
+from crepant.ringtables import table_to_json  # noqa: E402
+from crepant.tables import qc_eval, qc_table  # noqa: E402
 
 X = sympy.Symbol("x")
 
